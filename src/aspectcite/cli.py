@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -50,12 +51,35 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _write_atomically(path: str, write) -> None:
+    """Call write(tmp) on a fresh temp file beside path, then rename it over path.
+
+    The temp name is unique, so concurrent runs sharing an --out-dir never
+    write into each other's files; if write raises, the temp file is removed
+    and any existing file at path is left untouched.
+    """
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=f".{os.path.basename(path)}.")
+    os.close(fd)
+    try:
+        # mkstemp creates the file 0600; give it the mode a plain open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def _atomic_write(path: str, data: str | bytes) -> None:
-    mode = "wb" if isinstance(data, bytes) else "w"
-    tmp = f"{path}.tmp"
-    with open(tmp, mode, encoding=None if isinstance(data, bytes) else "utf-8") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    mode, encoding = ("wb", None) if isinstance(data, bytes) else ("w", "utf-8")
+
+    def write(tmp: str) -> None:
+        with open(tmp, mode, encoding=encoding) as fh:
+            fh.write(data)
+
+    _write_atomically(path, write)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -288,8 +312,8 @@ def cmd_train(args) -> int:
         raise UsageError(str(exc)) from exc
 
     result = fit(graph, split, config, text_vectors)
-    save_checkpoint(result.params, os.path.join(out_dir, "checkpoint.json"))
-    save_state(result.state, os.path.join(out_dir, "state.json"))
+    _write_atomically(os.path.join(out_dir, "checkpoint.json"), lambda tmp: save_checkpoint(result.params, tmp))
+    _write_atomically(os.path.join(out_dir, "state.json"), lambda tmp: save_state(result.state, tmp))
     _write_json(os.path.join(out_dir, "report.json"), result.report)
     _echo_config(out_dir, "train", {**res.resolved, "manifest": args.manifest, "out_dir": out_dir})
     phases = sum(len(s["sy_phases"]) for s in result.report["stages"])
@@ -302,6 +326,7 @@ def _load_artifacts(args):
     try:
         params = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
         state = load_state(_require_file(args.state, "state"))
+        state.validate()
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     if params.num_nodes != graph.num_nodes or state.num_nodes != graph.num_nodes:
@@ -406,9 +431,7 @@ def cmd_explain(args) -> int:
         args.target, params, state, graph, text_vectors, texts=texts, top_n=top_n, top_m=top_m
     )
     out_path = os.path.join(out_dir, f"explanation.{fmt}")
-    tmp_target = out_path + ".tmp"
-    export_explanation(explanation, tmp_target, format=fmt)
-    os.replace(tmp_target, out_path)
+    _write_atomically(out_path, lambda tmp: export_explanation(explanation, tmp, format=fmt))
     _echo_config(out_dir, "explain", {**res.resolved, "target": args.target, "out_dir": out_dir})
     populated = sum(1 for group in explanation.aspects if group)
     print(f"explain: target={args.target} populated-aspects={populated} -> {out_path}")

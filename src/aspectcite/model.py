@@ -279,13 +279,22 @@ def representations_for(nodes: np.ndarray, text_vectors: np.ndarray, params: Mod
 
 
 def impacts_for_pairs(pairs: np.ndarray, state_matrix: np.ndarray, params: ModelParams, text_vectors: np.ndarray):
-    """Vectorized (c, e, D) for an array of (i, j) pairs; rows align with input."""
+    """Vectorized (c, e, D) for an array of (i, j) pairs; rows align with input.
+
+    Each distinct node's representation is computed once and gathered per
+    pair. c stays a per-pair product: a BLAS matmul's last bit can depend on
+    its row count, so computing it per node could change the result.
+    """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     src, dst = pairs[:, 0], pairs[:, 1]
-    r_src = representations_for(src, text_vectors, params)
-    r_dst = representations_for(dst, text_vectors, params)
+    present = np.zeros(params.num_nodes, dtype=bool)
+    present[src] = True
+    present[dst] = True
+    slot = np.cumsum(present) - 1  # slot[x] is node x's row in reps when present[x]
+    reps = representations_for(np.flatnonzero(present), text_vectors, params)
+    e = reps[slot[src]]
+    e *= reps[slot[dst]]  # e = r_src * r_dst without keeping both gathers alive
     c = np.asarray(state_matrix)[dst] @ params.state_to_effect.T
-    e = r_src * r_dst
     d = c @ params.effect_weights + e @ params.similarity_weights + params.bias
     return c, e, d
 

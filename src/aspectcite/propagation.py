@@ -11,6 +11,14 @@ uniformly. nu = 1 - beta*N is the unique choice that keeps every column of
 P_k summing to 1. The operator is applied without ever materializing the
 dense matrix: the all-ones term is a rank-one update and Z_k a scalar
 correction.
+
+All aspects step together. build_projection stacks the per-aspect X_k once
+into one block-diagonal (I*N, I*N) CSR matrix; masked impacts are one-hot
+per edge, so it holds at most M nonzeros. A step is then one sparse
+matrix-vector product on the aspect-major copy of the state, plus one
+dangling-mass sum per aspect. Row k*N + i of the stacked matrix holds row i
+of X_k with its entries in the same order, so a step computes exactly the
+same floating-point sums as multiplying each X_k on its own.
 """
 
 from __future__ import annotations
@@ -123,11 +131,17 @@ def build_transition(edges, impacts: np.ndarray, num_nodes: int) -> TransitionTe
 
 @dataclass(frozen=True)
 class ProjectionOperator:
-    """The implicit column-stochastic propagation operator, one per aspect."""
+    """The implicit column-stochastic propagation operator for all aspects.
+
+    stacked is block-diagonal with X_k as block k; dangling[k] lists the
+    flat aspect-major positions k*N + j of aspect k's dangling columns j.
+    """
 
     tensor: TransitionTensor
     beta: float
     nu: float
+    stacked: sparse.csr_matrix = field(repr=False)
+    dangling: tuple = field(repr=False)
 
     @property
     def num_nodes(self) -> int:
@@ -139,9 +153,24 @@ class ProjectionOperator:
 
 
 def build_projection(tensor: TransitionTensor) -> ProjectionOperator:
-    beta = 0.05 / tensor.num_nodes
-    nu = 1.0 - beta * tensor.num_nodes
-    return ProjectionOperator(tensor=tensor, beta=beta, nu=nu)
+    n, aspects = tensor.num_nodes, tensor.aspects
+    beta = 0.05 / n
+    nu = 1.0 - beta * n
+    indptr = [np.zeros(1, dtype=np.int64)]
+    offset = 0
+    for mat in tensor.matrices:
+        indptr.append(mat.indptr[1:].astype(np.int64) + offset)
+        offset += mat.nnz
+    stacked = sparse.csr_matrix(
+        (
+            np.concatenate([mat.data[: mat.nnz] for mat in tensor.matrices]),
+            np.concatenate([mat.indices[: mat.nnz].astype(np.int64) + k * n for k, mat in enumerate(tensor.matrices)]),
+            np.concatenate(indptr),
+        ),
+        shape=(aspects * n, aspects * n),
+    )
+    dangling = tuple(np.flatnonzero(tensor.dangling_mask[:, k]) + k * n for k in range(aspects))
+    return ProjectionOperator(tensor=tensor, beta=beta, nu=nu, stacked=stacked, dangling=dangling)
 
 
 def apply_projection(op: ProjectionOperator, state: AspectState) -> AspectState:
@@ -154,14 +183,13 @@ def apply_projection(op: ProjectionOperator, state: AspectState) -> AspectState:
         raise ValueError(f"input state columns must sum to 1 (got {column_sums})")
 
     n = op.num_nodes
-    out = np.empty_like(matrix)
-    for k in range(op.aspects):
-        column = matrix[:, k]
-        dangling_mass = column[op.tensor.dangling_mask[:, k]].sum()
-        out[:, k] = op.beta * column_sums[k] + op.nu * (
-            op.tensor.matrices[k] @ column + dangling_mass / n
-        )
-    return AspectState(matrix=out, step=state.step + 1, residual=state.residual, converged=state.converged)
+    flat = matrix.T.ravel()  # aspect-major: element k*N + j is matrix[j, k]
+    dangling_mass = np.array([flat[idx].sum() for idx in op.dangling])
+    spread = (op.stacked @ flat).reshape(op.aspects, n) + (dangling_mass / n)[:, None]
+    out = op.beta * column_sums[:, None] + op.nu * spread
+    return AspectState(
+        matrix=np.ascontiguousarray(out.T), step=state.step + 1, residual=state.residual, converged=state.converged
+    )
 
 
 def propagate(

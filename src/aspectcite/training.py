@@ -388,7 +388,7 @@ def train_sd_phase(
     function of (params, state, edges).
     """
     params.validate()
-    edges = np.asarray(list(train_edges), dtype=np.int64).reshape(-1, 2)
+    edges = np.asarray(train_edges, dtype=np.int64).reshape(-1, 2)
     if len(edges) == 0:
         raise ValueError("no train edges available for propagation")
     from .model import impacts_for_pairs

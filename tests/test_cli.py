@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from aspectcite.cli import main
+from aspectcite.cli import _write_atomically, main
 
 
 @pytest.fixture
@@ -190,6 +190,24 @@ class TestPredict:
         assert len(payload["pairs"]) == 2
         assert all(isinstance(row[2], float) for row in payload["pairs"])
 
+    def test_unnormalized_state_exits_2(self, dataset, tmp_path, capsys):
+        root, edges, text, vecs = dataset
+        out = tmp_path / "out"
+        run_pipeline(root, edges, text, vecs, out)
+        payload = json.loads((out / "state.json").read_text())
+        matrix = np.asarray(payload["matrix"]).reshape(payload["num_nodes"], payload["aspects"])
+        matrix[:, 0] *= 1.001
+        payload["matrix"] = matrix.ravel().tolist()
+        (out / "state.json").write_text(json.dumps(payload), encoding="utf-8")
+        manifest = json.loads((out / "manifest.json").read_text())
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text(f"{manifest['nodes'][0]}\t{manifest['nodes'][1]}\n", encoding="utf-8")
+        assert main([
+            "predict", "--manifest", str(out / "manifest.json"), "--checkpoint", str(out / "checkpoint.json"),
+            "--state", str(out / "state.json"), "--pairs", str(pairs), "--out-dir", str(out),
+        ]) == 2
+        assert "sum to 1" in capsys.readouterr().err
+
     def test_unknown_node_exits_3(self, dataset, tmp_path):
         root, edges, text, vecs = dataset
         out = tmp_path / "out"
@@ -227,6 +245,38 @@ class TestExplain:
             "explain", "--manifest", str(out / "manifest.json"), "--checkpoint", str(out / "checkpoint.json"),
             "--state", str(out / "state.json"), "--target", "ghost", "--out-dir", str(out),
         ]) == 3
+
+
+class TestAtomicWrite:
+    def test_failed_writer_leaves_old_file_and_no_temp(self, tmp_path):
+        target = tmp_path / "state.json"
+        target.write_text("old\n", encoding="utf-8")
+
+        def failing(tmp):
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write("partial")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            _write_atomically(str(target), failing)
+        assert target.read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+
+    def test_pipeline_leaves_no_temp_files(self, dataset, tmp_path):
+        root, edges, text, vecs = dataset
+        out = tmp_path / "out"
+        run_pipeline(root, edges, text, vecs, out)
+        target = json.loads((out / "manifest.json").read_text())["edges"][0][1]
+        assert main([
+            "explain", "--manifest", str(out / "manifest.json"), "--checkpoint", str(out / "checkpoint.json"),
+            "--state", str(out / "state.json"), "--target", target, "--out-dir", str(out),
+        ]) == 0
+        names = sorted(p.name for p in out.iterdir())
+        assert not [n for n in names if n.startswith(".") or n.endswith(".tmp")]
+        assert {"checkpoint.json", "state.json", "explanation.json"} <= set(names)
+        umask = os.umask(0)
+        os.umask(umask)
+        assert (out / "state.json").stat().st_mode & 0o777 == 0o666 & ~umask  # not mkstemp's 0600
 
 
 class TestConfigResolution:

@@ -19,7 +19,7 @@ from aspectcite import (
     save_checkpoint,
     score_pair,
 )
-from aspectcite.model import scores_for_pairs, softmax
+from aspectcite.model import impacts_for_pairs, representations_for, scores_for_pairs, softmax
 
 
 def make_params(aspects=2, text_dim=2, struct_dim=3, num_nodes=4, seed=0):
@@ -264,6 +264,44 @@ class TestScorePair:
         batch = scores_for_pairs(np.asarray(pairs), state, params, texts)
         for pair, score in zip(pairs, batch):
             assert score == pytest.approx(score_pair(*pair, state, params, texts).f, abs=1e-12)
+
+
+def impacts_for_pairs_per_row(pairs, state_matrix, params, text_vectors):
+    """Reference: one representation per pair endpoint, recomputed on every row."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    src, dst = pairs[:, 0], pairs[:, 1]
+    r_src = representations_for(src, text_vectors, params)
+    r_dst = representations_for(dst, text_vectors, params)
+    c = np.asarray(state_matrix)[dst] @ params.state_to_effect.T
+    e = r_src * r_dst
+    d = c @ params.effect_weights + e @ params.similarity_weights + params.bias
+    return c, e, d
+
+
+class TestImpactsForPairs:
+    def setup_inputs(self, num_nodes=40, seed=11):
+        params = make_params(num_nodes=num_nodes, text_dim=7, struct_dim=5, aspects=4, seed=seed)
+        rng = np.random.default_rng(seed)
+        state = rng.random((num_nodes, 4))
+        state /= state.sum(axis=0)
+        texts = rng.normal(size=(num_nodes, 7))
+        texts[3] = 0.0
+        params.node_embeddings[3] = 0.0  # node 3 has a zero-norm representation
+        return params, state, texts
+
+    @pytest.mark.parametrize("pairs", [
+        [(0, 3)],
+        [(3, 1)],
+        [(5, 9), (9, 5), (5, 9), (3, 5), (5, 3), (3, 3), (0, 39)],
+        np.random.default_rng(2).integers(40, size=(700, 2)),
+        np.random.default_rng(3).integers(6, size=(300, 2)),
+    ])
+    def test_bitwise_equal_to_per_row_reference(self, pairs):
+        params, state, texts = self.setup_inputs()
+        got = impacts_for_pairs(pairs, state, params, texts)
+        want = impacts_for_pairs_per_row(pairs, state, params, texts)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b)
 
 
 class TestCheckpoint:

@@ -37,6 +37,19 @@ def dense_projection(edges, impacts, n):
     return mats
 
 
+def apply_projection_per_aspect(op, state):
+    """Reference step: one strided sparse matvec and one masked gather per aspect."""
+    matrix = state.matrix
+    column_sums = matrix.sum(axis=0)
+    n = op.num_nodes
+    out = np.empty_like(matrix)
+    for k in range(op.aspects):
+        column = matrix[:, k]
+        dangling_mass = column[op.tensor.dangling_mask[:, k]].sum()
+        out[:, k] = op.beta * column_sums[k] + op.nu * (op.tensor.matrices[k] @ column + dangling_mass / n)
+    return out
+
+
 def random_instance(rng, max_n=50, max_aspects=4):
     n = int(rng.integers(3, max_n + 1))
     aspects = int(rng.integers(1, max_aspects + 1))
@@ -116,6 +129,39 @@ class TestApplyProjection:
         op = build_projection(build_transition([(0, 1)], np.array([[1.0]]), 2))
         with pytest.raises(ValueError, match="sum to 1"):
             apply_projection(op, AspectState(matrix=np.array([[0.9], [0.9]])))
+
+    @pytest.mark.parametrize("aspects", [1, 2, 3, 4, 5])
+    def test_bitwise_equal_to_per_aspect_loop(self, aspects):
+        # one-hot masked impacts as train_sd_phase builds them, on a graph
+        # large enough for the pairwise sums to take several blocks
+        rng = np.random.default_rng(40 + aspects)
+        n, m = 3000, 9000
+        rows, cols = rng.integers(n, size=m), rng.integers(n // 2, size=m)
+        keep = rows != cols
+        edges = np.unique(np.stack([rows[keep], cols[keep]], axis=1), axis=0)
+        impacts = np.zeros((len(edges), aspects))
+        impacts[np.arange(len(edges)), rng.integers(aspects, size=len(edges))] = rng.random(len(edges)) - 0.2
+        op = build_projection(build_transition(edges, np.maximum(impacts, 0.0), n))
+        assert op.tensor.dangling_mask.any(axis=0).all()
+        state = rng.random((n, aspects))
+        state /= state.sum(axis=0)
+        for matrix in (state, np.asfortranarray(state)):
+            current = AspectState(matrix=matrix)
+            for _ in range(3):
+                out = apply_projection(op, current)
+                assert np.array_equal(out.matrix, apply_projection_per_aspect(op, current))
+                assert out.matrix.flags.c_contiguous
+                current = out
+
+    def test_bitwise_equal_to_per_aspect_loop_random_instances(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            n, aspects, edges, impacts = random_instance(rng, max_aspects=5)
+            op = build_projection(build_transition(edges, impacts, n))
+            state = rng.random((n, aspects))
+            state = np.asfortranarray(state / state.sum(axis=0))
+            out = apply_projection(op, AspectState(matrix=state))
+            assert np.array_equal(out.matrix, apply_projection_per_aspect(op, AspectState(matrix=state)))
 
     def test_positivity_after_one_step(self):
         rng = np.random.default_rng(2)

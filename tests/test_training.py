@@ -223,6 +223,14 @@ class TestTrainSdPhase:
         assert np.array_equal(first.matrix, second.matrix)
         assert first.residual == second.residual
 
+    def test_edge_array_and_tuple_list_give_identical_state(self, small_graph, small_split, small_text):
+        config, params, state = self.make(small_graph, small_text)
+        as_list = [tuple(e) for e in small_split.train_edges]
+        from_list = train_sd_phase(params, state, as_list, config, small_text)
+        from_array = train_sd_phase(params, state, np.asarray(as_list), config, small_text)
+        assert np.array_equal(from_list.matrix, from_array.matrix)
+        assert (from_list.step, from_list.residual) == (from_array.step, from_array.residual)
+
 
 class TestFit:
     def test_ndp_runs_sy_only(self, small_graph, small_split, small_text):
