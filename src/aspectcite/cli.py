@@ -297,7 +297,6 @@ def cmd_train(args) -> int:
         epochs_per_phase=res.get("epochs_per_phase", 20, parse=int),
         alternations=res.get("alternations", 3, parse=int),
         batch_size=res.get("batch_size", 512, parse=int),
-        negatives_per_positive=res.get("negatives_per_positive", 1, parse=int),
         gumbel_temperature=res.get("gumbel_temperature", 1.0, parse=float),
         aspect_loss_weight=res.get("aspect_loss_weight", 1.0, parse=float),
         dynamic_propagation=variant == "dp",
@@ -318,6 +317,15 @@ def cmd_train(args) -> int:
     _echo_config(out_dir, "train", {**res.resolved, "manifest": args.manifest, "out_dir": out_dir})
     phases = sum(len(s["sy_phases"]) for s in result.report["stages"])
     print(f"train: variant={variant} scoring-phases={phases} -> {out_dir}/checkpoint.json")
+    for stage_index, stage in enumerate(result.report["stages"]):
+        for phase_index, phase in enumerate(stage["sd_phases"]):
+            if not phase["converged"]:
+                print(
+                    f"train: warning: stage {stage_index} propagation phase {phase_index} stopped unconverged "
+                    f"after {phase['phase_steps']} steps: residual {phase['residual']:.3e} "
+                    f">= epsilon {config.propagation_epsilon:.3e}",
+                    file=sys.stderr,
+                )
     return 0
 
 

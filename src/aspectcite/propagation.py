@@ -15,10 +15,16 @@ correction.
 All aspects step together. build_projection stacks the per-aspect X_k once
 into one block-diagonal (I*N, I*N) CSR matrix; masked impacts are one-hot
 per edge, so it holds at most M nonzeros. A step is then one sparse
-matrix-vector product on the aspect-major copy of the state, plus one
-dangling-mass sum per aspect. Row k*N + i of the stacked matrix holds row i
-of X_k with its entries in the same order, so a step computes exactly the
-same floating-point sums as multiplying each X_k on its own.
+matrix-vector product on the aspect-major flat state, plus one dangling-mass
+sum per aspect. Row k*N + i of the stacked matrix holds row i of X_k with its
+entries in the same order, so a step computes exactly the same floating-point
+sums as multiplying each X_k on its own.
+
+Between steps the state stays aspect-major: apply_projection returns the
+(N, I) transposed view of its C-ordered (I, N) result, so the next step
+flattens it without a copy and its column sums are contiguous reductions.
+propagate restores C order once, on the state it returns, so callers and
+saved states always see a C-ordered (N, I) matrix.
 """
 
 from __future__ import annotations
@@ -183,13 +189,13 @@ def apply_projection(op: ProjectionOperator, state: AspectState) -> AspectState:
         raise ValueError(f"input state columns must sum to 1 (got {column_sums})")
 
     n = op.num_nodes
-    flat = matrix.T.ravel()  # aspect-major: element k*N + j is matrix[j, k]
+    flat = matrix.T.ravel()  # aspect-major: element k*N + j is matrix[j, k]; a view for our own outputs
     dangling_mass = np.array([flat[idx].sum() for idx in op.dangling])
-    spread = (op.stacked @ flat).reshape(op.aspects, n) + (dangling_mass / n)[:, None]
-    out = op.beta * column_sums[:, None] + op.nu * spread
-    return AspectState(
-        matrix=np.ascontiguousarray(out.T), step=state.step + 1, residual=state.residual, converged=state.converged
-    )
+    out = (op.stacked @ flat).reshape(op.aspects, n)
+    out += (dangling_mass / n)[:, None]
+    out *= op.nu
+    out += op.beta * column_sums[:, None]
+    return AspectState(matrix=out.T, step=state.step + 1, residual=state.residual, converged=state.converged)
 
 
 def propagate(
@@ -204,23 +210,25 @@ def propagate(
     is exhausted first, the last iterate comes back flagged unconverged.
     The fixed point is unique (the operator is strictly positive entrywise),
     so the result does not depend on the starting state beyond epsilon.
+    max_steps=0 returns the initial state, unconverged with an infinite
+    residual. The returned matrix is always C-ordered.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if max_steps == 0:
-        return replace(initial, residual=float("inf"), converged=False)
 
     current = initial
     residual = float("inf")
+    change = np.empty((op.aspects, op.num_nodes))
     for _ in range(max_steps):
         nxt = apply_projection(op, current)
-        residual = float(np.max(np.abs(nxt.matrix - current.matrix).sum(axis=0)))
+        np.subtract(nxt.matrix.T, current.matrix.T, out=change)
+        residual = float(np.abs(change, out=change).sum(axis=1).max())
         current = nxt
         if residual < epsilon:
-            return replace(current, residual=residual, converged=True)
-    return replace(current, residual=residual, converged=False)
+            break
+    return replace(current, matrix=np.ascontiguousarray(current.matrix), residual=residual, converged=residual < epsilon)
 
 
 def save_state(state: AspectState, path) -> None:

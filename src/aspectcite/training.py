@@ -72,7 +72,6 @@ class TrainConfig:
     epochs_per_phase: int = 20
     alternations: int = 3
     batch_size: int = 512
-    negatives_per_positive: int = 1
     gumbel_temperature: float = 1.0
     aspect_loss_weight: float = 1.0
     dynamic_propagation: bool = True
@@ -92,8 +91,6 @@ class TrainConfig:
             raise ValueError("momentum must lie in [0, 1)")
         if self.epochs_per_phase < 1 or self.alternations < 1 or self.batch_size < 1:
             raise ValueError("epochs_per_phase, alternations, and batch_size must be >= 1")
-        if self.negatives_per_positive < 1:
-            raise ValueError("negatives_per_positive must be >= 1")
         if self.gumbel_temperature <= 0:
             raise ValueError("gumbel_temperature must be positive")
         if self.aspect_loss_weight < 0:
@@ -112,7 +109,6 @@ class TrainConfig:
             "epochs_per_phase": self.epochs_per_phase,
             "alternations": self.alternations,
             "batch_size": self.batch_size,
-            "negatives_per_positive": self.negatives_per_positive,
             "gumbel_temperature": self.gumbel_temperature,
             "aspect_loss_weight": self.aspect_loss_weight,
             "dynamic_propagation": self.dynamic_propagation,
@@ -462,10 +458,14 @@ def fit(graph: CitationGraph, split: DatasetSplit, config: TrainConfig, text_vec
             )
             stage_report["sy_phases"].append(trace)
             if config.dynamic_propagation:
+                steps_before = state.step
                 state = train_sd_phase(params, state, active_edges, config, text_vectors)
-                stage_report["sd_phases"].append(
-                    {"steps": state.step, "residual": state.residual, "converged": state.converged}
-                )
+                stage_report["sd_phases"].append({
+                    "steps": state.step,
+                    "phase_steps": state.step - steps_before,
+                    "residual": state.residual,
+                    "converged": state.converged,
+                })
         report["stages"].append(stage_report)
     report["timing"]["fit_seconds"] = time.perf_counter() - started
     return FitResult(params=params, state=state, report=report)

@@ -130,6 +130,37 @@ class TestTrain:
         report = json.loads((out / "report.json").read_text())
         assert len(report["stages"][0]["sd_phases"]) == 3
 
+    def test_unconverged_phases_warn_on_stderr(self, dataset, tmp_path, capsys):
+        root, edges, text, vecs = dataset
+        out = tmp_path / "out"
+        run_pipeline(root, edges, text, vecs, out, extra_train=("--propagation-max-steps", "1"))
+        err = capsys.readouterr().err
+        phases = json.loads((out / "report.json").read_text())["stages"][0]["sd_phases"]
+        assert [p["phase_steps"] for p in phases] == [1, 1]
+        assert [p["steps"] for p in phases] == [1, 2]
+        warnings = [line for line in err.splitlines() if "stopped unconverged" in line]
+        assert len(warnings) == 2
+        for index, (line, phase) in enumerate(zip(warnings, phases)):
+            assert f"phase {index} " in line and "after 1 steps" in line
+            assert f"residual {phase['residual']:.3e}" in line and "epsilon 1.000e-08" in line
+
+    def test_converged_phases_do_not_warn(self, dataset, tmp_path, capsys):
+        root, edges, text, vecs = dataset
+        out = tmp_path / "out"
+        run_pipeline(root, edges, text, vecs, out, extra_train=("--propagation-max-steps", "5000"))
+        phases = json.loads((out / "report.json").read_text())["stages"][0]["sd_phases"]
+        assert all(p["converged"] for p in phases)
+        assert "unconverged" not in capsys.readouterr().err
+
+    def test_train_config_echo_has_no_negatives_key(self, dataset, tmp_path):
+        root, edges, text, vecs = dataset
+        out = tmp_path / "out"
+        run_pipeline(root, edges, text, vecs, out)
+        report = json.loads((out / "report.json").read_text())
+        echo = json.loads((out / "train_config.json").read_text())
+        assert "negatives_per_positive" not in report["config"]
+        assert "negatives_per_positive" not in echo
+
     def test_fixed_seed_reruns_identical_checkpoints(self, dataset, tmp_path):
         root, edges, text, vecs = dataset
         digests = []

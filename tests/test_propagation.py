@@ -50,6 +50,33 @@ def apply_projection_per_aspect(op, state):
     return out
 
 
+def propagate_c_ordered(op, initial, max_steps, epsilon):
+    """Reference power iteration: C-ordered state each step, residual as a strided axis-0 sum."""
+    current = initial.matrix
+    for step in range(1, max_steps + 1):
+        nxt = np.ascontiguousarray(apply_projection_per_aspect(op, AspectState(matrix=current)))
+        residual = float(np.max(np.abs(nxt - current).sum(axis=0)))
+        current = nxt
+        if residual < epsilon:
+            return current, step, residual, True
+    return current, max_steps, residual, False
+
+
+def one_hot_operator(rng, aspects, n=3000, m=9000):
+    """One-hot masked impacts as train_sd_phase builds them, with dangling columns in every aspect."""
+    rows, cols = rng.integers(n, size=m), rng.integers(n // 2, size=m)
+    keep = rows != cols
+    edges = np.unique(np.stack([rows[keep], cols[keep]], axis=1), axis=0)
+    impacts = np.zeros((len(edges), aspects))
+    impacts[np.arange(len(edges)), rng.integers(aspects, size=len(edges))] = rng.random(len(edges)) - 0.2
+    return build_projection(build_transition(edges, np.maximum(impacts, 0.0), n))
+
+
+def random_distribution(rng, n, aspects):
+    state = rng.random((n, aspects))
+    return state / state.sum(axis=0)
+
+
 def random_instance(rng, max_n=50, max_aspects=4):
     n = int(rng.integers(3, max_n + 1))
     aspects = int(rng.integers(1, max_aspects + 1))
@@ -132,25 +159,17 @@ class TestApplyProjection:
 
     @pytest.mark.parametrize("aspects", [1, 2, 3, 4, 5])
     def test_bitwise_equal_to_per_aspect_loop(self, aspects):
-        # one-hot masked impacts as train_sd_phase builds them, on a graph
-        # large enough for the pairwise sums to take several blocks
+        # a graph large enough for the pairwise sums to take several blocks
         rng = np.random.default_rng(40 + aspects)
-        n, m = 3000, 9000
-        rows, cols = rng.integers(n, size=m), rng.integers(n // 2, size=m)
-        keep = rows != cols
-        edges = np.unique(np.stack([rows[keep], cols[keep]], axis=1), axis=0)
-        impacts = np.zeros((len(edges), aspects))
-        impacts[np.arange(len(edges)), rng.integers(aspects, size=len(edges))] = rng.random(len(edges)) - 0.2
-        op = build_projection(build_transition(edges, np.maximum(impacts, 0.0), n))
+        op = one_hot_operator(rng, aspects)
         assert op.tensor.dangling_mask.any(axis=0).all()
-        state = rng.random((n, aspects))
-        state /= state.sum(axis=0)
+        state = random_distribution(rng, op.num_nodes, aspects)
         for matrix in (state, np.asfortranarray(state)):
             current = AspectState(matrix=matrix)
             for _ in range(3):
                 out = apply_projection(op, current)
                 assert np.array_equal(out.matrix, apply_projection_per_aspect(op, current))
-                assert out.matrix.flags.c_contiguous
+                assert out.matrix.T.flags.c_contiguous
                 current = out
 
     def test_bitwise_equal_to_per_aspect_loop_random_instances(self):
@@ -245,6 +264,65 @@ class TestPropagate:
         op = build_projection(build_transition(edges, impacts, n))
         out = apply_projection(op, initialize_state(n, 2))
         assert np.all(np.abs(out.matrix.sum(axis=0) - 1.0) < 1e-9)
+
+
+class TestPropagateLayout:
+    """propagate keeps the state aspect-major between steps; these pin what callers see."""
+
+    @pytest.mark.parametrize("aspects", [1, 3, 5])
+    def test_matches_c_ordered_reference_on_large_graph(self, aspects):
+        rng = np.random.default_rng(60 + aspects)
+        op = one_hot_operator(rng, aspects)
+        start = AspectState(matrix=random_distribution(rng, op.num_nodes, aspects))
+        # the residual is an L1 column distance, so it may move by at most
+        # the two states' column gaps: 2e-12 absolute
+        flags = set()
+        for max_steps, epsilon in ((10, 1e-8), (400, 1e-11)):
+            out = propagate(op, start, max_steps=max_steps, epsilon=epsilon)
+            matrix, steps, residual, converged = propagate_c_ordered(op, start, max_steps, epsilon)
+            assert (out.step, out.converged) == (steps, converged)
+            assert abs(out.residual - residual) <= 2e-12
+            assert np.abs(out.matrix - matrix).sum(axis=0).max() <= 1e-12
+            flags.add(out.converged)
+        assert flags == {True, False}
+
+    def test_matches_c_ordered_reference_random_instances(self):
+        rng = np.random.default_rng(8)
+        converged = set()
+        for _ in range(20):
+            n, aspects, edges, impacts = random_instance(rng, max_aspects=5)
+            op = build_projection(build_transition(edges, impacts, n))
+            start = AspectState(matrix=random_distribution(rng, n, aspects))
+            max_steps = int(rng.integers(1, 300))
+            out = propagate(op, start, max_steps=max_steps, epsilon=1e-10)
+            matrix, steps, residual, flag = propagate_c_ordered(op, start, max_steps, 1e-10)
+            assert (out.step, out.converged) == (steps, flag)
+            assert abs(out.residual - residual) <= 2e-12
+            assert np.abs(out.matrix - matrix).sum(axis=0).max() <= 1e-12
+            converged.add(out.converged)
+        assert converged == {True, False}
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("max_steps,expect_converged", [(0, False), (3, False), (2000, True)])
+    def test_returns_c_contiguous_matrix_on_every_exit(self, order, max_steps, expect_converged):
+        rng = np.random.default_rng(9)
+        op = one_hot_operator(rng, 3, n=200, m=600)
+        start = AspectState(matrix=np.asarray(random_distribution(rng, op.num_nodes, 3), order=order))
+        out = propagate(op, start, max_steps=max_steps, epsilon=1e-12)
+        assert out.converged is expect_converged
+        assert out.matrix.flags.c_contiguous
+        assert out.matrix.shape == start.matrix.shape
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_leaves_initial_matrix_unmodified(self, order):
+        rng = np.random.default_rng(10)
+        op = one_hot_operator(rng, 3, n=500, m=1500)
+        matrix = np.asarray(random_distribution(rng, op.num_nodes, 3), order=order)
+        snapshot = matrix.copy()
+        for max_steps in (0, 1, 50):
+            propagate(op, AspectState(matrix=matrix), max_steps=max_steps)
+            assert np.array_equal(matrix, snapshot)
+            assert matrix.flags.c_contiguous == (order == "C")
 
 
 class TestInitializeState:

@@ -253,6 +253,22 @@ class TestFit:
         assert len(stage["sy_phases"]) == 3
         assert len(stage["sd_phases"]) == 3
 
+    def test_sd_phases_report_per_phase_and_cumulative_steps(self, small_graph, small_split, small_text):
+        config = TrainConfig(
+            aspects=2, struct_dim=3, epochs_per_phase=1, alternations=3, batch_size=8,
+            propagation_max_steps=4, seed=3,
+        )
+        result = fit(small_graph, small_split, config, small_text)
+        phases = result.report["stages"][0]["sd_phases"]
+        assert [p["steps"] for p in phases] == list(np.cumsum([p["phase_steps"] for p in phases]))
+        assert all(1 <= p["phase_steps"] <= 4 for p in phases)
+        assert result.state.step == phases[-1]["steps"]
+
+    def test_negatives_per_positive_is_not_a_training_knob(self):
+        assert "negatives_per_positive" not in TrainConfig().to_dict()
+        with pytest.raises(TypeError):
+            TrainConfig(negatives_per_positive=2)
+
     def test_seeded_runs_are_byte_identical(self, small_graph, small_split, small_text, tmp_path):
         config = TrainConfig(aspects=2, struct_dim=3, epochs_per_phase=2, alternations=2, batch_size=8, seed=5)
         paths = []
