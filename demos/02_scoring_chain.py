@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The per-pair scoring chain, one intermediate at a time.
+"""The pair-scoring chain, one intermediate at a time.
 
 For a candidate citation i -> j the model computes
   r_i, r_j     fused unit-norm representations (text || structural)
@@ -9,23 +9,15 @@ For a candidate citation i -> j the model computes
   alpha        one aspect, sampled (train) or argmax (infer)
   Y_ij         nonnegative impact masked to the chosen aspect
   F_ij         scalar link score
+
+Every step is the batched chain run on one row: the same code scores all
+train edges in a propagation phase and every candidate pair in evaluation.
 """
 
 import numpy as np
 
-from aspectcite import (
-    Dims,
-    ModelParams,
-    initialize_state,
-    node_representation,
-    citation_effect,
-    edge_similarity,
-    aspect_impact,
-    sample_aspect,
-    masked_impact,
-    link_score,
-    score_pair,
-)
+from aspectcite import Dims, ModelParams, initialize_state, sample_aspect, score_pair
+from aspectcite.model import impacts_for_pairs, representations_for
 from aspectcite.seeding import substream
 
 dims = Dims(aspects=3, text_dim=4, struct_dim=3)
@@ -34,32 +26,24 @@ state = initialize_state(num_nodes=5, aspects=3)
 texts = substream(7, "texts").normal(size=(5, 4))
 
 i, j = 0, 2
-r_i, _ = node_representation(i, texts[i], params)
-r_j, _ = node_representation(j, texts[j], params)
-print(f"r_{i} = {np.round(r_i, 3)}  (norm {np.linalg.norm(r_i):.6f})")
-print(f"r_{j} = {np.round(r_j, 3)}  (norm {np.linalg.norm(r_j):.6f})")
+reps, norms = representations_for(np.array([i, j]), texts, params)
+for node, r, norm in zip((i, j), reps, norms[:, 0]):
+    print(f"r_{node} = {np.round(r, 3)}  (norm {np.linalg.norm(r):.6f}, {norm:.3f} before normalizing)")
 
-c = citation_effect(j, state.matrix, params)
-print(f"c_ij (state-driven effect of the cited node) = {np.round(c, 4)}")
+c, e, d = impacts_for_pairs(np.array([(i, j)]), state.matrix, params, texts)
+print(f"c_ij (state-driven effect of the cited node) = {np.round(c[0], 4)}")
+print(f"e_ij (similarity, first 4 coords) = {np.round(e[0, :4], 4)}")
+print(f"D_ij (per-aspect impact) = {np.round(d[0], 4)}")
 
-e = edge_similarity(r_i, r_j)
-print(f"e_ij (similarity, first 4 coords) = {np.round(e[:4], 4)}")
-
-d_pair = aspect_impact(c, e, params)
-print(f"D_ij (per-aspect impact) = {np.round(d_pair, 4)}")
-
-alpha_infer, probs = sample_aspect(d_pair, mode="infer")
+alpha_infer, probs = sample_aspect(d[0], mode="infer")
 print(f"infer-mode aspect: one-hot {alpha_infer}, class probabilities {np.round(probs, 3)}")
 
 rng = substream(7, "gumbel")
-draws = [int(sample_aspect(d_pair, mode="train", rng=rng)[0].argmax()) for _ in range(12)]
+draws = [int(sample_aspect(d[0], mode="train", rng=rng)[0].argmax()) for _ in range(12)]
 print(f"train-mode Gumbel draws (12x): {draws}")
-
-y = masked_impact(alpha_infer, d_pair)
-print(f"Y_ij (masked nonnegative impact) = {np.round(y, 4)}")
-
-print(f"F_ij (link score) = {link_score(c, e):.6f}")
 
 bundle = score_pair(i, j, state.matrix, params, texts, mode="infer")
 bundle.validate()
-print(f"score_pair reproduces the chain: F = {bundle.f:.6f}, alpha = {bundle.alpha}")
+print(f"Y_ij (masked nonnegative impact) = {np.round(bundle.y_pair, 4)}")
+print(f"F_ij (link score) = {bundle.f:.6f}  (sum(c) + sum(e) = {c.sum() + e.sum():.6f})")
+print(f"score_pair bundles the same row: alpha = {bundle.alpha}, zero representation: {bundle.zero_representation}")

@@ -26,13 +26,7 @@ from .model import (
     Dims,
     EdgeScore,
     ModelParams,
-    aspect_impact,
-    citation_effect,
-    edge_similarity,
-    link_score,
     load_checkpoint,
-    masked_impact,
-    node_representation,
     sample_aspect,
     save_checkpoint,
     score_pair,

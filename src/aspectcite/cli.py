@@ -297,7 +297,6 @@ def cmd_train(args) -> int:
         epochs_per_phase=res.get("epochs_per_phase", 20, parse=int),
         alternations=res.get("alternations", 3, parse=int),
         batch_size=res.get("batch_size", 512, parse=int),
-        gumbel_temperature=res.get("gumbel_temperature", 1.0, parse=float),
         aspect_loss_weight=res.get("aspect_loss_weight", 1.0, parse=float),
         dynamic_propagation=variant == "dp",
         snapshot_cutoffs=res.get("snapshot_cutoffs", (), parse=_parse_int_list),
@@ -484,7 +483,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--epochs-per-phase", type=int)
     p.add_argument("--alternations", type=int)
     p.add_argument("--batch-size", type=int)
-    p.add_argument("--gumbel-temperature", type=float)
     p.add_argument("--aspect-loss-weight", type=float)
     p.add_argument("--snapshot-cutoffs", type=_parse_int_list)
     p.add_argument("--propagation-epsilon", type=float)

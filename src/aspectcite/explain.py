@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import CitationGraph
-from .model import ModelParams, impacts_for_pairs
+from .model import ModelParams, impacts_for_pairs, select_aspects
 
 __all__ = ["AspectExplanation", "RankedCiter", "explain_target", "export_explanation", "load_explanation"]
 
@@ -109,13 +109,13 @@ def explain_target(
     state_matrix = state.matrix if hasattr(state, "matrix") else np.asarray(state)
     pairs = np.asarray([(int(i), t) for i in citers])
     _, _, impact_rows = impacts_for_pairs(pairs, state_matrix, params, text_vectors)
-    selected = np.argmax(impact_rows, axis=1)
-    scores = impact_rows[np.arange(len(impact_rows)), selected]
+    alphas = select_aspects(impact_rows)
+    scores = impact_rows[alphas == 1.0]  # one selected-aspect impact per citer, in citer order
 
     groups: list[tuple[RankedCiter, ...]] = []
     terms: list[tuple[str, ...]] = []
     for k in range(aspects):
-        members = [(float(scores[m]), int(citers[m])) for m in np.flatnonzero(selected == k)]
+        members = [(float(scores[m]), int(citers[m])) for m in np.flatnonzero(alphas[:, k])]
         members.sort(key=lambda sc: (-sc[0], sc[1]))
         top = members[:top_n]
         groups.append(

@@ -78,9 +78,6 @@ class CitationGraph:
         except KeyError:
             raise KeyError(f"unknown node id {node_id!r}") from None
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return (i, j) in self.edge_set
-
     def out_degree(self, i: int) -> int:
         return len(self.out_adjacency[i])
 

@@ -32,26 +32,22 @@ __all__ = [
 
 RANK_KS = (1, 5, 10)
 
-# Above this many pairwise comparisons AUC switches from exact pair counting
-# to the mathematically identical rank-sum form.
-_PAIRWISE_LIMIT = 20_000_000
-
 
 def auc(pos_scores, neg_scores) -> float:
-    """Probability a random positive outscores a random negative (ties 0.5)."""
+    """Probability a random positive outscores a random negative (ties 0.5).
+
+    The Mann-Whitney U statistic in its rank form: each positive's mid-rank
+    among the sorted negatives, (below + not_above) / 2, summed over the
+    positives and divided by the pair count. Exact, with no P x N pair table.
+    """
     pos = np.asarray(pos_scores, dtype=np.float64)
     neg = np.asarray(neg_scores, dtype=np.float64)
     if pos.size == 0 or neg.size == 0:
         raise ValueError("auc needs at least one positive and one negative score")
-    if pos.size * neg.size <= _PAIRWISE_LIMIT:
-        wins = np.sum(pos[:, None] > neg[None, :])
-        ties = np.sum(pos[:, None] == neg[None, :])
-        return float((wins + 0.5 * ties) / (pos.size * neg.size))
-    from scipy.stats import rankdata
-
-    ranks = rankdata(np.concatenate([pos, neg]))
-    rank_sum = ranks[: pos.size].sum()
-    return float((rank_sum - pos.size * (pos.size + 1) / 2) / (pos.size * neg.size))
+    neg = np.sort(neg)
+    below = np.searchsorted(neg, pos, side="left")
+    not_above = np.searchsorted(neg, pos, side="right")
+    return float((below + not_above).sum() / (2 * pos.size * neg.size))
 
 
 def average_precision_at_k(ranked_relevance, k: int) -> float:

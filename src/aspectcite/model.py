@@ -1,13 +1,20 @@
-"""Learnable parameters and the per-pair scoring chain.
+"""Learnable parameters and the one batched scoring chain.
 
-For a candidate citation (i cites j) the chain is:
-  r_x   fused representation: L2-normalized concat of text and structural embedding
+For candidate citations (i cites j), one row per pair, the chain is:
+  r_x   fused representation: L2-normalized concat of text and structural
+        embedding, once per distinct node          (representations_for)
   c_ij  citation effect of the cited node: state_to_effect @ d_j
   e_ij  similarity: elementwise product r_i * r_j
   D_ij  per-aspect impact: effect_weights^T c + similarity_weights^T e + bias
-  alpha one-hot aspect choice (Gumbel-max sample in train mode, argmax in infer)
-  Y_ij  masked nonnegative impact: max(alpha * D_ij, 0)
+                                                   (impacts_from_representations)
+  alpha one-hot aspect choice: Gumbel-max draw in train mode, argmax in infer
+                                                   (select_aspects)
+  Y_ij  masked nonnegative impact: max(D_ij, 0) at the selected aspect, 0
+        elsewhere                                  (masked_impacts)
   F_ij  scalar link score: sum(c_ij) + sum(e_ij)
+
+`impacts_for_pairs`, the training forward pass and the one-row `score_pair`
+all run these same steps; every aspect choice goes through `select_aspects`.
 """
 
 from __future__ import annotations
@@ -22,16 +29,14 @@ __all__ = [
     "ModelParams",
     "EdgeScore",
     "softmax",
-    "node_representation",
-    "citation_effect",
-    "edge_similarity",
-    "aspect_impact",
-    "sample_aspect",
-    "masked_impact",
-    "link_score",
-    "score_pair",
     "representations_for",
+    "distinct_nodes",
+    "impacts_from_representations",
     "impacts_for_pairs",
+    "select_aspects",
+    "masked_impacts",
+    "sample_aspect",
+    "score_pair",
     "scores_for_pairs",
     "save_checkpoint",
     "load_checkpoint",
@@ -154,94 +159,101 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return ex / np.sum(ex, axis=-1, keepdims=True)
 
 
-def node_representation(i: int, text_vector: np.ndarray, params: ModelParams):
-    """Fused node representation: L2-normalize(concat(text, structural)).
+def representations_for(nodes: np.ndarray, text_vectors: np.ndarray, params: ModelParams):
+    """Fused representations L2-normalize(concat(text, structural)) for a node
+    index array, rows aligned with `nodes`, and their (rows, 1) norms before
+    normalization, which the backward pass divides by.
 
-    An all-zero pre-normalization vector stays zero and is flagged instead of
-    being divided by zero. Returns (r, zero_flag).
+    An all-zero row stays zero instead of being divided by zero; its norm of 0
+    flags it. Returns (r, norms).
     """
-    text_vector = np.asarray(text_vector, dtype=np.float64)
-    if text_vector.shape != (params.dims.text_dim,):
-        raise ValueError(f"text vector has shape {text_vector.shape}, expected ({params.dims.text_dim},)")
-    fused = np.concatenate([text_vector, params.node_embeddings[i]])
-    norm = np.linalg.norm(fused)
-    if norm == 0.0:
-        return fused, True
-    return fused / norm, False
+    if text_vectors.shape[1] != params.dims.text_dim:
+        raise ValueError(f"text vectors have width {text_vectors.shape[1]}, expected {params.dims.text_dim}")
+    fused = np.concatenate([text_vectors[nodes], params.node_embeddings[nodes]], axis=1)
+    norms = np.linalg.norm(fused, axis=1, keepdims=True)
+    fused /= np.where(norms == 0.0, 1.0, norms)
+    return fused, norms
 
 
-def citation_effect(j: int, state_matrix: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Citation effect of cited node j: state_to_effect @ d_j."""
-    d_j = np.asarray(state_matrix)[j]
-    if d_j.shape != (params.dims.aspects,):
-        raise ValueError(f"aspect state row has shape {d_j.shape}, expected ({params.dims.aspects},)")
-    return params.state_to_effect @ d_j
+def distinct_nodes(num_nodes: int, *node_arrays):
+    """The sorted distinct nodes of `node_arrays`, and for each array the row
+    of each of its entries in that node list.
+
+    Lets a caller compute one representation per distinct node and gather it
+    per pair; a presence mask over all nodes avoids sorting the entries.
+    """
+    present = np.zeros(num_nodes, dtype=bool)
+    for nodes in node_arrays:
+        present[nodes] = True
+    slot = np.cumsum(present) - 1  # slot[x] is node x's row when present[x]
+    return np.flatnonzero(present), [slot[nodes] for nodes in node_arrays]
 
 
-def edge_similarity(r_i: np.ndarray, r_j: np.ndarray) -> np.ndarray:
-    """Elementwise (Hadamard) product of two fused representations."""
-    r_i = np.asarray(r_i)
-    r_j = np.asarray(r_j)
-    if r_i.shape != r_j.shape:
-        raise ValueError(f"representation shapes differ: {r_i.shape} vs {r_j.shape}")
-    return r_i * r_j
+def impacts_from_representations(reps: np.ndarray, src_rows, dst_rows, dst_states: np.ndarray, params: ModelParams):
+    """(c, e, D) for pairs whose endpoints are rows `src_rows`, `dst_rows` of
+    `reps` and whose cited nodes have aspect states `dst_states` (rows align).
+
+    c = state_to_effect @ d_dst, e = r_src * r_dst and
+    D = effect_weights^T c + similarity_weights^T e + bias, one row per pair.
+    c stays a per-pair product: a BLAS matmul's last bit can depend on its row
+    count, so computing it per node could change the result.
+    """
+    e = reps[src_rows]
+    e *= reps[dst_rows]  # e = r_src * r_dst without keeping both gathers alive
+    c = dst_states @ params.state_to_effect.T
+    d = c @ params.effect_weights + e @ params.similarity_weights + params.bias
+    return c, e, d
 
 
-def aspect_impact(c: np.ndarray, e: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Per-aspect impact vector: effect_weights^T c + similarity_weights^T e + bias."""
-    c = np.asarray(c)
-    e = np.asarray(e)
-    if c.shape != (params.dims.aspects,):
-        raise ValueError(f"citation effect has shape {c.shape}, expected ({params.dims.aspects},)")
-    if e.shape != (params.dims.fused_dim,):
-        raise ValueError(f"similarity has shape {e.shape}, expected ({params.dims.fused_dim},)")
-    return params.effect_weights.T @ c + params.similarity_weights.T @ e + params.bias
+def impacts_for_pairs(pairs: np.ndarray, state_matrix: np.ndarray, params: ModelParams, text_vectors: np.ndarray):
+    """(c, e, D) for an array of (i, j) pairs; rows align with the input.
+
+    Each distinct node's representation is computed once and gathered per pair.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    nodes, (src_rows, dst_rows) = distinct_nodes(params.num_nodes, pairs[:, 0], pairs[:, 1])
+    reps, _ = representations_for(nodes, text_vectors, params)
+    return impacts_from_representations(reps, src_rows, dst_rows, np.asarray(state_matrix)[pairs[:, 1]], params)
 
 
-def sample_aspect(d_pair: np.ndarray, mode: str, temperature: float = 1.0, rng: np.random.Generator | None = None):
-    """Select one aspect from the impact vector.
+def select_aspects(impacts: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
+    """One-hot aspect choice for each row of a (rows, I) impact matrix.
 
-    infer: deterministic argmax of softmax(d_pair), ties to the lowest index.
-    train: Gumbel-max draw -- one_hot(argmax(g + log pi)) with g ~ Gumbel(0,1);
-           also returns the tempered-softmax relaxation softmax((g + log pi)/T)
-           used as the straight-through gradient surrogate.
+    Without a generator: the argmax of each row, ties to the lowest index.
+    With one: a Gumbel-max draw, the argmax of g + log softmax(d) with
+    g = -log(-log(u)) and u = rng.random((rows, I)), so a row picks aspect a
+    with probability softmax(d)[a].
+    """
+    scores = np.asarray(impacts, dtype=np.float64)
+    if rng is not None:
+        scores = -np.log(-np.log(rng.random(scores.shape))) + np.log(softmax(scores))
+    alphas = np.zeros_like(scores)
+    alphas[np.arange(len(scores)), np.argmax(scores, axis=1)] = 1.0
+    return alphas
 
-    Returns (one_hot, relaxed); in infer mode relaxed is softmax(d_pair).
+
+def masked_impacts(impacts: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Y = max(D, 0) at each row's selected aspect, 0 at every other aspect."""
+    return np.where(alphas == 1.0, np.maximum(impacts, 0.0), 0.0)
+
+
+def sample_aspect(d_pair: np.ndarray, mode: str, rng: np.random.Generator | None = None):
+    """Select one aspect from one impact vector: `select_aspects` on one row.
+
+    infer: argmax of d_pair, ties to the lowest index.
+    train: Gumbel-max draw one_hot(argmax(g + log pi)), g ~ Gumbel(0, 1).
+
+    Returns (one_hot, softmax(d_pair)).
     """
     d_pair = np.asarray(d_pair, dtype=np.float64)
     if not np.all(np.isfinite(d_pair)):
         raise ValueError("aspect impact vector contains non-finite entries")
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    pi = softmax(d_pair)
-    if mode == "infer":
-        hard = np.zeros_like(pi)
-        hard[int(np.argmax(pi))] = 1.0
-        return hard, pi
-    if mode == "train":
-        if rng is None:
-            raise ValueError("train-mode sampling needs a random generator")
-        u = rng.random(d_pair.shape)
-        gumbel = -np.log(-np.log(u))
-        perturbed = gumbel + np.log(pi)
-        hard = np.zeros_like(pi)
-        hard[int(np.argmax(perturbed))] = 1.0
-        relaxed = softmax(perturbed / temperature)
-        return hard, relaxed
-    raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-
-
-def masked_impact(alpha: np.ndarray, d_pair: np.ndarray) -> np.ndarray:
-    """Nonnegative impact restricted to the selected aspect: max(alpha * d, 0)."""
-    alpha = np.asarray(alpha)
-    if len(np.flatnonzero(alpha == 1.0)) != 1 or not np.all(np.isin(alpha, (0.0, 1.0))):
-        raise ValueError("alpha must be one-hot")
-    return np.maximum(alpha * np.asarray(d_pair), 0.0)
-
-
-def link_score(c: np.ndarray, e: np.ndarray) -> float:
-    """Total-impact link score: sum of all elements of c and of e."""
-    return float(np.sum(c) + np.sum(e))
+    if mode not in ("train", "infer"):
+        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
+    if mode == "train" and rng is None:
+        raise ValueError("train-mode sampling needs a random generator")
+    hard = select_aspects(d_pair[None, :], rng if mode == "train" else None)[0]
+    return hard, softmax(d_pair)
 
 
 def score_pair(
@@ -251,67 +263,31 @@ def score_pair(
     params: ModelParams,
     text_vectors: np.ndarray,
     mode: str = "infer",
-    temperature: float = 1.0,
     rng: np.random.Generator | None = None,
 ) -> EdgeScore:
-    """Full scoring bundle for the candidate citation i -> j."""
+    """Full scoring bundle for the candidate citation i -> j (the chain on one row)."""
     if i == j:
         raise ValueError(f"cannot score a self-pair ({i}, {j})")
-    r_i, zero_i = node_representation(i, text_vectors[i], params)
-    r_j, zero_j = node_representation(j, text_vectors[j], params)
-    c = citation_effect(j, state_matrix, params)
-    e = edge_similarity(r_i, r_j)
-    d_pair = aspect_impact(c, e, params)
-    alpha, _ = sample_aspect(d_pair, mode=mode, temperature=temperature, rng=rng)
-    y_pair = masked_impact(alpha, d_pair)
+    reps, norms = representations_for(np.array([i, j]), text_vectors, params)
+    c, e, d = impacts_from_representations(reps, [0], [1], np.asarray(state_matrix)[[j]], params)
+    alpha, _ = sample_aspect(d[0], mode=mode, rng=rng)
     return EdgeScore(
-        c=c, e=e, d_pair=d_pair, alpha=alpha, y_pair=y_pair,
-        f=link_score(c, e), zero_representation=zero_i or zero_j,
+        c=c[0], e=e[0], d_pair=d[0], alpha=alpha, y_pair=masked_impacts(d[0], alpha),
+        f=float(c.sum() + e.sum()), zero_representation=bool(np.any(norms == 0.0)),
     )
-
-
-def representations_for(nodes: np.ndarray, text_vectors: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Vectorized fused representations for a node index array (rows align)."""
-    fused = np.concatenate([text_vectors[nodes], params.node_embeddings[nodes]], axis=1)
-    norms = np.linalg.norm(fused, axis=1, keepdims=True)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    return fused / safe
-
-
-def impacts_for_pairs(pairs: np.ndarray, state_matrix: np.ndarray, params: ModelParams, text_vectors: np.ndarray):
-    """Vectorized (c, e, D) for an array of (i, j) pairs; rows align with input.
-
-    Each distinct node's representation is computed once and gathered per
-    pair. c stays a per-pair product: a BLAS matmul's last bit can depend on
-    its row count, so computing it per node could change the result.
-    """
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    src, dst = pairs[:, 0], pairs[:, 1]
-    present = np.zeros(params.num_nodes, dtype=bool)
-    present[src] = True
-    present[dst] = True
-    slot = np.cumsum(present) - 1  # slot[x] is node x's row in reps when present[x]
-    reps = representations_for(np.flatnonzero(present), text_vectors, params)
-    e = reps[slot[src]]
-    e *= reps[slot[dst]]  # e = r_src * r_dst without keeping both gathers alive
-    c = np.asarray(state_matrix)[dst] @ params.state_to_effect.T
-    d = c @ params.effect_weights + e @ params.similarity_weights + params.bias
-    return c, e, d
 
 
 def scores_for_pairs(pairs, state_matrix, params, text_vectors, scorer: str = "total_impact") -> np.ndarray:
     """Vectorized link scores for (i, j) pairs.
 
-    scorer "total_impact" is the F score; "masked_impact" is the alternative
-    sum of the deterministic-aspect masked impact vector.
+    scorer "total_impact" is the F score, sum(c) + sum(e); "masked_impact" is
+    the alternative sum of the masked impact vector of the argmax aspect.
     """
     c, e, d = impacts_for_pairs(pairs, state_matrix, params, text_vectors)
     if scorer == "total_impact":
         return c.sum(axis=1) + e.sum(axis=1)
     if scorer == "masked_impact":
-        selected = np.argmax(d, axis=1)
-        chosen = d[np.arange(len(d)), selected]
-        return np.maximum(chosen, 0.0)
+        return masked_impacts(d, select_aspects(d)).sum(axis=1)
     raise ValueError(f"unknown scorer {scorer!r}")
 
 

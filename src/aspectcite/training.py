@@ -27,7 +27,15 @@ import numpy as np
 
 from .corpus import DatasetSplit
 from .graph import CitationGraph
-from .model import Dims, ModelParams, softmax
+from .model import (
+    Dims,
+    ModelParams,
+    distinct_nodes,
+    impacts_from_representations,
+    masked_impacts,
+    representations_for,
+    select_aspects,
+)
 from .propagation import (
     AspectState,
     build_projection,
@@ -72,7 +80,6 @@ class TrainConfig:
     epochs_per_phase: int = 20
     alternations: int = 3
     batch_size: int = 512
-    gumbel_temperature: float = 1.0
     aspect_loss_weight: float = 1.0
     dynamic_propagation: bool = True
     snapshot_cutoffs: tuple = ()
@@ -91,8 +98,6 @@ class TrainConfig:
             raise ValueError("momentum must lie in [0, 1)")
         if self.epochs_per_phase < 1 or self.alternations < 1 or self.batch_size < 1:
             raise ValueError("epochs_per_phase, alternations, and batch_size must be >= 1")
-        if self.gumbel_temperature <= 0:
-            raise ValueError("gumbel_temperature must be positive")
         if self.aspect_loss_weight < 0:
             raise ValueError("aspect_loss_weight must be nonnegative")
         if list(self.snapshot_cutoffs) != sorted(self.snapshot_cutoffs):
@@ -109,7 +114,6 @@ class TrainConfig:
             "epochs_per_phase": self.epochs_per_phase,
             "alternations": self.alternations,
             "batch_size": self.batch_size,
-            "gumbel_temperature": self.gumbel_temperature,
             "aspect_loss_weight": self.aspect_loss_weight,
             "dynamic_propagation": self.dynamic_propagation,
             "snapshot_cutoffs": list(self.snapshot_cutoffs),
@@ -181,62 +185,38 @@ def sample_triplets(split: DatasetSplit, batch: int, rng: np.random.Generator, g
 
 
 def _forward(params: ModelParams, state_matrix, text_vectors, triplets):
-    """Shared forward pass caching every intermediate the backward needs."""
+    """Scoring chain for the (source, positive) and (source, negative) pairs
+    of each triplet, caching every intermediate the backward needs."""
     trip = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
     bi, bj, bk = trip[:, 0], trip[:, 1], trip[:, 2]
-
-    def rep(nodes):
-        fused = np.concatenate([text_vectors[nodes], params.node_embeddings[nodes]], axis=1)
-        norms = np.linalg.norm(fused, axis=1, keepdims=True)
-        safe = np.where(norms == 0.0, 1.0, norms)
-        return fused / safe, norms
-
-    r_i, norm_i = rep(bi)
-    r_j, norm_j = rep(bj)
-    r_k, norm_k = rep(bk)
-
+    nodes, (rows_i, rows_j, rows_k) = distinct_nodes(params.num_nodes, bi, bj, bk)
+    reps, norms = representations_for(nodes, text_vectors, params)
     state = np.asarray(state_matrix)
     d_j = state[bj]
     d_k = state[bk]
-    c_j = d_j @ params.state_to_effect.T
-    c_k = d_k @ params.state_to_effect.T
-    e_j = r_i * r_j
-    e_k = r_i * r_k
-    imp_j = c_j @ params.effect_weights + e_j @ params.similarity_weights + params.bias
-    imp_k = c_k @ params.effect_weights + e_k @ params.similarity_weights + params.bias
-    f_j = c_j.sum(axis=1) + e_j.sum(axis=1)
-    f_k = c_k.sum(axis=1) + e_k.sum(axis=1)
+    c_j, e_j, imp_j = impacts_from_representations(reps, rows_i, rows_j, d_j, params)
+    c_k, e_k, imp_k = impacts_from_representations(reps, rows_i, rows_k, d_k, params)
     return {
         "bi": bi, "bj": bj, "bk": bk,
-        "r_i": r_i, "r_j": r_j, "r_k": r_k,
-        "norm_i": norm_i, "norm_j": norm_j, "norm_k": norm_k,
+        "r_i": reps[rows_i], "r_j": reps[rows_j], "r_k": reps[rows_k],
+        "norm_i": norms[rows_i], "norm_j": norms[rows_j], "norm_k": norms[rows_k],
         "d_j": d_j, "d_k": d_k,
         "c_j": c_j, "c_k": c_k,
         "e_j": e_j, "e_k": e_k,
         "imp_j": imp_j, "imp_k": imp_k,
-        "f_j": f_j, "f_k": f_k,
+        "f_j": c_j.sum(axis=1) + e_j.sum(axis=1),
+        "f_k": c_k.sum(axis=1) + e_k.sum(axis=1),
     }
 
 
-def sample_batch_alphas(impacts: np.ndarray, rng: np.random.Generator, temperature: float = 1.0):
-    """Vectorized train-mode aspect sampling for a batch of impact rows.
-
-    Returns (hard one-hot rows, tempered-softmax relaxation rows).
-    """
-    pi = softmax(impacts)
-    u = rng.random(impacts.shape)
-    perturbed = -np.log(-np.log(u)) + np.log(pi)
-    hard = np.zeros_like(pi)
-    hard[np.arange(len(pi)), np.argmax(perturbed, axis=1)] = 1.0
-    relaxed = softmax(perturbed / temperature)
-    return hard, relaxed
+def sample_batch_alphas(impacts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Train-mode aspect selection: one Gumbel-max one-hot row per impact row."""
+    return select_aspects(impacts, rng)
 
 
 def infer_batch_alphas(impacts: np.ndarray) -> np.ndarray:
     """Deterministic argmax aspect selection (ties to the lowest index)."""
-    hard = np.zeros_like(impacts)
-    hard[np.arange(len(impacts)), np.argmax(impacts, axis=1)] = 1.0
-    return hard
+    return select_aspects(impacts)
 
 
 def batch_loss(params, state_matrix, text_vectors, triplets, alphas, config: TrainConfig) -> float:
@@ -356,7 +336,7 @@ def train_sy_phase(
             if not triplets:
                 continue
             fw_imp = _forward(params, state_matrix, text_vectors, triplets)["imp_j"]
-            alphas, _ = sample_batch_alphas(fw_imp, rng_gumbel, config.gumbel_temperature)
+            alphas = sample_batch_alphas(fw_imp, rng_gumbel)
             loss, grads = batch_loss_and_grads(params, state_matrix, text_vectors, triplets, alphas, config)
             if not np.isfinite(loss):
                 norms = {name: float(np.linalg.norm(getattr(params, name))) for name in ModelParams.TENSOR_FIELDS}
@@ -387,14 +367,10 @@ def train_sd_phase(
     edges = np.asarray(train_edges, dtype=np.int64).reshape(-1, 2)
     if len(edges) == 0:
         raise ValueError("no train edges available for propagation")
-    from .model import impacts_for_pairs
+    from .model import impacts_for_pairs  # looked up per call, so a wrapper bound on the model module sees it
 
     _, _, impact_rows = impacts_for_pairs(edges, state.matrix, params, text_vectors)
-    selected = np.argmax(impact_rows, axis=1)
-    masked = np.zeros_like(impact_rows)
-    masked[np.arange(len(impact_rows)), selected] = np.maximum(
-        impact_rows[np.arange(len(impact_rows)), selected], 0.0
-    )
+    masked = masked_impacts(impact_rows, select_aspects(impact_rows))
     tensor = build_transition(edges, masked, params.num_nodes)
     op = build_projection(tensor)
     return propagate(op, state, max_steps=config.propagation_max_steps, epsilon=config.propagation_epsilon)

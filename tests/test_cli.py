@@ -158,8 +158,23 @@ class TestTrain:
         run_pipeline(root, edges, text, vecs, out)
         report = json.loads((out / "report.json").read_text())
         echo = json.loads((out / "train_config.json").read_text())
-        assert "negatives_per_positive" not in report["config"]
-        assert "negatives_per_positive" not in echo
+        for removed in ("negatives_per_positive", "gumbel_temperature"):
+            assert removed not in report["config"]
+            assert removed not in echo
+
+    def test_gumbel_temperature_flag_is_a_usage_error(self, dataset, tmp_path, capsys):
+        root, edges, text, vecs = dataset
+        out = tmp_path / "out"
+        assert main([
+            "ingest", "--edges", str(edges), "--node-text", str(text), "--word-vectors", str(vecs),
+            "--out-dir", str(out), "--seed", "7",
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "train", "--manifest", str(out / "manifest.json"), "--out-dir", str(out), "--gumbel-temperature", "1",
+        ]) == 1
+        assert "--gumbel-temperature" in capsys.readouterr().err
+        assert not (out / "checkpoint.json").exists()
 
     def test_fixed_seed_reruns_identical_checkpoints(self, dataset, tmp_path):
         root, edges, text, vecs = dataset

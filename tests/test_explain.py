@@ -147,7 +147,7 @@ class TestMiniaturePlantedSeparation:
         rng = substream(3, "gumbel")
         for _ in range(400):
             impacts = _forward(params, state.matrix, texts, triplets)["imp_j"]
-            alphas, _ = sample_batch_alphas(impacts, rng, config.gumbel_temperature)
+            alphas = sample_batch_alphas(impacts, rng)
             _, grads = batch_loss_and_grads(params, state.matrix, texts, triplets, alphas, config)
             for name, grad in grads.items():
                 tensor = getattr(params, name)

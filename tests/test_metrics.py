@@ -66,6 +66,19 @@ class TestAuc:
         with pytest.raises(ValueError):
             auc([], [0.1])
 
+    def test_bitwise_equal_to_pair_counting(self):
+        # the vectorized wins + half-ties count over all P x N pairs, at sizes
+        # well past the exhaustive oracle battle, with and without ties
+        rng = np.random.default_rng(13)
+        for trial in range(300):
+            pos = rng.normal(size=int(rng.integers(1, 600)))
+            neg = rng.normal(size=int(rng.integers(1, 600)))
+            if trial % 2:
+                pos, neg = np.round(pos, 1), np.round(neg, 1)
+            wins = np.sum(pos[:, None] > neg[None, :])
+            ties = np.sum(pos[:, None] == neg[None, :])
+            assert auc(pos, neg) == float((wins + 0.5 * ties) / (pos.size * neg.size))
+
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(0)
         pos = rng.normal(size=30)

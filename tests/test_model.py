@@ -7,19 +7,22 @@ from hypothesis import strategies as st
 
 from aspectcite import (
     Dims,
+    EdgeScore,
     ModelParams,
-    aspect_impact,
-    citation_effect,
-    edge_similarity,
-    link_score,
     load_checkpoint,
-    masked_impact,
-    node_representation,
     sample_aspect,
     save_checkpoint,
     score_pair,
 )
-from aspectcite.model import impacts_for_pairs, representations_for, scores_for_pairs, softmax
+from aspectcite.model import (
+    impacts_for_pairs,
+    impacts_from_representations,
+    masked_impacts,
+    representations_for,
+    scores_for_pairs,
+    select_aspects,
+    softmax,
+)
 
 
 def make_params(aspects=2, text_dim=2, struct_dim=3, num_nodes=4, seed=0):
@@ -27,119 +30,188 @@ def make_params(aspects=2, text_dim=2, struct_dim=3, num_nodes=4, seed=0):
     return ModelParams.initialize(dims, num_nodes, np.random.default_rng(seed))
 
 
+def impacts(params, state, pairs, texts=None):
+    """(c, e, D) rows for `pairs`; texts default to zeros."""
+    if texts is None:
+        texts = np.zeros((params.num_nodes, params.dims.text_dim))
+    return impacts_for_pairs(np.asarray(pairs), np.asarray(state, dtype=np.float64), params, texts)
+
+
+def from_reps(params, reps, src_rows, dst_rows, dst_states):
+    """(c, e, D) straight from given representation rows."""
+    return impacts_from_representations(
+        np.asarray(reps, dtype=np.float64), src_rows, dst_rows, np.asarray(dst_states, dtype=np.float64), params
+    )
+
+
 class TestNodeRepresentation:
     def test_normalization_arithmetic(self):
         params = make_params(text_dim=2, struct_dim=2)
         params.node_embeddings[0] = [3.0, 4.0]
-        r, flag = node_representation(0, np.array([0.0, 0.0]), params)
-        assert np.allclose(r, [0, 0, 0.6, 0.8]) and not flag
+        params.node_embeddings[1] = [0.0, 1.0]
+        texts = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
+        r, norms = representations_for(np.array([0]), texts, params)
+        assert np.allclose(r, [[0, 0, 0.6, 0.8]]) and norms.tolist() == [[5.0]]
+        r, norms = representations_for(np.array([0, 1, 0]), texts, params)
+        assert np.allclose(r, [[0, 0, 0.6, 0.8], [0, 0.5**0.5, 0, 0.5**0.5], [0, 0, 0.6, 0.8]])
+        assert np.allclose(norms, [[5.0], [2**0.5], [5.0]])
 
     def test_unit_norm_input_unchanged(self):
         params = make_params(text_dim=2, struct_dim=3)
         params.node_embeddings[1] = np.zeros(3)
-        r, flag = node_representation(1, np.array([1.0, 0.0]), params)
-        assert np.allclose(r, [1, 0, 0, 0, 0]) and not flag
+        texts = np.zeros((4, 2))
+        texts[1] = [1.0, 0.0]
+        r, norms = representations_for(np.array([1]), texts, params)
+        assert np.allclose(r, [[1, 0, 0, 0, 0]]) and norms.tolist() == [[1.0]]
 
     def test_zero_input_flagged(self):
         params = make_params(text_dim=2, struct_dim=2)
         params.node_embeddings[2] = np.zeros(2)
-        r, flag = node_representation(2, np.zeros(2), params)
-        assert np.array_equal(r, np.zeros(4)) and flag
+        texts = np.ones((4, 2))
+        texts[2] = 0.0
+        r, norms = representations_for(np.array([2, 0, 2]), texts, params)
+        assert np.array_equal(r[[0, 2]], np.zeros((2, 4))) and norms[0, 0] == 0.0 and norms[2, 0] == 0.0
+        assert norms[1, 0] > 0.0
+        state = np.full((4, 2), 0.25)
+        assert score_pair(0, 2, state, params, texts).zero_representation
+        assert not score_pair(0, 1, state, params, texts).zero_representation
 
     def test_dimension_mismatch_rejected(self):
         params = make_params(text_dim=2)
+        texts = np.zeros((4, 3))
         with pytest.raises(ValueError):
-            node_representation(0, np.zeros(3), params)
+            representations_for(np.array([0]), texts, params)
+        with pytest.raises(ValueError):
+            impacts_for_pairs(np.array([(0, 1)]), np.full((4, 2), 0.25), params, texts)
 
     def test_output_is_unit_norm(self):
         params = make_params(text_dim=4, struct_dim=4)
-        r, flag = node_representation(0, np.arange(4.0), params)
-        assert not flag
-        assert np.linalg.norm(r) == pytest.approx(1.0, abs=1e-6)
+        texts = np.arange(16.0).reshape(4, 4)
+        r, norms = representations_for(np.array([0, 3, 1]), texts, params)
+        assert np.all(norms > 0)
+        assert np.allclose(np.linalg.norm(r, axis=1), 1.0, atol=1e-6)
 
 
 class TestCitationEffect:
     def test_identity_map(self):
         params = make_params(aspects=2)
         params.state_to_effect = np.eye(2)
-        state = np.array([[0.2, 0.8], [0.5, 0.5]])
-        assert np.allclose(citation_effect(0, state, params), [0.2, 0.8])
+        state = np.array([[0.2, 0.8], [0.5, 0.5], [0.1, 0.9], [0.3, 0.7]])
+        c, _, _ = impacts(params, state, [(1, 0)])
+        assert np.allclose(c, [[0.2, 0.8]])
+        c, _, _ = impacts(params, state, [(1, 0), (0, 2), (3, 0)])
+        assert np.allclose(c, state[[0, 2, 0]])
 
     def test_zero_map(self):
         params = make_params(aspects=2)
         params.state_to_effect = np.zeros((2, 2))
-        state = np.array([[0.2, 0.8]])
-        assert np.allclose(citation_effect(0, state, params), [0, 0])
+        state = np.full((4, 2), 0.25)
+        c, _, _ = impacts(params, state, [(1, 0), (2, 3)])
+        assert np.array_equal(c, np.zeros((2, 2)))
 
     def test_permutation_map(self):
         params = make_params(aspects=2)
         params.state_to_effect = np.array([[0.0, 1.0], [1.0, 0.0]])
-        state = np.array([[0.2, 0.8]])
-        assert np.allclose(citation_effect(0, state, params), [0.8, 0.2])
+        state = np.array([[0.2, 0.8], [0.6, 0.4], [0.1, 0.9], [0.3, 0.7]])
+        c, _, _ = impacts(params, state, [(1, 0)])
+        assert np.allclose(c, [[0.8, 0.2]])
+        c, _, _ = impacts(params, state, [(1, 0), (0, 1)])
+        assert np.allclose(c, [[0.8, 0.2], [0.4, 0.6]])
 
     def test_linearity(self):
-        params = make_params(aspects=3)
+        params = make_params(aspects=3, num_nodes=4)
         rng = np.random.default_rng(1)
         d1, d2 = rng.normal(size=3), rng.normal(size=3)
         a, b = 0.7, -1.3
-        state = np.vstack([d1, d2, a * d1 + b * d2])
-        eff = lambda row: citation_effect(row, state, params)
-        assert np.allclose(eff(2), a * eff(0) + b * eff(1), atol=1e-12)
+        state = np.vstack([d1, d2, a * d1 + b * d2, d1])
+        c, _, _ = impacts(params, state, [(3, 0), (3, 1), (3, 2)])
+        assert np.allclose(c[2], a * c[0] + b * c[1], atol=1e-12)
 
 
 class TestEdgeSimilarity:
+    def setup_method(self):
+        self.params = make_params(aspects=2, text_dim=1, struct_dim=1)
+
     def test_orthogonal(self):
-        assert np.allclose(edge_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])), [0, 0])
+        _, e, _ = from_reps(self.params, [[1.0, 0.0], [0.0, 1.0]], [0], [1], [[0.5, 0.5]])
+        assert np.allclose(e, [[0, 0]])
 
     def test_square(self):
-        assert np.allclose(edge_similarity(np.array([0.6, 0.8]), np.array([0.6, 0.8])), [0.36, 0.64])
+        reps = [[0.6, 0.8], [1.0, 0.0]]
+        _, e, _ = from_reps(self.params, reps, [0, 0, 1], [0, 1, 0], np.full((3, 2), 0.5))
+        assert np.allclose(e, [[0.36, 0.64], [0.6, 0.0], [0.6, 0.0]])
 
     def test_absorbing_zero(self):
-        r = np.array([0.3, -0.4, 0.5])
-        assert np.array_equal(edge_similarity(r, np.zeros(3)), np.zeros(3))
+        params = make_params(aspects=2, text_dim=1, struct_dim=2)
+        reps = [[0.3, -0.4, 0.5], [0.0, 0.0, 0.0]]
+        _, e, _ = from_reps(params, reps, [0, 1], [1, 0], np.full((2, 2), 0.5))
+        assert np.array_equal(e, np.zeros((2, 3)))
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=60, deadline=None)
     def test_l1_norm_bounded_for_unit_inputs(self, seed):
         rng = np.random.default_rng(seed)
-        r1 = rng.normal(size=8)
-        r2 = rng.normal(size=8)
-        r1 /= np.linalg.norm(r1)
-        r2 /= np.linalg.norm(r2)
-        assert np.abs(edge_similarity(r1, r2)).sum() <= 1.0 + 1e-9
+        params = make_params(aspects=2, text_dim=4, struct_dim=4, num_nodes=5, seed=seed)
+        texts = rng.normal(size=(5, 4))
+        pairs = rng.integers(5, size=(int(rng.integers(1, 5)), 2))
+        _, e, _ = impacts(params, np.full((5, 2), 0.2), pairs, texts)
+        assert np.all(np.abs(e).sum(axis=1) <= 1.0 + 1e-9)
 
 
 class TestAspectImpact:
+    def setup_method(self):
+        self.params = make_params(aspects=2, text_dim=1, struct_dim=1)
+        self.params.state_to_effect = np.eye(2)
+        self.params.effect_weights = np.zeros((2, 2))
+        self.params.similarity_weights = np.zeros((2, 2))
+        self.params.bias = np.zeros(2)
+        self.reps = [[0.6, 0.8], [1.0, 0.0]]
+
     def test_effect_identity_path(self):
-        params = make_params(aspects=2, text_dim=1, struct_dim=1)
-        params.effect_weights = np.eye(2)
-        params.similarity_weights = np.zeros((2, 2))
-        params.bias = np.zeros(2)
-        assert np.allclose(aspect_impact(np.array([0.2, 0.8]), np.zeros(2), params), [0.2, 0.8])
+        self.params.effect_weights = np.eye(2)
+        _, _, d = from_reps(self.params, self.reps, [0], [1], [[0.2, 0.8]])
+        assert np.allclose(d, [[0.2, 0.8]])
+        _, _, d = from_reps(self.params, self.reps, [0, 1], [1, 0], [[0.2, 0.8], [0.7, 0.3]])
+        assert np.allclose(d, [[0.2, 0.8], [0.7, 0.3]])
 
     def test_all_zero(self):
-        params = make_params(aspects=2, text_dim=1, struct_dim=1)
-        params.effect_weights = np.zeros((2, 2))
-        params.similarity_weights = np.zeros((2, 2))
-        params.bias = np.zeros(2)
-        assert np.allclose(aspect_impact(np.zeros(2), np.zeros(2), params), [0, 0])
+        _, _, d = from_reps(self.params, self.reps, [0, 1], [1, 0], [[0.2, 0.8], [0.7, 0.3]])
+        assert np.allclose(d, np.zeros((2, 2)))
 
     def test_bias_only(self):
-        params = make_params(aspects=2, text_dim=1, struct_dim=1)
-        params.effect_weights = np.zeros((2, 2))
-        params.similarity_weights = np.zeros((2, 2))
-        params.bias = np.array([1.0, 2.0])
-        assert np.allclose(aspect_impact(np.zeros(2), np.zeros(2), params), [1, 2])
+        self.params.bias = np.array([1.0, 2.0])
+        _, _, d = from_reps(self.params, self.reps, [0], [1], [[0.2, 0.8]])
+        assert np.allclose(d, [[1, 2]])
+        _, _, d = from_reps(self.params, self.reps, [0, 1, 0], [1, 0, 0], np.full((3, 2), 0.5))
+        assert np.allclose(d, [[1, 2]] * 3)
+
+
+def sample_aspect_reference(d_pair, mode, rng=None):
+    """The pre-change single-vector selection: argmax of softmax(d) in infer
+    mode, a Gumbel-max draw on a (I,)-shaped uniform vector in train mode."""
+    pi = softmax(d_pair)
+    if mode == "infer":
+        index = int(np.argmax(pi))
+    else:
+        index = int(np.argmax(-np.log(-np.log(rng.random(d_pair.shape))) + np.log(pi)))
+    hard = np.zeros_like(pi)
+    hard[index] = 1.0
+    return hard
 
 
 class TestSampleAspect:
     def test_infer_argmax(self):
         hard, _ = sample_aspect(np.array([0.2, 0.8]), mode="infer")
         assert np.array_equal(hard, [0, 1])
+        # softmax rounds these two impacts to the same probability; the argmax
+        # is taken over the impacts themselves, as every batched path does
+        hard, pi = sample_aspect(np.array([0.0, 1e-17]), mode="infer")
+        assert pi[0] == pi[1] and np.array_equal(hard, [0, 1])
 
     def test_infer_tie_breaks_to_lowest_index(self):
         hard, _ = sample_aspect(np.array([0.5, 0.5]), mode="infer")
         assert np.array_equal(hard, [1, 0])
+        assert np.array_equal(select_aspects(np.array([[0.5, 0.5, 0.1], [0.2, 0.7, 0.7]])), [[1, 0, 0], [0, 1, 0]])
 
     def test_shift_invariance(self):
         d = np.array([0.3, -1.2, 0.9])
@@ -167,49 +239,79 @@ class TestSampleAspect:
         freq = counts / draws
         assert np.allclose(freq, [0.5, 0.5], atol=0.01)
 
-    def test_relaxation_is_distribution(self):
-        rng = np.random.default_rng(7)
-        _, relaxed = sample_aspect(np.array([0.5, -0.3, 2.0]), mode="train", temperature=0.7, rng=rng)
-        assert relaxed.sum() == pytest.approx(1.0)
-        assert np.all(relaxed >= 0)
+    def test_train_draws_match_pre_change_single_vector_form(self):
+        gen = np.random.default_rng(8)
+        rng, ref_rng = np.random.default_rng(99), np.random.default_rng(99)
+        for _ in range(500):
+            d = gen.normal(scale=2.0, size=int(gen.integers(2, 7)))
+            hard, pi = sample_aspect(d, mode="train", rng=rng)
+            assert np.array_equal(hard, sample_aspect_reference(d, "train", ref_rng))
+            assert np.array_equal(pi, softmax(d))
+            d = np.round(d, 1)
+            assert np.array_equal(sample_aspect(d, mode="infer")[0], sample_aspect_reference(d, "infer"))
 
 
 class TestMaskedImpact:
     def test_negative_clipped(self):
-        assert np.allclose(masked_impact(np.array([0.0, 1.0]), np.array([0.3, -0.4])), [0, 0])
+        assert np.allclose(masked_impacts(np.array([[0.3, -0.4]]), np.array([[0.0, 1.0]])), [[0, 0]])
 
     def test_selected_positive_passes(self):
-        assert np.allclose(masked_impact(np.array([1.0, 0.0]), np.array([0.3, -0.4])), [0.3, 0])
+        assert np.allclose(masked_impacts(np.array([[0.3, -0.4]]), np.array([[1.0, 0.0]])), [[0.3, 0]])
+        d = np.array([[0.3, -0.4], [-0.1, 0.2], [-0.5, -0.6]])
+        assert np.allclose(masked_impacts(d, select_aspects(d)), [[0.3, 0], [0, 0.2], [0, 0]])
 
     def test_mask_kills_unselected(self):
-        assert np.allclose(masked_impact(np.array([1.0, 0.0]), np.array([0.0, 5.0])), [0, 0])
+        assert np.allclose(masked_impacts(np.array([[0.0, 5.0]]), np.array([[1.0, 0.0]])), [[0, 0]])
 
     def test_non_one_hot_rejected(self):
-        with pytest.raises(ValueError):
-            masked_impact(np.array([1.0, 1.0]), np.array([0.0, 0.0]))
+        bundle = EdgeScore(
+            c=np.zeros(2), e=np.zeros(2), d_pair=np.zeros(2), alpha=np.array([1.0, 1.0]), y_pair=np.zeros(2), f=0.0
+        )
+        with pytest.raises(ValueError, match="one-hot"):
+            bundle.validate()
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=60, deadline=None)
     def test_bounds_and_pattern(self, seed):
         rng = np.random.default_rng(seed)
-        d = rng.normal(size=4)
-        alpha = np.zeros(4)
-        alpha[rng.integers(4)] = 1.0
-        y = masked_impact(alpha, d)
-        assert np.all(y >= 0)
-        assert np.all(y <= np.maximum(d, 0.0) + 1e-15)
-        assert np.count_nonzero(y) <= 1
+        d = rng.normal(size=(int(rng.integers(1, 5)), 4))
+        alphas = np.zeros_like(d)
+        alphas[np.arange(len(d)), rng.integers(4, size=len(d))] = 1.0
+        for chosen in (alphas, select_aspects(d), select_aspects(d, rng)):
+            y = masked_impacts(d, chosen)
+            assert np.all(y >= 0)
+            assert np.all(y <= np.maximum(d, 0.0) + 1e-15)
+            assert np.all(np.count_nonzero(y, axis=1) <= 1)
 
 
 class TestLinkScore:
+    def setup_method(self):
+        self.params = make_params(aspects=2, text_dim=2, struct_dim=2)
+        self.params.node_embeddings[:] = 0.0
+        self.params.state_to_effect = np.eye(2)
+
+    def scores(self, texts, state, pair=(0, 1)):
+        f = score_pair(*pair, state, self.params, texts).f
+        batch = scores_for_pairs(np.array([pair, pair]), state, self.params, texts)
+        return f, batch
+
     def test_element_sums(self):
-        assert link_score(np.array([0.2, 0.8]), np.array([0.36, 0.64])) == pytest.approx(2.0)
+        texts = np.array([[0.6, 0.8], [0.6, 0.8], [1.0, 0.0], [1.0, 0.0]])
+        state = np.array([[0.5, 0.5], [0.2, 0.8], [0.5, 0.5], [0.5, 0.5]])
+        f, batch = self.scores(texts, state)  # c = (0.2, 0.8), e = (0.36, 0.64, 0, 0)
+        assert f == pytest.approx(2.0) and np.allclose(batch, 2.0)
 
     def test_zero(self):
-        assert link_score(np.zeros(3), np.zeros(2)) == 0.0
+        self.params.state_to_effect = np.zeros((2, 2))
+        texts = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+        f, batch = self.scores(texts, np.full((4, 2), 0.25))
+        assert f == 0.0 and np.array_equal(batch, [0.0, 0.0])
 
     def test_mixed_signs(self):
-        assert link_score(np.array([-1.0, 1.0]), np.array([0.5])) == pytest.approx(0.5)
+        self.params.state_to_effect = np.array([[-1.0, 0.0], [0.0, 1.0]])
+        texts = np.array([[1.0, 0.0], [0.5, 0.75**0.5], [1.0, 0.0], [1.0, 0.0]])
+        f, batch = self.scores(texts, np.ones((4, 2)))  # c = (-1, 1), e = (0.5, 0, 0, 0)
+        assert f == pytest.approx(0.5) and np.allclose(batch, 0.5)
 
 
 class TestScorePair:
@@ -232,15 +334,16 @@ class TestScorePair:
         params = make_params(num_nodes=4, text_dim=2, struct_dim=2, aspects=2)
         state = np.array([[0.3, 0.7], [0.6, 0.4], [0.1, 0.9], [0.5, 0.5]])
         texts = np.random.default_rng(3).normal(size=(4, 2))
-        bundle = score_pair(0, 2, state, params, texts, mode="infer")
-        r0, _ = node_representation(0, texts[0], params)
-        r2, _ = node_representation(2, texts[2], params)
-        c = citation_effect(2, state, params)
-        e = edge_similarity(r0, r2)
-        assert np.allclose(bundle.c, c)
-        assert np.allclose(bundle.e, e)
-        assert np.allclose(bundle.d_pair, aspect_impact(c, e, params))
-        assert bundle.f == pytest.approx(link_score(c, e))
+        for i, j in ((0, 2), (3, 1)):
+            bundle = score_pair(i, j, state, params, texts, mode="infer")
+            c, e, d = impacts_for_pairs(np.array([(i, j)]), state, params, texts)
+            alphas = select_aspects(d)
+            assert np.array_equal(bundle.c, c[0])
+            assert np.array_equal(bundle.e, e[0])
+            assert np.array_equal(bundle.d_pair, d[0])
+            assert np.array_equal(bundle.alpha, alphas[0])
+            assert np.array_equal(bundle.y_pair, masked_impacts(d, alphas)[0])
+            assert bundle.f == c.sum() + e.sum()
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=60, deadline=None)
@@ -262,16 +365,19 @@ class TestScorePair:
         texts = rng.normal(size=(6, 3))
         pairs = [(0, 1), (2, 5), (4, 3)]
         batch = scores_for_pairs(np.asarray(pairs), state, params, texts)
-        for pair, score in zip(pairs, batch):
-            assert score == pytest.approx(score_pair(*pair, state, params, texts).f, abs=1e-12)
+        masked = scores_for_pairs(np.asarray(pairs), state, params, texts, scorer="masked_impact")
+        for pair, score, masked_score in zip(pairs, batch, masked):
+            bundle = score_pair(*pair, state, params, texts)
+            assert score == pytest.approx(bundle.f, abs=1e-12)
+            assert masked_score == max(bundle.d_pair.max(), 0.0) == bundle.y_pair.sum()
 
 
 def impacts_for_pairs_per_row(pairs, state_matrix, params, text_vectors):
     """Reference: one representation per pair endpoint, recomputed on every row."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     src, dst = pairs[:, 0], pairs[:, 1]
-    r_src = representations_for(src, text_vectors, params)
-    r_dst = representations_for(dst, text_vectors, params)
+    r_src, _ = representations_for(src, text_vectors, params)
+    r_dst, _ = representations_for(dst, text_vectors, params)
     c = np.asarray(state_matrix)[dst] @ params.state_to_effect.T
     e = r_src * r_dst
     d = c @ params.effect_weights + e @ params.similarity_weights + params.bias

@@ -17,7 +17,7 @@ from aspectcite import (
     train_sd_phase,
     train_sy_phase,
 )
-from aspectcite.model import save_checkpoint
+from aspectcite.model import save_checkpoint, softmax
 from aspectcite.seeding import substream
 from aspectcite.training import (
     TrainingAbort,
@@ -144,6 +144,87 @@ class TestGradients:
         assert np.allclose(grads["bias"], 0.0, atol=1e-15)
 
 
+def forward_reference(params, state_matrix, text_vectors, triplets):
+    """The pre-change training forward pass: one representation per triplet
+    slot, recomputed on every row, and its own copy of the scoring chain."""
+    trip = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
+    bi, bj, bk = trip[:, 0], trip[:, 1], trip[:, 2]
+
+    def rep(nodes):
+        fused = np.concatenate([text_vectors[nodes], params.node_embeddings[nodes]], axis=1)
+        norms = np.linalg.norm(fused, axis=1, keepdims=True)
+        safe = np.where(norms == 0.0, 1.0, norms)
+        return fused / safe, norms
+
+    r_i, norm_i = rep(bi)
+    r_j, norm_j = rep(bj)
+    r_k, norm_k = rep(bk)
+    state = np.asarray(state_matrix)
+    d_j, d_k = state[bj], state[bk]
+    c_j = d_j @ params.state_to_effect.T
+    c_k = d_k @ params.state_to_effect.T
+    e_j = r_i * r_j
+    e_k = r_i * r_k
+    imp_j = c_j @ params.effect_weights + e_j @ params.similarity_weights + params.bias
+    imp_k = c_k @ params.effect_weights + e_k @ params.similarity_weights + params.bias
+    return {
+        "bi": bi, "bj": bj, "bk": bk,
+        "r_i": r_i, "r_j": r_j, "r_k": r_k,
+        "norm_i": norm_i, "norm_j": norm_j, "norm_k": norm_k,
+        "d_j": d_j, "d_k": d_k,
+        "c_j": c_j, "c_k": c_k,
+        "e_j": e_j, "e_k": e_k,
+        "imp_j": imp_j, "imp_k": imp_k,
+        "f_j": c_j.sum(axis=1) + e_j.sum(axis=1),
+        "f_k": c_k.sum(axis=1) + e_k.sum(axis=1),
+    }
+
+
+def sample_batch_alphas_reference(impacts, rng):
+    """The pre-change batched Gumbel-max draw (hard rows only)."""
+    pi = softmax(impacts)
+    u = rng.random(impacts.shape)
+    perturbed = -np.log(-np.log(u)) + np.log(pi)
+    hard = np.zeros_like(pi)
+    hard[np.arange(len(pi)), np.argmax(perturbed, axis=1)] = 1.0
+    return hard
+
+
+class TestForward:
+    @pytest.mark.parametrize("seed,n,aspects,text_dim,struct_dim,batch", [
+        (0, 6, 2, 3, 2, 1),
+        (1, 6, 3, 2, 4, 40),
+        (2, 50, 5, 7, 5, 300),
+        (3, 2708, 5, 1433, 100, 512),
+    ])
+    def test_bitwise_equal_to_pre_change_forward(self, seed, n, aspects, text_dim, struct_dim, batch):
+        rng = np.random.default_rng(seed)
+        dims = Dims(aspects=aspects, text_dim=text_dim, struct_dim=struct_dim)
+        params = ModelParams.initialize(dims, n, np.random.default_rng(seed + 100))
+        params.similarity_weights += rng.normal(scale=0.3, size=params.similarity_weights.shape)
+        texts = rng.normal(size=(n, text_dim))
+        texts[1] = 0.0
+        params.node_embeddings[1] = 0.0  # node 1 has a zero-norm representation
+        state = rng.random((n, aspects))
+        state /= state.sum(axis=0)
+        triplets = rng.integers(min(n, 8) if seed % 2 else n, size=(batch, 3))  # odd seeds repeat nodes heavily
+        triplets[0] = (1, 0, 1)
+        got = _forward(params, state, texts, triplets)
+        want = forward_reference(params, state, texts, triplets)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key].shape == want[key].shape and np.array_equal(got[key], want[key]), key
+
+    def test_alphas_bitwise_equal_to_pre_change_draws(self):
+        gen = np.random.default_rng(5)
+        rng, ref_rng = substream(4, "gumbel"), substream(4, "gumbel")
+        for rows, aspects in ((1, 2), (7, 3), (512, 5), (33, 1)):
+            impacts = gen.normal(scale=2.0, size=(rows, aspects))
+            impacts[0] = 0.5  # an all-tied row
+            assert np.array_equal(sample_batch_alphas(impacts, rng), sample_batch_alphas_reference(impacts, ref_rng))
+        assert rng.random() == ref_rng.random()  # both streams consumed the same draws
+
+
 class TestTrainSyPhase:
     def test_zero_learning_rate_is_bitwise_noop(self, small_graph, small_split, small_text):
         config = TrainConfig(aspects=2, struct_dim=3, epochs_per_phase=2, batch_size=8, learning_rate=0.0, seed=1)
@@ -171,7 +252,7 @@ class TestTrainSyPhase:
         rng = substream(0, "gumbel")
         for _ in range(500):
             impacts = _forward(params, state.matrix, texts, triplet)["imp_j"]
-            alphas, _ = sample_batch_alphas(impacts, rng, config.gumbel_temperature)
+            alphas = sample_batch_alphas(impacts, rng)
             loss, grads = batch_loss_and_grads(params, state.matrix, texts, triplet, alphas, config)
             for name, grad in grads.items():
                 tensor = getattr(params, name)
@@ -265,9 +346,10 @@ class TestFit:
         assert result.state.step == phases[-1]["steps"]
 
     def test_negatives_per_positive_is_not_a_training_knob(self):
-        assert "negatives_per_positive" not in TrainConfig().to_dict()
-        with pytest.raises(TypeError):
-            TrainConfig(negatives_per_positive=2)
+        for removed in ("negatives_per_positive", "gumbel_temperature"):
+            assert removed not in TrainConfig().to_dict()
+            with pytest.raises(TypeError):
+                TrainConfig(**{removed: 2})
 
     def test_seeded_runs_are_byte_identical(self, small_graph, small_split, small_text, tmp_path):
         config = TrainConfig(aspects=2, struct_dim=3, epochs_per_phase=2, alternations=2, batch_size=8, seed=5)
