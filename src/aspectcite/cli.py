@@ -270,10 +270,17 @@ def _load_manifest(path: str):
         split = corpus.DatasetSplit.from_dict(payload["split"], graph)
         vectors_path = os.path.join(os.path.dirname(os.path.abspath(path)), payload["text_vectors_file"])
         text_vectors = np.load(_require_file(vectors_path, "text vector matrix"))
+        text_shape = (graph.num_nodes, payload["text_dim"])
+        split.validate(graph)
     except (KeyError, ValueError) as exc:
         raise DataError(f"{path}: malformed manifest: {exc}") from exc
     if list(graph.node_ids) != payload["nodes"]:
         raise DataError(f"{path}: node order does not match its edge list")
+    if text_vectors.dtype != np.float64 or text_vectors.shape != text_shape:
+        raise DataError(
+            f"{vectors_path}: text vector matrix is {text_vectors.dtype} {text_vectors.shape}, "
+            f"expected float64 {text_shape} (nodes x text_dim)"
+        )
     return payload, graph, split, text_vectors
 
 

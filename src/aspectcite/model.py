@@ -19,10 +19,11 @@ all run these same steps; every aspect choice goes through `select_aspects`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import codec
 
 __all__ = [
     "Dims",
@@ -291,9 +292,16 @@ def scores_for_pairs(pairs, state_matrix, params, text_vectors, scorer: str = "t
     raise ValueError(f"unknown scorer {scorer!r}")
 
 
+CHECKPOINT_FORMAT = "aspectcite-checkpoint-v2"
+
+
 def save_checkpoint(params: ModelParams, path) -> None:
-    """Write all tensors (row-major), dims, and the seed lineage as JSON."""
-    payload = {
+    """Write dims, the seed lineage and every tensor as a CHECKPOINT_FORMAT file.
+
+    Tensors are encoded by `codec.encode_tensor` (base64 of the C-order
+    little-endian float64 bytes), so load_checkpoint returns them bit for bit.
+    """
+    codec.write_payload(path, CHECKPOINT_FORMAT, {
         "dims": {
             "aspects": params.dims.aspects,
             "text_dim": params.dims.text_dim,
@@ -301,32 +309,23 @@ def save_checkpoint(params: ModelParams, path) -> None:
         },
         "num_nodes": params.num_nodes,
         "seed_lineage": params.seed_lineage,
-        "tensors": {
-            name: {
-                "shape": list(getattr(params, name).shape),
-                "data": np.asarray(getattr(params, name), dtype=np.float64).ravel().tolist(),
-            }
-            for name in ModelParams.TENSOR_FIELDS
-        },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        "tensors": {name: codec.encode_tensor(getattr(params, name)) for name in ModelParams.TENSOR_FIELDS},
+    })
 
 
 def load_checkpoint(path) -> ModelParams:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    """Read a save_checkpoint file and validate the parameters.
+
+    Raises ValueError for any other format (the earlier list-of-floats
+    checkpoints included: re-run train), a malformed tensor, or parameters
+    that fail ModelParams.validate.
+    """
+    payload = codec.read_payload(path, CHECKPOINT_FORMAT)
     try:
         dims = Dims(**payload["dims"])
-        tensors = {
-            name: np.asarray(payload["tensors"][name]["data"], dtype=np.float64).reshape(
-                payload["tensors"][name]["shape"]
-            )
-            for name in ModelParams.TENSOR_FIELDS
-        }
-    except (KeyError, TypeError, ValueError) as exc:
+        tensors = {name: codec.decode_tensor(payload["tensors"][name]) for name in ModelParams.TENSOR_FIELDS}
+        params = ModelParams(dims=dims, seed_lineage=payload.get("seed_lineage", ""), **tensors)
+        params.validate()  # IndexError: a 0-d node_embeddings has no num_nodes
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed checkpoint {path}: {exc}") from exc
-    params = ModelParams(dims=dims, seed_lineage=payload.get("seed_lineage", ""), **tensors)
-    params.validate()
     return params

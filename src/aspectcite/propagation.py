@@ -29,11 +29,12 @@ saved states always see a C-ordered (N, I) matrix.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
+
+from . import codec
 
 __all__ = [
     "AspectState",
@@ -231,27 +232,37 @@ def propagate(
     return replace(current, matrix=np.ascontiguousarray(current.matrix), residual=residual, converged=residual < epsilon)
 
 
+STATE_FORMAT = "aspectcite-state-v2"
+
+
 def save_state(state: AspectState, path) -> None:
-    payload = {
+    """Write the state as a STATE_FORMAT file.
+
+    The matrix is encoded by `codec.encode_tensor` (base64 of the C-order
+    little-endian float64 bytes), so load_state returns it bit for bit.
+    """
+    codec.write_payload(path, STATE_FORMAT, {
         "num_nodes": state.num_nodes,
         "aspects": state.aspects,
         "step": state.step,
         "residual": state.residual if np.isfinite(state.residual) else None,
         "converged": state.converged,
-        "matrix": state.matrix.ravel().tolist(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        "matrix": codec.encode_tensor(state.matrix),
+    })
 
 
 def load_state(path) -> AspectState:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    """Read a save_state file.
+
+    Raises ValueError for any other format (the earlier list-of-floats
+    states included: re-run train) or a malformed matrix. Column
+    stochasticity is not checked here; callers that need it call validate().
+    """
+    payload = codec.read_payload(path, STATE_FORMAT)
     try:
-        matrix = np.asarray(payload["matrix"], dtype=np.float64).reshape(
-            payload["num_nodes"], payload["aspects"]
-        )
+        matrix = codec.decode_tensor(payload["matrix"])
+        if matrix.shape != (payload["num_nodes"], payload["aspects"]):
+            raise ValueError(f"matrix shape {matrix.shape} does not match num_nodes and aspects")
         residual = payload["residual"]
         return AspectState(
             matrix=matrix,

@@ -2,11 +2,17 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from aspectcite.cli import _write_atomically, main
+from aspectcite.codec import decode_tensor, encode_tensor
+from aspectcite.model import load_checkpoint
+from aspectcite.propagation import load_state
+from test_model import write_v1_checkpoint
+from test_propagation import ARTIFACT_CORRUPTIONS, corrupt_artifact, write_v1_state
 
 
 @pytest.fixture
@@ -241,9 +247,9 @@ class TestPredict:
         out = tmp_path / "out"
         run_pipeline(root, edges, text, vecs, out)
         payload = json.loads((out / "state.json").read_text())
-        matrix = np.asarray(payload["matrix"]).reshape(payload["num_nodes"], payload["aspects"])
+        matrix = decode_tensor(payload["matrix"])
         matrix[:, 0] *= 1.001
-        payload["matrix"] = matrix.ravel().tolist()
+        payload["matrix"] = encode_tensor(matrix)
         (out / "state.json").write_text(json.dumps(payload), encoding="utf-8")
         manifest = json.loads((out / "manifest.json").read_text())
         pairs = tmp_path / "pairs.tsv"
@@ -264,6 +270,93 @@ class TestPredict:
             "predict", "--manifest", str(out / "manifest.json"), "--checkpoint", str(out / "checkpoint.json"),
             "--state", str(out / "state.json"), "--pairs", str(pairs), "--out-dir", str(out),
         ]) == 3
+
+
+def query_exit_codes(out, pairs_file):
+    """Exit codes of evaluate and of predict on pairs_file, both on the artifacts in out."""
+    artifacts = [
+        "--manifest", str(out / "manifest.json"), "--checkpoint", str(out / "checkpoint.json"),
+        "--state", str(out / "state.json"), "--out-dir", str(out),
+    ]
+    return (
+        main(["evaluate", *artifacts, "--rank-negatives", "5"]),
+        main(["predict", *artifacts, "--pairs", str(pairs_file)]),
+    )
+
+
+def last_node_pairs(out, tmp_path):
+    """A pair file scoring the last node of the manifest, so every text row is in play."""
+    nodes = json.loads((out / "manifest.json").read_text())["nodes"]
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text(f"{nodes[-1]}\t{nodes[0]}\n", encoding="utf-8")
+    return pairs
+
+
+class TestArtifactFormat:
+    TENSOR_OF = {
+        "checkpoint.json": lambda payload: payload["tensors"]["node_embeddings"],
+        "state.json": lambda payload: payload["matrix"],
+    }
+
+    @pytest.mark.parametrize("how", ARTIFACT_CORRUPTIONS + ["v1_list_file"])
+    @pytest.mark.parametrize("artifact", ["checkpoint.json", "state.json"])
+    def test_corrupt_artifact_exits_2(self, dataset, tmp_path, capsys, artifact, how):
+        root, edges, text, vecs = dataset
+        out = tmp_path / "out"
+        run_pipeline(root, edges, text, vecs, out)
+        path = out / artifact
+        if how != "v1_list_file":
+            message = corrupt_artifact(path, how, tensor=self.TENSOR_OF[artifact])
+        elif artifact == "checkpoint.json":
+            write_v1_checkpoint(load_checkpoint(path), path)
+            message = "format None, expected 'aspectcite-checkpoint-v2'; re-run train"
+        else:
+            write_v1_state(load_state(path), path)
+            message = "format None, expected 'aspectcite-state-v2'; re-run train"
+        pairs = last_node_pairs(out, tmp_path)
+        capsys.readouterr()
+        assert query_exit_codes(out, pairs) == (2, 2)
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 2 and all(e.startswith("data error") and re.search(message, e) for e in errors)
+
+
+class TestManifestChecks:
+    def edit_manifest(self, out, edit):
+        manifest = json.loads((out / "manifest.json").read_text())
+        edit(manifest)
+        (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+    @pytest.mark.parametrize("damage", ["test_edge_in_train", "edge_as_test_negative"])
+    def test_inconsistent_split_exits_2(self, dataset, tmp_path, capsys, damage):
+        root, edges, text, vecs = dataset
+        out = tmp_path / "out"
+        run_pipeline(root, edges, text, vecs, out)
+        if damage == "test_edge_in_train":
+            self.edit_manifest(out, lambda m: m["split"]["train"].append(m["split"]["test"][0]))
+        else:
+            self.edit_manifest(out, lambda m: m["split"]["negatives"]["test"].__setitem__(0, m["edges"][0][:2]))
+        pairs = last_node_pairs(out, tmp_path)
+        capsys.readouterr()
+        assert query_exit_codes(out, pairs) == (2, 2)
+        assert "malformed manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["drop_last_row", "extra_column", "float32", "one_dimensional"])
+    def test_mismatched_text_matrix_exits_2(self, dataset, tmp_path, capsys, damage):
+        root, edges, text, vecs = dataset
+        out = tmp_path / "out"
+        run_pipeline(root, edges, text, vecs, out)
+        vectors = np.load(out / "text_vectors.npy")
+        vectors = {
+            "drop_last_row": lambda v: v[:-1],
+            "extra_column": lambda v: np.hstack([v, v[:, :1]]),
+            "float32": lambda v: v.astype(np.float32),
+            "one_dimensional": lambda v: v.ravel(),
+        }[damage](vectors)
+        np.save(out / "text_vectors.npy", vectors)
+        pairs = last_node_pairs(out, tmp_path)
+        capsys.readouterr()
+        assert query_exit_codes(out, pairs) == (2, 2)
+        assert "text vector matrix" in capsys.readouterr().err
 
 
 class TestExplain:

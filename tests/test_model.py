@@ -1,5 +1,7 @@
 """Scoring-chain operation contracts and invariants."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,11 +25,27 @@ from aspectcite.model import (
     select_aspects,
     softmax,
 )
+from test_propagation import ARTIFACT_CORRUPTIONS, corrupt_artifact, special_values
 
 
 def make_params(aspects=2, text_dim=2, struct_dim=3, num_nodes=4, seed=0):
     dims = Dims(aspects=aspects, text_dim=text_dim, struct_dim=struct_dim)
     return ModelParams.initialize(dims, num_nodes, np.random.default_rng(seed))
+
+
+def write_v1_checkpoint(params, path):
+    """The earlier checkpoint format: no marker, every tensor as a flat list of floats."""
+    payload = {
+        "dims": {"aspects": params.dims.aspects, "text_dim": params.dims.text_dim, "struct_dim": params.dims.struct_dim},
+        "num_nodes": params.num_nodes,
+        "seed_lineage": params.seed_lineage,
+        "tensors": {
+            name: {"shape": list(getattr(params, name).shape), "data": getattr(params, name).ravel().tolist()}
+            for name in ModelParams.TENSOR_FIELDS
+        },
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
 
 
 def impacts(params, state, pairs, texts=None):
@@ -424,6 +442,41 @@ class TestCheckpoint:
         path = tmp_path / "bad.json"
         path.write_text('{"dims": {"aspects": 2}}', encoding="utf-8")
         with pytest.raises(ValueError, match="malformed"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("aspects,text_dim,struct_dim,num_nodes", [(1, 1, 1, 1), (1, 4, 1, 6), (3, 1, 5, 1), (2, 3, 4, 5)])
+    def test_round_trip_is_bitwise(self, tmp_path, aspects, text_dim, struct_dim, num_nodes):
+        params = make_params(aspects=aspects, text_dim=text_dim, struct_dim=struct_dim, num_nodes=num_nodes)
+        for seed, name in enumerate(ModelParams.TENSOR_FIELDS):
+            setattr(params, name, special_values(getattr(params, name).shape, seed=seed))
+        save_checkpoint(params, tmp_path / "ckpt.json")
+        loaded = load_checkpoint(tmp_path / "ckpt.json")
+        for name in ModelParams.TENSOR_FIELDS:
+            want, got = getattr(params, name), getattr(loaded, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert got.flags.writeable and got.flags.c_contiguous and got.dtype.isnative
+        assert loaded.dims == params.dims and loaded.seed_lineage == params.seed_lineage
+
+    def test_save_load_save_gives_same_bytes(self, tmp_path):
+        params = make_params(num_nodes=6, seed=3)
+        params.seed_lineage = "root/init"
+        save_checkpoint(params, tmp_path / "a.json")
+        save_checkpoint(load_checkpoint(tmp_path / "a.json"), tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("tensor", ["bias", "node_embeddings"])
+    @pytest.mark.parametrize("how", ARTIFACT_CORRUPTIONS)
+    def test_corrupt_file_rejected(self, tmp_path, how, tensor):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(make_params(), path)
+        message = corrupt_artifact(path, how, tensor=lambda payload: payload["tensors"][tensor])
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
+
+    def test_v1_list_file_rejected_naming_the_format(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        write_v1_checkpoint(make_params(), path)
+        with pytest.raises(ValueError, match="aspectcite-checkpoint-v2"):
             load_checkpoint(path)
 
 

@@ -1,8 +1,12 @@
 """Propagation operator contracts against dense brute-force oracles."""
 
+import base64
+import json
+
 import numpy as np
 import pytest
 
+from aspectcite.codec import decode_tensor, encode_tensor
 from aspectcite.propagation import (
     apply_projection,
     build_projection,
@@ -352,3 +356,126 @@ def test_state_round_trip(tmp_path):
     loaded = load_state(path)
     assert np.array_equal(loaded.matrix, state.matrix)
     assert loaded.step == state.step and loaded.converged == state.converged
+
+
+SPECIAL_VALUES = np.array([
+    -0.0, 0.0, 5e-324, -5e-324, 1e-310, np.finfo(float).tiny,
+    np.finfo(float).max, -np.finfo(float).max, 1.0 / 3.0, -2.5e-300,
+])
+
+
+def special_values(shape, seed=0):
+    """A C-ordered float64 array of `shape` that cycles through SPECIAL_VALUES
+    (signed zeros, subnormals, the extremes) between random doubles."""
+    rng = np.random.default_rng(seed)
+    size = int(np.prod(shape))
+    values = np.empty(2 * len(SPECIAL_VALUES))
+    values[0::2] = SPECIAL_VALUES
+    values[1::2] = rng.normal(size=len(SPECIAL_VALUES))
+    return np.resize(np.roll(values, seed), size).reshape(shape)
+
+
+def _b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode("ascii")
+
+
+# name: (defect written into a saved file, pattern the loader's ValueError must match)
+TENSOR_CORRUPTIONS = {
+    # "*" is outside the alphabet; a lenient decoder would skip it and read the right bytes
+    "invalid_base64_char": (lambda t: t.update(data=t["data"][:4] + "*" + t["data"][4:]), "not valid base64"),
+    "eight_bytes_too_many": (lambda t: t.update(data=_b64(base64.b64decode(t["data"]) + bytes(8))), "needs"),
+    "eight_bytes_too_few": (lambda t: t.update(data=_b64(base64.b64decode(t["data"])[:-8])), "needs"),
+    "negative_shape": (lambda t: t.update(shape=[-d for d in t["shape"]]), "nonnegative ints"),
+    "non_integer_shape": (lambda t: t.update(shape=[float(d) for d in t["shape"]]), "nonnegative ints"),
+    "zero_dimensional": (lambda t: t.update(shape=[], data=_b64(bytes(8))), "malformed"),
+    "list_data": (
+        lambda t: t.update(data=np.frombuffer(base64.b64decode(t["data"]), "<f8").tolist()), "base64 string"
+    ),
+}
+FORMAT_CORRUPTIONS = {
+    "missing_format": (lambda p: p.pop("format"), "format None, expected"),
+    "unknown_format": (lambda p: p.update(format=p["format"].replace("-v2", "-v3")), "-v3', expected"),
+}
+ARTIFACT_CORRUPTIONS = sorted(TENSOR_CORRUPTIONS) + sorted(FORMAT_CORRUPTIONS)
+
+
+def corrupt_artifact(path, how, tensor=lambda payload: payload["matrix"]):
+    """Rewrite a saved checkpoint or state with one ARTIFACT_CORRUPTIONS defect
+    and return the pattern its rejection must match; `tensor` picks the
+    encoded tensor a tensor-level defect goes into."""
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    if how in TENSOR_CORRUPTIONS:
+        damage, message = TENSOR_CORRUPTIONS[how]
+        damage(tensor(payload))
+    else:
+        damage, message = FORMAT_CORRUPTIONS[how]
+        damage(payload)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    return message
+
+
+def write_v1_state(state, path):
+    """The earlier state format: no marker, the matrix as one flat list of floats."""
+    payload = {
+        "num_nodes": state.num_nodes,
+        "aspects": state.aspects,
+        "step": state.step,
+        "residual": state.residual if np.isfinite(state.residual) else None,
+        "converged": state.converged,
+        "matrix": state.matrix.ravel().tolist(),
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
+
+
+class TestStateFile:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (9, 1), (6, 4)])
+    def test_round_trip_is_bitwise(self, tmp_path, shape):
+        matrix = special_values(shape)
+        assert decode_tensor(encode_tensor(matrix)).tobytes() == matrix.tobytes()
+        save_state(AspectState(matrix=matrix, step=3, residual=2.5e-9, converged=False), tmp_path / "state.json")
+        loaded = load_state(tmp_path / "state.json")
+        assert loaded.matrix.shape == shape and loaded.matrix.tobytes() == matrix.tobytes()
+        assert (loaded.step, loaded.residual, loaded.converged) == (3, 2.5e-9, False)
+
+    def test_zero_size_and_scalar_tensors_round_trip(self):
+        for array in (np.zeros((0, 3)), np.array(-0.0)):
+            decoded = decode_tensor(encode_tensor(array))
+            assert decoded.shape == array.shape and decoded.tobytes() == array.tobytes()
+
+    def test_save_load_save_gives_same_bytes(self, tmp_path):
+        save_state(AspectState(matrix=special_values((5, 3), seed=1), step=7), tmp_path / "a.json")
+        save_state(load_state(tmp_path / "a.json"), tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_loaded_matrix_is_writable_native_and_c_contiguous(self, tmp_path):
+        save_state(initialize_state(4, 3), tmp_path / "state.json")
+        matrix = load_state(tmp_path / "state.json").matrix
+        assert matrix.flags.writeable and matrix.flags.c_contiguous
+        assert matrix.dtype == np.float64 and matrix.dtype.isnative
+        matrix[0, 0] = 1.0
+
+    @pytest.mark.parametrize("how", ARTIFACT_CORRUPTIONS)
+    def test_corrupt_file_rejected(self, tmp_path, how):
+        path = tmp_path / "state.json"
+        save_state(initialize_state(4, 3), path)
+        message = corrupt_artifact(path, how)
+        with pytest.raises(ValueError, match=message):
+            load_state(path)
+
+    def test_v1_list_file_rejected_naming_the_format(self, tmp_path):
+        path = tmp_path / "state.json"
+        write_v1_state(initialize_state(4, 3), path)
+        with pytest.raises(ValueError, match="aspectcite-state-v2"):
+            load_state(path)
+
+    def test_shape_must_match_the_envelope(self, tmp_path):
+        path = tmp_path / "state.json"
+        save_state(initialize_state(4, 3), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["matrix"] = encode_tensor(np.full((3, 4), 0.25))
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match="does not match"):
+            load_state(path)
