@@ -142,15 +142,6 @@ class _Resolver:
         return value
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _parse_int_list(text: str) -> tuple:
     return tuple(int(v) for v in text.split(",") if v.strip())
 
@@ -226,12 +217,7 @@ def cmd_ingest(args) -> int:
         "text_dim": int(text_vectors.shape[1]),
         "text_vectors_file": vectors_file,
         "nodes": list(graph.node_ids),
-        "edges": [
-            [graph.node_ids[i], graph.node_ids[j]] + ([int(t)] if graph.timed else [])
-            for (i, j), t in zip(
-                graph.edge_array, graph.edge_times if graph.timed else [None] * graph.num_edges
-            )
-        ],
+        "edges": list(map(list, edge_list.edges)),
         "cleaning": {
             "duplicates_dropped": edge_list.duplicate_count,
             "self_loops_dropped": edge_list.self_loop_count,
@@ -266,7 +252,7 @@ def _load_manifest(path: str):
     if payload.get("format") != "aspectcite-manifest-v1":
         raise DataError(f"{path}: not a recognized manifest (format={payload.get('format')!r})")
     try:
-        graph = build_graph([tuple(e) for e in payload["edges"]])
+        graph = build_graph(payload["edges"])
         split = corpus.DatasetSplit.from_dict(payload["split"], graph)
         vectors_path = os.path.join(os.path.dirname(os.path.abspath(path)), payload["text_vectors_file"])
         text_vectors = np.load(_require_file(vectors_path, "text vector matrix"))

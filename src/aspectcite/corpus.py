@@ -277,27 +277,24 @@ class DatasetSplit:
     seed: int
 
     def edges_of(self, name: str) -> tuple:
-        if name == "train":
-            return self.train_edges
-        if name == "validation":
-            return self.validation_edges
-        if name == "test":
-            return self.test_edges
-        raise KeyError(f"unknown split {name!r}")
+        if name not in SPLIT_NAMES:
+            raise KeyError(f"unknown split {name!r}")
+        return getattr(self, f"{name}_edges")
 
     def validate(self, graph: CitationGraph) -> None:
-        parts = [set(self.train_edges), set(self.validation_edges), set(self.test_edges)]
-        union = parts[0] | parts[1] | parts[2]
-        if union != graph.edge_set:
+        pairs = [*self.train_edges, *self.validation_edges, *self.test_edges]
+        if not graph.contains(pairs).all() or len(np.unique(graph.edge_positions(pairs))) != graph.num_edges:
             raise ValueError("split parts do not reassemble the full edge set")
-        if len(self.train_edges) + len(self.validation_edges) + len(self.test_edges) != graph.num_edges:
+        if len(pairs) != graph.num_edges:
             raise ValueError("split parts overlap")
         for name, negs in self.negatives.items():
-            for i, j in negs:
+            pairs = np.asarray(negs, dtype=np.int64).reshape(-1, 2)
+            bad = np.flatnonzero((pairs[:, 0] == pairs[:, 1]) | graph.contains(pairs))
+            if bad.size:
+                i, j = negs[bad[0]]
                 if i == j:
                     raise ValueError(f"negative self-loop in split {name!r}")
-                if (i, j) in graph.edge_set:
-                    raise ValueError(f"negative pair {(i, j)} is an actual edge (split {name!r})")
+                raise ValueError(f"negative pair {(i, j)} is an actual edge (split {name!r})")
 
     def to_dict(self, graph: CitationGraph) -> dict:
         ids = graph.node_ids
@@ -359,12 +356,7 @@ def split_edges(graph: CitationGraph, ratios, negatives_per_positive: int, seed:
 
     rng = substream(seed, "split")
     order = rng.permutation(m)
-    all_edges = [tuple(e) for e in graph.edge_array]
-    bounds = np.cumsum([0] + counts)
-    parts = [
-        tuple(all_edges[k] for k in order[bounds[s]:bounds[s + 1]])
-        for s in range(3)
-    ]
+    parts = [tuple(map(tuple, graph.edge_array[chunk])) for chunk in np.split(order, np.cumsum(counts)[:2])]
 
     n = graph.num_nodes
     available_non_edges = n * (n - 1) - m
@@ -376,16 +368,12 @@ def split_edges(graph: CitationGraph, ratios, negatives_per_positive: int, seed:
             raise ValueError(
                 f"requested {want} negatives for split {name!r} but only {available_non_edges} non-edges exist"
             )
-        chosen: list[tuple[int, int]] = []
-        chosen_set: set[tuple[int, int]] = set()
+        chosen: dict[tuple[int, int], None] = {}  # insertion-ordered set
         while len(chosen) < want:
             i = int(neg_rng.integers(n))
             j = int(neg_rng.integers(n))
-            pair = (i, j)
-            if i == j or pair in graph.edge_set or pair in chosen_set:
-                continue
-            chosen.append(pair)
-            chosen_set.add(pair)
+            if i != j and not graph.has_edge(i, j):
+                chosen[i, j] = None
         negatives[name] = tuple(chosen)
 
     split = DatasetSplit(

@@ -97,7 +97,7 @@ def explain_target(
         raise ValueError("top_n must be >= 1 and top_m >= 0")
     t = graph.index_of(target)
     aspects = params.dims.aspects
-    citers = graph.in_adjacency[t]
+    citers = graph.in_neighbors(t)
     if len(citers) == 0:
         return AspectExplanation(
             target_id=target,

@@ -1,24 +1,40 @@
-"""Directed citation graph: dense node indexing, degree queries, dangling
-nodes, and cumulative time snapshots.
+"""Directed citation graph held as arrays: dense node indexing, CSR adjacency
+both ways, sorted edge keys, dangling nodes, and cumulative time snapshots.
 
-Edge direction is `(i, j)` == "i cites j" everywhere in this package.
+Edge `(i, j)` ("i cites j", everywhere in this package) has key `i * N + j`.
+One sort of the keys finds duplicates, gives the out-CSR with ascending rows
+and answers membership by `np.searchsorted`; sorting `j * N + i` gives the
+in-CSR.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, compress, count
+from operator import itemgetter
 
 import numpy as np
 
 __all__ = ["CitationGraph", "SnapshotView", "build_graph", "dangling_nodes", "snapshot"]
 
 
+def _csr(rows: np.ndarray, cols: np.ndarray, n: int):
+    """(indptr, indices, sorted keys) of the pairs; each row's indices ascend."""
+    keys = np.sort(rows * n + cols)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    indices = keys % n
+    for array in (indptr, indices, keys):
+        array.setflags(write=False)
+    return indptr, indices, keys
+
+
 class CitationGraph:
     """Immutable directed graph over a dense node index.
 
     Node ids are opaque strings mapped to dense integers in first-appearance
-    order. Adjacency is stored both ways; `in_adjacency` is always the exact
-    transpose of `out_adjacency`.
+    order. Adjacency is stored both ways as CSR arrays; row `j` of the in-CSR
+    lists exactly the `i` whose out-CSR row holds `j`, both ascending.
     """
 
     def __init__(self, edges):
@@ -26,43 +42,31 @@ class CitationGraph:
         if not edges:
             raise ValueError("cannot build a graph from an empty edge list")
 
-        timed_flags = {len(e) == 3 and e[2] is not None for e in edges}
-        if timed_flags == {True, False}:
+        # An edge is timed when it has a third field that is not None.
+        thirds = list(map(itemgetter(2), compress(edges, map((3).__eq__, map(len, edges)))))
+        num_timed = len(thirds) - thirds.count(None)
+        if 0 < num_timed < len(edges):
             raise ValueError("edge list mixes timed and untimed edges; provide timestamps for all edges or none")
-        self.timed = timed_flags == {True}
+        self.timed = num_timed == len(edges)
 
-        index: dict[str, int] = {}
-        pairs: list[tuple[int, int]] = []
-        times: list[int] = []
-        for e in edges:
-            src, dst = e[0], e[1]
-            if src == dst:
-                raise ValueError(f"self-loop {src!r} must be removed before graph construction")
-            for node in (src, dst):
-                if node not in index:
-                    index[node] = len(index)
-            pair = (index[src], index[dst])
-            pairs.append(pair)
-            if self.timed:
-                times.append(int(e[2]))
-
-        if len(set(pairs)) != len(pairs):
-            raise ValueError("duplicate edges must be removed before graph construction")
-
+        ids = list(chain.from_iterable(map(itemgetter(0, 1), edges)))
+        index = dict(zip(dict.fromkeys(ids), count()))
+        pairs = np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids)).reshape(-1, 2)
         self.node_ids: tuple[str, ...] = tuple(index)
         self._index = index
-        self.edge_array = np.asarray(pairs, dtype=np.int64)
-        self.edge_times = np.asarray(times, dtype=np.int64) if self.timed else None
-        self.edge_set = frozenset(pairs)
 
-        n = len(self.node_ids)
-        out_lists: list[list[int]] = [[] for _ in range(n)]
-        in_lists: list[list[int]] = [[] for _ in range(n)]
-        for i, j in pairs:
-            out_lists[i].append(j)
-            in_lists[j].append(i)
-        self.out_adjacency = [np.asarray(sorted(l), dtype=np.int64) for l in out_lists]
-        self.in_adjacency = [np.asarray(sorted(l), dtype=np.int64) for l in in_lists]
+        loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
+        if loops.size:
+            raise ValueError(f"self-loop {ids[2 * loops[0]]!r} must be removed before graph construction")
+
+        n = len(index)
+        self.out_indptr, self.out_indices, keys = _csr(pairs[:, 0], pairs[:, 1], n)
+        if np.any(keys[1:] == keys[:-1]):
+            raise ValueError("duplicate edges must be removed before graph construction")
+        self.in_indptr, self.in_indices, _ = _csr(pairs[:, 1], pairs[:, 0], n)
+        self._keys = keys
+        self.edge_array = pairs
+        self.edge_times = np.fromiter(map(int, thirds), dtype=np.int64, count=len(edges)) if self.timed else None
 
     @property
     def num_nodes(self) -> int:
@@ -78,21 +82,57 @@ class CitationGraph:
         except KeyError:
             raise KeyError(f"unknown node id {node_id!r}") from None
 
+    def out_neighbors(self, i: int) -> np.ndarray:
+        """Nodes `i` cites, ascending (a read-only view into the CSR)."""
+        return self.out_indices[self.out_indptr[i]:self.out_indptr[i + 1]]
+
+    def in_neighbors(self, j: int) -> np.ndarray:
+        """Nodes citing `j`, ascending (a read-only view into the CSR)."""
+        return self.in_indices[self.in_indptr[j]:self.in_indptr[j + 1]]
+
     def out_degree(self, i: int) -> int:
-        return len(self.out_adjacency[i])
+        return int(self.out_indptr[i + 1] - self.out_indptr[i])
 
     def in_degree(self, j: int) -> int:
-        return len(self.in_adjacency[j])
+        return int(self.in_indptr[j + 1] - self.in_indptr[j])
 
     def in_degrees(self) -> np.ndarray:
-        return np.asarray([len(a) for a in self.in_adjacency], dtype=np.int64)
+        return np.diff(self.in_indptr)
 
     def out_degrees(self) -> np.ndarray:
-        return np.asarray([len(a) for a in self.out_adjacency], dtype=np.int64)
+        return np.diff(self.out_indptr)
 
-    def edges(self):
+    def has_edge(self, i: int, j: int) -> bool:
+        n = self.num_nodes
+        if not (0 <= i < n and 0 <= j < n):
+            return False
+        key = i * n + j
+        pos = int(self._keys.searchsorted(key))
+        return pos < len(self._keys) and bool(self._keys[pos] == key)
+
+    def _lookup(self, pairs):
+        """Positions of `(i, j)` pairs in the sorted keys, and which are edges."""
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        n = self.num_nodes
+        inside = np.all((pairs >= 0) & (pairs < n), axis=1)
+        keys = np.where(inside, pairs[:, 0] * n + pairs[:, 1], -1)
+        pos = np.minimum(self._keys.searchsorted(keys), len(self._keys) - 1)
+        return pos, inside & (self._keys[pos] == keys)
+
+    def contains(self, pairs) -> np.ndarray:
+        """Boolean mask: which `(i, j)` rows of `pairs` are edges."""
+        return self._lookup(pairs)[1]
+
+    def edge_positions(self, pairs) -> np.ndarray:
+        """Row of `edge_array` holding each `(i, j)` of `pairs`; every pair must be an edge."""
+        pos, found = self._lookup(pairs)
+        if not found.all():
+            raise ValueError("edge_positions got a pair that is not an edge")
+        return np.argsort(self.edge_array[:, 0] * self.num_nodes + self.edge_array[:, 1])[pos]
+
+    def edges(self) -> list[tuple[int, int]]:
         """Edge index pairs in construction order."""
-        return [tuple(e) for e in self.edge_array]
+        return list(map(tuple, self.edge_array.tolist()))
 
     def density(self) -> float:
         n = self.num_nodes
@@ -116,7 +156,7 @@ class SnapshotView:
         return len(self.edge_indices)
 
     def edges(self) -> list[tuple[int, int]]:
-        return [tuple(e) for e in self.base.edge_array[self.edge_indices]]
+        return list(map(tuple, self.base.edge_array[self.edge_indices].tolist()))
 
 
 def build_graph(edges) -> CitationGraph:

@@ -139,18 +139,15 @@ class MetricsReport:
 def _sample_source_negatives(source, graph, count, rng):
     """Uniform non-neighbors of `source` (never edges, never self), distinct."""
     n = graph.num_nodes
-    existing = set(graph.out_adjacency[source].tolist())
+    existing = set(graph.out_neighbors(source).tolist())
     max_available = n - 1 - len(existing)
     count = min(count, max_available)
-    chosen: list[int] = []
-    chosen_set: set[int] = set()
+    chosen: dict[int, None] = {}  # insertion-ordered set
     while len(chosen) < count:
         cand = int(rng.integers(n))
-        if cand == source or cand in existing or cand in chosen_set:
-            continue
-        chosen.append(cand)
-        chosen_set.add(cand)
-    return chosen
+        if cand != source and cand not in existing:
+            chosen[cand] = None
+    return list(chosen)
 
 
 def evaluate(

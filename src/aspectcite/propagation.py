@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import sparse
 
 from . import codec
 
@@ -116,6 +115,8 @@ def build_transition(edges, impacts: np.ndarray, num_nodes: int) -> TransitionTe
     if np.any(impacts < 0):
         raise ValueError("edge impacts must be nonnegative")
 
+    from scipy import sparse  # imported here so CLI queries, which build no operator, skip it
+
     aspects = impacts.shape[1]
     rows, cols = edges[:, 0], edges[:, 1]
     matrices = []
@@ -147,7 +148,7 @@ class ProjectionOperator:
     tensor: TransitionTensor
     beta: float
     nu: float
-    stacked: sparse.csr_matrix = field(repr=False)
+    stacked: "scipy.sparse.csr_matrix" = field(repr=False)
     dangling: tuple = field(repr=False)
 
     @property
@@ -160,6 +161,8 @@ class ProjectionOperator:
 
 
 def build_projection(tensor: TransitionTensor) -> ProjectionOperator:
+    from scipy import sparse
+
     n, aspects = tensor.num_nodes, tensor.aspects
     beta = 0.05 / n
     nu = 1.0 - beta * n

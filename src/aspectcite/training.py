@@ -20,7 +20,8 @@ use the hard Gumbel-max sample, backward passes hold it constant.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -104,23 +105,7 @@ class TrainConfig:
             raise ValueError("snapshot_cutoffs must be ordered ascending")
 
     def to_dict(self) -> dict:
-        return {
-            "aspects": self.aspects,
-            "struct_dim": self.struct_dim,
-            "margin_edge": self.margin_edge,
-            "margin_aspect": self.margin_aspect,
-            "learning_rate": self.learning_rate,
-            "momentum": self.momentum,
-            "epochs_per_phase": self.epochs_per_phase,
-            "alternations": self.alternations,
-            "batch_size": self.batch_size,
-            "aspect_loss_weight": self.aspect_loss_weight,
-            "dynamic_propagation": self.dynamic_propagation,
-            "snapshot_cutoffs": list(self.snapshot_cutoffs),
-            "propagation_epsilon": self.propagation_epsilon,
-            "propagation_max_steps": self.propagation_max_steps,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "snapshot_cutoffs": list(self.snapshot_cutoffs)}
 
 
 class Triplet(NamedTuple):
@@ -163,8 +148,7 @@ def sample_triplets(split: DatasetSplit, batch: int, rng: np.random.Generator, g
     n = graph.num_nodes
     while len(triplets) < batch:
         i, j = edges[int(rng.integers(len(edges)))]
-        cited = graph.out_adjacency[i]
-        if len(cited) >= n - 1:
+        if graph.out_degree(i) >= n - 1:
             skipped += 1
             if skipped > 10 * batch:
                 break  # every remaining source is exhausted; give up gracefully
@@ -172,11 +156,11 @@ def sample_triplets(split: DatasetSplit, batch: int, rng: np.random.Generator, g
         negative = None
         for _ in range(50):
             cand = int(rng.integers(n))
-            if cand != i and (i, cand) not in graph.edge_set:
+            if cand != i and not graph.has_edge(i, cand):
                 negative = cand
                 break
         if negative is None:
-            allowed = sorted(set(range(n)) - {i} - set(cited.tolist()))
+            allowed = sorted(set(range(n)) - {i} - set(graph.out_neighbors(i).tolist()))
             negative = int(allowed[int(rng.integers(len(allowed)))])
         triplets.append(Triplet(i, j, negative))
     result = TripletBatch(triplets)
@@ -408,11 +392,8 @@ def fit(graph: CitationGraph, split: DatasetSplit, config: TrainConfig, text_vec
     if config.snapshot_cutoffs:
         if not graph.timed:
             raise ValueError("snapshot schedule requires a timed graph")
-        time_of = {tuple(e): int(t) for e, t in zip(graph.edge_array, graph.edge_times)}
-        stages = [
-            (cutoff, [e for e in split.train_edges if time_of[e] <= cutoff])
-            for cutoff in config.snapshot_cutoffs
-        ]
+        times = graph.edge_times[graph.edge_positions(split.train_edges)]
+        stages = [(cutoff, list(compress(split.train_edges, times <= cutoff))) for cutoff in config.snapshot_cutoffs]
     else:
         stages = [(None, list(split.train_edges))]
 

@@ -3,10 +3,13 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import aspectcite
 from aspectcite.cli import _write_atomically, main
 from aspectcite.codec import decode_tensor, encode_tensor
 from aspectcite.model import load_checkpoint
@@ -452,3 +455,13 @@ class TestConfigResolution:
     def test_usage_error_exit_1(self):
         assert main(["train"]) == 1
         assert main(["frobnicate"]) == 1
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """Only building a propagation operator needs scipy; predict, explain and
+    ingest never do, so importing the CLI must not pay for it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(aspectcite.__file__)))
+    code = "import sys, aspectcite.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]", done.stdout

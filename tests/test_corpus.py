@@ -1,5 +1,8 @@
 """Loader, embedding, and splitting contracts."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,7 +186,7 @@ class TestSplitEdges:
     def test_partition_is_exact_and_disjoint(self, small_graph):
         split = split_edges(small_graph, (0.6, 0.2, 0.2), 1, seed=9)
         parts = [set(split.train_edges), set(split.validation_edges), set(split.test_edges)]
-        assert parts[0] | parts[1] | parts[2] == small_graph.edge_set
+        assert parts[0] | parts[1] | parts[2] == set(small_graph.edges())
         assert sum(len(p) for p in parts) == small_graph.num_edges
 
     def test_negatives_never_edges_nor_self_loops(self, small_graph):
@@ -191,7 +194,7 @@ class TestSplitEdges:
         for part in split.negatives.values():
             for i, j in part:
                 assert i != j
-                assert (i, j) not in small_graph.edge_set
+                assert not small_graph.has_edge(i, j)
 
     def test_ratio_sum_violation_rejected(self, small_graph):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -215,3 +218,46 @@ class TestSplitEdges:
         from aspectcite.corpus import DatasetSplit
 
         assert DatasetSplit.from_dict(split.to_dict(small_graph), small_graph) == split
+
+
+class TestSplitValidate:
+    """Each way a split can break names its fault, checked in the same order."""
+
+    @staticmethod
+    def corrupt(split, graph, kind):
+        train, val, test = list(split.train_edges), list(split.validation_edges), list(split.test_edges)
+        negatives = dict(split.negatives)
+        if kind == "missing edge":
+            train = train[1:]
+        elif kind == "non-edge in a part":
+            train[0] = split.negatives["train"][0]
+        elif kind == "out-of-range pair":
+            train[0] = (0, graph.num_nodes)  # its key would alias edge (1, 0) without the range check
+        elif kind == "edge in two parts":
+            val.append(train[0])
+        elif kind == "edge twice in one part":
+            train.append(train[0])
+        elif kind == "negative self-loop":
+            negatives["validation"] = negatives["validation"] + ((3, 3), train[0])
+        elif kind == "negative is an edge":
+            negatives["test"] = negatives["test"] + (tuple(map(int, train[0])), (2, 2))
+        return replace(split, train_edges=tuple(train), validation_edges=tuple(val), test_edges=tuple(test),
+                       negatives=negatives)
+
+    @pytest.mark.parametrize("kind, message", [
+        ("missing edge", "split parts do not reassemble the full edge set"),
+        ("non-edge in a part", "split parts do not reassemble the full edge set"),
+        ("out-of-range pair", "split parts do not reassemble the full edge set"),
+        ("edge in two parts", "split parts overlap"),
+        ("edge twice in one part", "split parts overlap"),
+        ("negative self-loop", "negative self-loop in split 'validation'"),
+        ("negative is an edge", "negative pair {pair} is an actual edge (split 'test')"),
+    ])
+    def test_rejections(self, kind, message):
+        graph = build_graph([("A", "B"), ("B", "A")] + [(f"n{k}", f"n{k + 1}") for k in range(20)])
+        split = split_edges(graph, (0.8, 0.1, 0.1), 1, seed=4)
+        split.validate(graph)
+        broken = self.corrupt(split, graph, kind)
+        pair = tuple(map(int, broken.train_edges[0]))
+        with pytest.raises(ValueError, match=re.escape(message.format(pair=pair)) + "$"):
+            broken.validate(graph)

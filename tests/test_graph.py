@@ -1,5 +1,7 @@
 """Graph structure, dangling detection, and snapshot contracts."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,40 @@ def edge_lists(max_nodes=8):
     return st.lists(pair, min_size=1, max_size=25, unique=True).map(
         lambda pairs: [(f"n{a}", f"n{b}") for a, b in pairs]
     )
+
+
+class ReferenceGraph:
+    """Per-edge, per-node construction kept as the oracle for the array-backed
+    graph: first-appearance node index, sorted per-node neighbour lists and a
+    set of index pairs."""
+
+    def __init__(self, edges):
+        index: dict = {}
+        self.pairs = []
+        for e in edges:
+            for node in (e[0], e[1]):
+                index.setdefault(node, len(index))
+            self.pairs.append((index[e[0]], index[e[1]]))
+        self.node_ids = tuple(index)
+        n = len(index)
+        self.out = [sorted(j for i, j in self.pairs if i == k) for k in range(n)]
+        self.inn = [sorted(i for i, j in self.pairs if j == k) for k in range(n)]
+        self.edge_set = set(self.pairs)
+        self.times = [int(e[2]) for e in edges] if len(edges[0]) == 3 else None
+
+
+@st.composite
+def graphs_with_probes(draw):
+    """(edges, probe pairs): timed or untimed edge lists over shuffled labels,
+    and index pairs that include out-of-range and negative indices."""
+    edges = draw(edge_lists(max_nodes=10))
+    labels = draw(st.permutations([f"n{k}" for k in range(10)]))
+    edges = [(labels[int(a[1:])], labels[int(b[1:])]) for a, b in edges]
+    if draw(st.booleans()):
+        times = draw(st.lists(st.integers(1990, 2000), min_size=len(edges), max_size=len(edges)))
+        edges = [(a, b, t) for (a, b), t in zip(edges, times)]
+    probes = draw(st.lists(st.tuples(st.integers(-2, 12), st.integers(-2, 12)), max_size=30))
+    return edges, probes
 
 
 class TestBuildGraph:
@@ -43,16 +79,98 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="timed"):
             build_graph([("A", "B", 1), ("B", "C")])
 
+    @given(graphs_with_probes())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_builder(self, case):
+        edges, probes = case
+        g, ref = build_graph(edges), ReferenceGraph(edges)
+        n = len(ref.node_ids)
+        assert g.node_ids == ref.node_ids and g.num_nodes == n and g.num_edges == len(edges)
+        assert g.edge_array.dtype == np.int64 and g.edge_array.flags["C_CONTIGUOUS"]
+        assert g.edge_array.tolist() == [list(p) for p in ref.pairs]
+        assert g.edges() == ref.pairs
+        for k in range(n):
+            assert g.out_neighbors(k).tolist() == ref.out[k]
+            assert g.in_neighbors(k).tolist() == ref.inn[k]
+            assert (g.out_degree(k), g.in_degree(k)) == (len(ref.out[k]), len(ref.inn[k]))
+        assert g.out_degrees().tolist() == [len(a) for a in ref.out]
+        assert g.in_degrees().tolist() == [len(a) for a in ref.inn]
+        assert dangling_nodes(g).tolist() == [k for k in range(n) if not ref.inn[k]]
+        probes = probes + ref.pairs[:5]
+        expected = [p in ref.edge_set for p in probes]
+        assert g.contains(probes).tolist() == expected
+        assert [g.has_edge(i, j) for i, j in probes] == expected
+        assert g.edge_positions(ref.pairs[::-1]).tolist() == list(range(len(edges)))[::-1]
+        assert g.timed == (ref.times is not None)
+        if g.timed:
+            assert g.edge_times.dtype == np.int64 and g.edge_times.tolist() == ref.times
+        else:
+            assert g.edge_times is None
+
+    def test_contains_empty_probe_list(self):
+        g = build_graph([("A", "B")])
+        assert g.contains([]).shape == (0,)
+
+    def test_edge_positions_rejects_non_edges(self):
+        g = build_graph([("A", "B"), ("B", "C")])
+        with pytest.raises(ValueError, match="not an edge"):
+            g.edge_positions([(0, 1), (1, 0)])
+
+    def test_adjacency_is_read_only(self):
+        g = build_graph([("A", "B"), ("B", "C")])
+        with pytest.raises(ValueError, match="read-only"):
+            g.out_neighbors(0)[0] = 2
+
     @given(edge_lists())
     @settings(max_examples=120, deadline=None)
     def test_transpose_consistency(self, edges):
         g = build_graph(edges)
         for i in range(g.num_nodes):
-            for j in g.out_adjacency[i]:
-                assert i in g.in_adjacency[j]
+            for j in g.out_neighbors(i):
+                assert i in g.in_neighbors(j)
         for j in range(g.num_nodes):
-            for i in g.in_adjacency[j]:
-                assert j in g.out_adjacency[i]
+            for i in g.in_neighbors(j):
+                assert j in g.out_neighbors(i)
+
+
+class TestRejectionMessages:
+    """Every construction check keeps its exact message and its order."""
+
+    MIXED = "edge list mixes timed and untimed edges; provide timestamps for all edges or none"
+
+    def test_empty(self):
+        with pytest.raises(ValueError, match=re.escape("cannot build a graph from an empty edge list")):
+            build_graph(iter(()))
+
+    @pytest.mark.parametrize("edges", [
+        [("A", "B", 1), ("B", "C")],
+        [("A", "B"), ("B", "C", 2)],
+        [("A", "B", None), ("B", "C", 3)],
+        [["A", "B", 4], ["B", "C"]],
+    ])
+    def test_mixed_timed_untimed(self, edges):
+        with pytest.raises(ValueError, match=re.escape(self.MIXED)):
+            build_graph(edges)
+
+    def test_all_none_times_is_untimed(self):
+        g = build_graph([("A", "B", None), ("B", "C", None)])
+        assert not g.timed and g.edge_times is None
+
+    def test_self_loop_names_the_node(self):
+        with pytest.raises(ValueError, match=re.escape("self-loop 'C' must be removed before graph construction")):
+            build_graph([("A", "B"), ("C", "C"), ("D", "D")])
+
+    def test_duplicate(self):
+        with pytest.raises(ValueError, match=re.escape("duplicate edges must be removed before graph construction")):
+            build_graph([("A", "B"), ("B", "C"), ("A", "B")])
+
+    def test_mixed_times_reported_before_self_loop(self):
+        with pytest.raises(ValueError, match=re.escape(self.MIXED)):
+            build_graph([("A", "A", 1), ("B", "C")])
+
+    def test_self_loop_reported_before_duplicate(self):
+        with pytest.raises(ValueError, match="self-loop 'E'"):
+            build_graph([("A", "B"), ("A", "B"), ("E", "E")])
 
 
 class TestDanglingNodes:

@@ -195,7 +195,7 @@ class TestEvaluateHarness:
             np.random.default_rng(0),
         )
         state = initialize_state(small_graph.num_nodes, 2)
-        edge_set = small_graph.edge_set
+        edge_set = set(small_graph.edges())
 
         def oracle(pairs):
             return np.asarray([1.0 if (i, j) in edge_set else 0.0 for i, j in pairs])

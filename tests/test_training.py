@@ -1,9 +1,12 @@
 """Losses, triplet sampling, gradient correctness, phases, and the full fit."""
 
+import json
+
 import numpy as np
 import pytest
 
 from aspectcite import (
+    CitationGraph,
     Dims,
     ModelParams,
     TrainConfig,
@@ -17,6 +20,7 @@ from aspectcite import (
     train_sd_phase,
     train_sy_phase,
 )
+from aspectcite import training
 from aspectcite.model import save_checkpoint, softmax
 from aspectcite.seeding import substream
 from aspectcite.training import (
@@ -75,7 +79,7 @@ class TestSampleTriplets:
         train = set(small_split.train_edges)
         for i, j, k in triplets:
             assert (i, j) in train
-            assert (i, k) not in small_graph.edge_set
+            assert not small_graph.has_edge(i, k)
             assert len({i, j, k}) == 3
 
     def test_batch_zero_is_empty(self, small_graph, small_split):
@@ -399,6 +403,50 @@ class TestFit:
         result = fit(graph, split, config, np.random.default_rng(0).normal(size=(graph.num_nodes, 4)))
         assert len(result.report["stages"]) == 2
         assert result.report["stages"][0]["num_train_edges"] <= result.report["stages"][1]["num_train_edges"]
+
+    def test_snapshot_stages_match_dict_lookup(self, monkeypatch):
+        """Stage edge lists, and the whole report, equal those of the former
+        construction: a dict from edge tuple to time, filtered per cutoff."""
+        rng = np.random.default_rng(11)
+        edges = {}
+        while len(edges) < 60:
+            a, b = rng.integers(18, size=2)
+            if a != b:
+                edges.setdefault((f"n{a}", f"n{b}"), int(rng.integers(2000, 2010)))
+        graph = build_graph([(a, b, t) for (a, b), t in edges.items()])
+        split = split_edges(graph, (0.8, 0.1, 0.1), 1, seed=11)
+        cutoffs = (1999, 2003, 2006, 2009)
+        config = TrainConfig(
+            aspects=2, struct_dim=3, epochs_per_phase=1, alternations=1, batch_size=8,
+            snapshot_cutoffs=cutoffs, seed=11,
+        )
+        text = np.random.default_rng(1).normal(size=(graph.num_nodes, 4))
+
+        stage_edges = []
+        real_sy_phase = training.train_sy_phase
+
+        def spy(*args, train_edges, **kwargs):
+            stage_edges.append(list(train_edges))
+            return real_sy_phase(*args, train_edges=train_edges, **kwargs)
+
+        monkeypatch.setattr(training, "train_sy_phase", spy)
+        result = fit(graph, split, config, text)
+        time_of = {tuple(e): int(t) for e, t in zip(graph.edge_array, graph.edge_times)}
+        expected = [[e for e in split.train_edges if time_of[e] <= cutoff] for cutoff in cutoffs]
+        assert expected[0] == [] and 0 < len(expected[1]) < len(expected[2]) < len(expected[3])
+        assert stage_edges == expected[1:]
+        assert [s["num_train_edges"] for s in result.report["stages"]] == [len(s) for s in expected]
+
+        def dict_positions(self, pairs):
+            row_of = {tuple(e): k for k, e in enumerate(self.edge_array.tolist())}
+            return np.asarray([row_of[tuple(p)] for p in pairs], dtype=np.int64)
+
+        monkeypatch.setattr(training, "train_sy_phase", real_sy_phase)
+        monkeypatch.setattr(CitationGraph, "edge_positions", dict_positions)
+        reference = fit(graph, split, config, text)
+        result.report.pop("timing"), reference.report.pop("timing")
+        assert json.dumps(result.report, sort_keys=True) == json.dumps(reference.report, sort_keys=True)
+        assert np.array_equal(result.state.matrix, reference.state.matrix)
 
     def test_snapshot_schedule_requires_timed_graph(self, small_graph, small_split, small_text):
         config = TrainConfig(aspects=2, struct_dim=3, snapshot_cutoffs=(1,), seed=0)
