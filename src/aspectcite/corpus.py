@@ -78,14 +78,8 @@ class WordVectorTable:
         if self.dimension <= 0:
             raise ValueError("word vector dimension must be positive")
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.vectors
-
     def __len__(self) -> int:
         return len(self.vectors)
-
-    def get(self, token: str):
-        return self.vectors.get(token)
 
 
 @dataclass(frozen=True)
@@ -161,8 +155,10 @@ def load_node_text(path) -> dict[str, TokenizedDocument]:
 
 
 def load_word_vectors(path) -> WordVectorTable:
-    """Parse whitespace-separated pretrained vectors; dimension inferred from line 1."""
+    """Parse whitespace-separated pretrained vectors; dimension inferred from line 1, components finite."""
     vectors: dict[str, np.ndarray] = {}
+    rows: list[np.ndarray] = []
+    linenos: list[int] = []
     dimension = None
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -182,16 +178,19 @@ def load_word_vectors(path) -> WordVectorTable:
                 vec = np.asarray([float(v) for v in values], dtype=np.float64)
             except ValueError:
                 raise CorpusFormatError(f"{path}: line {lineno}: non-numeric vector component") from None
-            if token not in vectors:  # first occurrence wins
-                vectors[token] = vec
+            rows.append(vec)
+            linenos.append(lineno)
+            vectors.setdefault(token, vec)  # first occurrence wins
     if dimension is None:
         raise CorpusFormatError(f"{path}: empty word vector file")
+    _require_finite(path, rows, linenos, "vector")
     return WordVectorTable(dimension=dimension, vectors=vectors)
 
 
 def load_node_features(path) -> dict[str, np.ndarray]:
-    """Parse dense per-node feature vectors (one `node_id<TAB>v1 v2 ...` row each)."""
+    """Parse dense per-node feature vectors (one `node_id<TAB>v1 v2 ...` row each, components finite)."""
     features: dict[str, np.ndarray] = {}
+    linenos: list[int] = []
     dimension = None
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -213,9 +212,18 @@ def load_node_features(path) -> dict[str, np.ndarray]:
             elif len(vec) != dimension:
                 raise CorpusFormatError(f"{path}: line {lineno}: expected {dimension} components, got {len(vec)}")
             features[node_id] = vec
+            linenos.append(lineno)
     if not features:
         raise CorpusFormatError(f"{path}: empty feature file")
+    _require_finite(path, list(features.values()), linenos, "feature")
     return features
+
+
+def _require_finite(path, rows: list, linenos: list, what: str) -> None:
+    """One vectorized check over the parsed rows; NaN or infinity fails naming its line."""
+    bad = np.flatnonzero(~np.isfinite(np.stack(rows)).all(axis=1))
+    if bad.size:
+        raise CorpusFormatError(f"{path}: line {linenos[bad[0]]}: non-finite {what} component")
 
 
 def embed_text(doc: TokenizedDocument, channels, table: WordVectorTable):
@@ -356,7 +364,7 @@ def split_edges(graph: CitationGraph, ratios, negatives_per_positive: int, seed:
 
     rng = substream(seed, "split")
     order = rng.permutation(m)
-    parts = [tuple(map(tuple, graph.edge_array[chunk])) for chunk in np.split(order, np.cumsum(counts)[:2])]
+    parts = [tuple(map(tuple, graph.edge_array[chunk].tolist())) for chunk in np.split(order, np.cumsum(counts)[:2])]
 
     n = graph.num_nodes
     available_non_edges = n * (n - 1) - m

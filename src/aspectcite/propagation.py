@@ -12,13 +12,15 @@ P_k summing to 1. The operator is applied without ever materializing the
 dense matrix: the all-ones term is a rank-one update and Z_k a scalar
 correction.
 
-All aspects step together. build_projection stacks the per-aspect X_k once
-into one block-diagonal (I*N, I*N) CSR matrix; masked impacts are one-hot
-per edge, so it holds at most M nonzeros. A step is then one sparse
-matrix-vector product on the aspect-major flat state, plus one dangling-mass
-sum per aspect. Row k*N + i of the stacked matrix holds row i of X_k with its
-entries in the same order, so a step computes exactly the same floating-point
-sums as multiplying each X_k on its own.
+All aspects step together. build_projection lists the nonzeros of the
+block-diagonal (I*N, I*N) operator diag(X_1, ..., X_I) once, as a row-sorted
+edge list (row k*N + i, column k*N + j, weight); masked impacts are one-hot
+per edge, so it holds at most M entries. A step is then one weighted
+bincount over the aspect-major flat state, plus one dangling-mass sum per
+aspect. bincount adds each row's products one by one in input order,
+starting from 0.0, and each row's entries sit in ascending column order, so
+a step computes exactly the same floating-point sums as a CSR
+matrix-vector product with each X_k on its own.
 
 Between steps the state stays aspect-major: apply_projection returns the
 (N, I) transposed view of its C-ordered (I, N) result, so the next step
@@ -69,9 +71,6 @@ class AspectState:
     def aspects(self) -> int:
         return self.matrix.shape[1]
 
-    def row(self, j: int) -> np.ndarray:
-        return self.matrix[j]
-
     def validate(self, tolerance: float = 1e-9) -> None:
         if np.any(self.matrix < 0) or np.any(self.matrix > 1):
             raise ValueError("aspect state entries must lie in [0, 1]")
@@ -105,50 +104,53 @@ class TransitionTensor:
 def build_transition(edges, impacts: np.ndarray, num_nodes: int) -> TransitionTensor:
     """Column-normalize per-edge impact vectors into per-aspect matrices.
 
-    edges: sequence of (citer i, cited j) pairs; impacts: (M, I) array of the
-    nonnegative masked impacts, rows aligned with edges.
+    edges: sequence of distinct (citer i, cited j) pairs; impacts: (M, I)
+    array of the finite, nonnegative masked impacts, rows aligned with edges.
+    Only positive impacts enter a matrix; each column mass is their sum in
+    edge order.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     impacts = np.atleast_2d(np.asarray(impacts, dtype=np.float64))
     if impacts.shape[0] != len(edges):
         raise ValueError(f"{len(edges)} edges but {impacts.shape[0]} impact rows")
+    if not np.isfinite(impacts).all():
+        raise ValueError("edge impacts must be finite")
     if np.any(impacts < 0):
         raise ValueError("edge impacts must be nonnegative")
 
     from scipy import sparse  # imported here so CLI queries, which build no operator, skip it
 
     aspects = impacts.shape[1]
-    rows, cols = edges[:, 0], edges[:, 1]
     matrices = []
     dangling = np.ones((num_nodes, aspects), dtype=bool)
     for k in range(aspects):
-        weight = impacts[:, k]
+        nz = np.flatnonzero(impacts[:, k] > 0.0)
+        weight, rows, cols = impacts[nz, k], edges[nz, 0], edges[nz, 1]
         column_mass = np.bincount(cols, weights=weight, minlength=num_nodes)
-        fed = column_mass > 0.0
-        dangling[:, k] = ~fed
-        keep = fed[cols] & (weight > 0.0)
-        data = weight[keep] / column_mass[cols[keep]]
-        mat = sparse.csr_matrix(
-            (data, (rows[keep], cols[keep])), shape=(num_nodes, num_nodes)
-        )
-        matrices.append(mat)
-    return TransitionTensor(
-        matrices=tuple(matrices), dangling_mask=dangling, num_nodes=num_nodes, aspects=aspects
-    )
+        dangling[:, k] = column_mass == 0.0
+        order = np.argsort(rows * num_nodes + cols)  # edges are distinct, so this is (row, column) order
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=num_nodes))))
+        data = (weight / column_mass[cols])[order]
+        matrices.append(sparse.csr_matrix((data, cols[order], indptr), shape=(num_nodes, num_nodes)))
+    return TransitionTensor(matrices=tuple(matrices), dangling_mask=dangling, num_nodes=num_nodes, aspects=aspects)
 
 
 @dataclass(frozen=True)
 class ProjectionOperator:
     """The implicit column-stochastic propagation operator for all aspects.
 
-    stacked is block-diagonal with X_k as block k; dangling[k] lists the
-    flat aspect-major positions k*N + j of aspect k's dangling columns j.
+    rows, cols and data list the nonzeros of the block-diagonal operator
+    with X_k as block k, sorted by row and, within a row, by column;
+    dangling[k] lists the flat aspect-major positions k*N + j of aspect k's
+    dangling columns j.
     """
 
     tensor: TransitionTensor
     beta: float
     nu: float
-    stacked: "scipy.sparse.csr_matrix" = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    cols: np.ndarray = field(repr=False)
+    data: np.ndarray = field(repr=False)
     dangling: tuple = field(repr=False)
 
     @property
@@ -161,26 +163,15 @@ class ProjectionOperator:
 
 
 def build_projection(tensor: TransitionTensor) -> ProjectionOperator:
-    from scipy import sparse
-
     n, aspects = tensor.num_nodes, tensor.aspects
     beta = 0.05 / n
     nu = 1.0 - beta * n
-    indptr = [np.zeros(1, dtype=np.int64)]
-    offset = 0
-    for mat in tensor.matrices:
-        indptr.append(mat.indptr[1:].astype(np.int64) + offset)
-        offset += mat.nnz
-    stacked = sparse.csr_matrix(
-        (
-            np.concatenate([mat.data[: mat.nnz] for mat in tensor.matrices]),
-            np.concatenate([mat.indices[: mat.nnz].astype(np.int64) + k * n for k, mat in enumerate(tensor.matrices)]),
-            np.concatenate(indptr),
-        ),
-        shape=(aspects * n, aspects * n),
-    )
+    mats = tensor.matrices
+    rows = np.concatenate([np.repeat(np.arange(k * n, (k + 1) * n), np.diff(mat.indptr)) for k, mat in enumerate(mats)])
+    cols = np.concatenate([mat.indices[: mat.nnz].astype(np.int64) + k * n for k, mat in enumerate(mats)])
+    data = np.concatenate([mat.data[: mat.nnz] for mat in mats])
     dangling = tuple(np.flatnonzero(tensor.dangling_mask[:, k]) + k * n for k in range(aspects))
-    return ProjectionOperator(tensor=tensor, beta=beta, nu=nu, stacked=stacked, dangling=dangling)
+    return ProjectionOperator(tensor=tensor, beta=beta, nu=nu, rows=rows, cols=cols, data=data, dangling=dangling)
 
 
 def apply_projection(op: ProjectionOperator, state: AspectState) -> AspectState:
@@ -195,7 +186,7 @@ def apply_projection(op: ProjectionOperator, state: AspectState) -> AspectState:
     n = op.num_nodes
     flat = matrix.T.ravel()  # aspect-major: element k*N + j is matrix[j, k]; a view for our own outputs
     dangling_mass = np.array([flat[idx].sum() for idx in op.dangling])
-    out = (op.stacked @ flat).reshape(op.aspects, n)
+    out = np.bincount(op.rows, weights=op.data * flat.take(op.cols), minlength=op.aspects * n).reshape(op.aspects, n)
     out += (dangling_mass / n)[:, None]
     out *= op.nu
     out += op.beta * column_sums[:, None]

@@ -122,6 +122,18 @@ class TestIngest:
         root, edges, text, vecs = dataset
         assert main(["ingest", "--edges", str(edges), "--out-dir", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_non_finite_feature_exits_2_naming_line(self, dataset, tmp_path, capsys, value):
+        root, edges, text, vecs = dataset
+        nodes = sorted({n for line in edges.read_text().splitlines()[1:] for n in line.split("\t")})
+        rows = [f"{n}\t1.0 0.5 {value if k == 3 else '0.25'}" for k, n in enumerate(nodes)]
+        feat_file = tmp_path / "features.tsv"
+        feat_file.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--edges", str(edges), "--node-features", str(feat_file), "--out-dir", str(out)]) == 2
+        assert f"{feat_file}: line 4: non-finite feature component" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestTrain:
     def test_ndp_report_has_zero_sd_phases(self, dataset, tmp_path):

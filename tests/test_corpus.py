@@ -81,6 +81,13 @@ class TestLoadWordVectors:
         with pytest.raises(CorpusFormatError, match="non-numeric"):
             load_word_vectors(write(tmp_path, "v.txt", "a 1.0 oops\n"))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "Infinity", "-NaN"])
+    def test_non_finite_rejected_naming_line(self, tmp_path, value):
+        # the bad row is a later duplicate token, which the table would not keep
+        path = write(tmp_path, "v.txt", f"a 1.0 0.0\n\nb 0.5 2.0\na {value} 1.0\nc 1.0 1.0\n")
+        with pytest.raises(CorpusFormatError, match=re.escape(f"{path}: line 4: non-finite vector component")):
+            load_word_vectors(path)
+
 
 class TestLoadNodeText:
     def test_multiple_rows_per_node(self, tmp_path):
@@ -105,6 +112,16 @@ class TestLoadNodeFeatures:
     def test_inconsistent_dimension_rejected(self, tmp_path):
         with pytest.raises(CorpusFormatError, match="line 2"):
             load_node_features(write(tmp_path, "f.tsv", "p1\t1 0\np2\t1 2 3\n"))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "Infinity", "-NaN"])
+    def test_non_finite_rejected_naming_line(self, tmp_path, value):
+        path = write(tmp_path, "f.tsv", f"# header\np1\t1 0 1\np2\t0 {value} 0\np3\t{value} 1 1\n")
+        with pytest.raises(CorpusFormatError, match=re.escape(f"{path}: line 3: non-finite feature component")):
+            load_node_features(path)
+
+    def test_largest_finite_values_accepted(self, tmp_path):
+        feats = load_node_features(write(tmp_path, "f.tsv", "p1\t1.7976931348623157e308 -5e-324\n"))
+        assert feats["p1"].tolist() == [np.finfo(float).max, -5e-324]
 
 
 TABLE = WordVectorTable(dimension=2, vectors={"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
@@ -219,6 +236,16 @@ class TestSplitEdges:
 
         assert DatasetSplit.from_dict(split.to_dict(small_graph), small_graph) == split
 
+    def test_pairs_hold_python_ints_before_and_after_round_trip(self, small_graph):
+        from aspectcite.corpus import DatasetSplit
+
+        split = split_edges(small_graph, (0.8, 0.1, 0.1), 2, seed=5)
+        loaded = DatasetSplit.from_dict(split.to_dict(small_graph), small_graph)
+        for s in (split, loaded):
+            pairs = [*s.train_edges, *s.validation_edges, *s.test_edges, *(p for n in s.negatives.values() for p in n)]
+            assert {type(pair) for pair in pairs} == {tuple}
+            assert {type(index) for pair in pairs for index in pair} == {int}
+
 
 class TestSplitValidate:
     """Each way a split can break names its fault, checked in the same order."""
@@ -243,6 +270,14 @@ class TestSplitValidate:
             negatives["test"] = negatives["test"] + (tuple(map(int, train[0])), (2, 2))
         return replace(split, train_edges=tuple(train), validation_edges=tuple(val), test_edges=tuple(test),
                        negatives=negatives)
+
+    def test_edge_reused_as_negative_message_prints_plain_ints(self):
+        graph = build_graph([("A", "B"), ("B", "A")] + [(f"n{k}", f"n{k + 1}") for k in range(20)])
+        split = split_edges(graph, (0.8, 0.1, 0.1), 1, seed=4)
+        assert split.train_edges[0] == (15, 16)
+        broken = replace(split, negatives={**split.negatives, "test": split.negatives["test"] + split.train_edges[:1]})
+        with pytest.raises(ValueError, match=re.escape("negative pair (15, 16) is an actual edge (split 'test')") + "$"):
+            broken.validate(graph)
 
     @pytest.mark.parametrize("kind, message", [
         ("missing edge", "split parts do not reassemble the full edge set"),

@@ -2,10 +2,15 @@
 
 import base64
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
+from aspectcite import Dims, ModelParams, TrainConfig, build_graph, propagation, substream, train_sd_phase, training
 from aspectcite.codec import decode_tensor, encode_tensor
 from aspectcite.propagation import (
     apply_projection,
@@ -16,6 +21,7 @@ from aspectcite.propagation import (
     propagate,
     save_state,
     AspectState,
+    TransitionTensor,
 )
 
 
@@ -52,6 +58,90 @@ def apply_projection_per_aspect(op, state):
         dangling_mass = column[op.tensor.dangling_mask[:, k]].sum()
         out[:, k] = op.beta * column_sums[k] + op.nu * (op.tensor.matrices[k] @ column + dangling_mass / n)
     return out
+
+
+def build_transition_coo(edges, impacts, num_nodes):
+    """Reference build: every edge enters the column masses, and scipy's
+    COO-to-CSR conversion sorts and canonicalises each aspect's matrix."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    impacts = np.atleast_2d(np.asarray(impacts, dtype=np.float64))
+    rows, cols = edges[:, 0], edges[:, 1]
+    matrices = []
+    dangling = np.ones((num_nodes, impacts.shape[1]), dtype=bool)
+    for k in range(impacts.shape[1]):
+        weight = impacts[:, k]
+        column_mass = np.bincount(cols, weights=weight, minlength=num_nodes)
+        fed = column_mass > 0.0
+        dangling[:, k] = ~fed
+        keep = fed[cols] & (weight > 0.0)
+        data = weight[keep] / column_mass[cols[keep]]
+        matrices.append(sparse.csr_matrix((data, (rows[keep], cols[keep])), shape=(num_nodes, num_nodes)))
+    return TransitionTensor(
+        matrices=tuple(matrices), dangling_mask=dangling, num_nodes=num_nodes, aspects=impacts.shape[1]
+    )
+
+
+@dataclass(frozen=True)
+class StackedOperator:
+    """Reference operator: the per-aspect matrices stacked into one block-diagonal CSR matrix."""
+
+    tensor: TransitionTensor
+    beta: float
+    nu: float
+    stacked: sparse.csr_matrix
+    dangling: tuple
+
+    @property
+    def num_nodes(self):
+        return self.tensor.num_nodes
+
+    @property
+    def aspects(self):
+        return self.tensor.aspects
+
+
+def build_stacked_projection(tensor):
+    n = tensor.num_nodes
+    beta = 0.05 / n
+    indptr = [np.zeros(1, dtype=np.int64)]
+    offset = 0
+    for mat in tensor.matrices:
+        indptr.append(mat.indptr[1:].astype(np.int64) + offset)
+        offset += mat.nnz
+    stacked = sparse.csr_matrix(
+        (
+            np.concatenate([mat.data[: mat.nnz] for mat in tensor.matrices]),
+            np.concatenate([mat.indices[: mat.nnz].astype(np.int64) + k * n for k, mat in enumerate(tensor.matrices)]),
+            np.concatenate(indptr),
+        ),
+        shape=(tensor.aspects * n, tensor.aspects * n),
+    )
+    dangling = tuple(np.flatnonzero(tensor.dangling_mask[:, k]) + k * n for k in range(tensor.aspects))
+    return StackedOperator(tensor=tensor, beta=beta, nu=1.0 - beta * n, stacked=stacked, dangling=dangling)
+
+
+def apply_stacked_projection(op, state):
+    """Reference step: one scipy SpMV with the stacked matrix on the aspect-major flat state."""
+    matrix = state.matrix
+    column_sums = matrix.sum(axis=0)
+    n = op.num_nodes
+    flat = matrix.T.ravel()
+    dangling_mass = np.array([flat[idx].sum() for idx in op.dangling])
+    out = (op.stacked @ flat).reshape(op.aspects, n)
+    out += (dangling_mass / n)[:, None]
+    out *= op.nu
+    out += op.beta * column_sums[:, None]
+    return AspectState(matrix=out.T, step=state.step + 1, residual=state.residual, converged=state.converged)
+
+
+def assert_same_tensor(tensor, reference):
+    assert tensor.aspects == reference.aspects and tensor.num_nodes == reference.num_nodes
+    assert tensor.dangling_mask.dtype == bool and np.array_equal(tensor.dangling_mask, reference.dangling_mask)
+    for mat, ref in zip(tensor.matrices, reference.matrices, strict=True):
+        assert mat.shape == ref.shape
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(mat, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 def propagate_c_ordered(op, initial, max_steps, epsilon):
@@ -113,10 +203,58 @@ class TestBuildTransition:
         with pytest.raises(ValueError, match="nonnegative"):
             build_transition([(0, 1)], np.array([[-0.1]]), 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_impact_rejected(self, bad):
+        # a NaN compares False against 0, so only an explicit check keeps it out of the column masses
+        impacts = np.array([[0.5, 0.0], [bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            build_transition([(0, 2), (1, 2), (2, 0)], impacts, 3)
+
     def test_zero_mass_column_marked_dangling(self):
         tensor = build_transition([(0, 1)], np.array([[0.0]]), 3)
         assert tensor.dangling_mask[:, 0].all()
         assert tensor.matrices[0].nnz == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bit_equal_to_coo_reference(self, data):
+        n = data.draw(st.integers(1, 8), label="n")  # few columns, so several edges share each mass sum
+        aspects = data.draw(st.integers(1, 4), label="aspects")
+        edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), unique=True, max_size=50))
+        value = st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1.0, 1.0 / 3.0, 1e300, np.finfo(float).max]),
+            st.floats(0.0, 1.0),
+            st.floats(0.0, 1e6),
+        )
+        row = st.one_of(
+            st.just([0.0] * aspects),  # all-zero row
+            st.integers(0, aspects - 1).flatmap(lambda k: value.map(lambda v: [v if a == k else 0.0 for a in range(aspects)])),
+            st.lists(value, min_size=aspects, max_size=aspects),  # several aspects at once
+        )
+        impacts = np.array(data.draw(st.lists(row, min_size=len(edges), max_size=len(edges))), dtype=float)
+        impacts = impacts.reshape(len(edges), aspects)
+        # columns whose every incoming weight is zero, in some or all aspects
+        zero_fed = data.draw(st.sets(st.integers(0, n - 1), max_size=n), label="zero-fed columns")
+        for e, (_, j) in enumerate(edges):
+            if j in zero_fed:
+                impacts[e, data.draw(st.sampled_from([slice(None), 0]))] = 0.0
+        order = data.draw(st.permutations(range(len(edges))), label="edge order")
+        shuffled_edges = np.array(edges, dtype=np.int64).reshape(-1, 2)[order]
+        shuffled_impacts = impacts[order]
+        assert_same_tensor(
+            build_transition(shuffled_edges, shuffled_impacts, n),
+            build_transition_coo(shuffled_edges, shuffled_impacts, n),
+        )
+
+    @pytest.mark.parametrize("aspects", [1, 3, 5])
+    def test_bit_equal_to_coo_reference_on_large_graph(self, aspects):
+        rng = np.random.default_rng(80 + aspects)
+        n, m = 3000, 9000
+        rows, cols = rng.integers(n, size=m), rng.integers(n // 2, size=m)
+        edges = np.unique(np.stack([rows, cols], axis=1), axis=0)
+        edges = edges[rng.permutation(len(edges))]
+        impacts = rng.random((len(edges), aspects)) * (rng.random((len(edges), aspects)) < 0.4)
+        assert_same_tensor(build_transition(edges, impacts, n), build_transition_coo(edges, impacts, n))
 
     def test_column_sums_one_or_zero(self):
         rng = np.random.default_rng(0)
@@ -268,6 +406,33 @@ class TestPropagate:
         op = build_projection(build_transition(edges, impacts, n))
         out = apply_projection(op, initialize_state(n, 2))
         assert np.all(np.abs(out.matrix.sum(axis=0) - 1.0) < 1e-9)
+
+
+class TestPhaseAgainstStackedReference:
+    def test_train_sd_phase_byte_identical(self, monkeypatch):
+        # ~2k nodes, skewed in-degree, never-cited nodes, edges in shuffled order
+        rng = np.random.default_rng(12)
+        n, m = 2000, 9000
+        citers = rng.integers(n, size=m)
+        cited = np.minimum(rng.zipf(1.6, size=m) - 1 + rng.integers(n // 10, size=m), n - 1)
+        pairs = np.unique(np.stack([citers, cited], axis=1)[citers != cited], axis=0)
+        graph = build_graph([(f"p{i}", f"p{j}") for i, j in pairs[rng.permutation(len(pairs))]])
+        edges = graph.edge_array[rng.permutation(graph.num_edges)]
+        text = rng.normal(size=(graph.num_nodes, 8))
+        config = TrainConfig(aspects=4, struct_dim=5, seed=3, propagation_max_steps=20, propagation_epsilon=1e-14)
+        params = ModelParams.initialize(Dims(aspects=4, text_dim=8, struct_dim=5), graph.num_nodes, substream(3, "init"))
+        start = AspectState(matrix=random_distribution(rng, graph.num_nodes, 4))
+
+        phases = [train_sd_phase(params, start, edges, config, text)]
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "build_transition", build_transition_coo)
+            patch.setattr(training, "build_projection", build_stacked_projection)
+            patch.setattr(propagation, "apply_projection", apply_stacked_projection)
+            phases.append(train_sd_phase(params, start, edges, config, text))
+        out, reference = phases
+        assert out.step == reference.step == 20 and not out.converged
+        assert (out.residual, out.converged) == (reference.residual, reference.converged)
+        assert out.matrix.flags.c_contiguous and out.matrix.tobytes() == reference.matrix.tobytes()
 
 
 class TestPropagateLayout:
