@@ -182,17 +182,10 @@ def cmd_ingest(args) -> int:
         text_stats: dict = {}
         if args.node_features:
             features = corpus.load_node_features(_require_file(args.node_features, "node features"))
-            dim = len(next(iter(features.values())))
-            text_vectors = np.zeros((graph.num_nodes, dim))
-            missing = 0
-            for row, nid in enumerate(graph.node_ids):
-                vec = features.get(nid)
-                if vec is None:
-                    missing += 1
-                else:
-                    text_vectors[row] = vec
+            absent = np.zeros(len(next(iter(features.values()))))
+            text_vectors = np.array([features.get(nid, absent) for nid in graph.node_ids])
             text_source = "features"
-            text_stats = {"nodes_without_features": missing}
+            text_stats = {"nodes_without_features": sum(nid not in features for nid in graph.node_ids)}
         elif args.node_text and args.word_vectors:
             docs = corpus.load_node_text(_require_file(args.node_text, "node text"))
             table = corpus.load_word_vectors(_require_file(args.word_vectors, "word vectors"))

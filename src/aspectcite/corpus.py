@@ -6,6 +6,9 @@ File formats (all UTF-8):
   word vectors: text `token v1 v2 ... vL` per line
   features:     TSV `node_id<TAB>v1 v2 ... vL` (dense per-node vectors used
                 directly as the text embedding, e.g. bag-of-words datasets)
+
+Vector components are ASCII decimal floats, rounded exactly as `float()` does;
+`float()`'s underscore digit groups (`1_0`) and non-ASCII digits are rejected.
 """
 
 from __future__ import annotations
@@ -156,42 +159,32 @@ def load_node_text(path) -> dict[str, TokenizedDocument]:
 
 def load_word_vectors(path) -> WordVectorTable:
     """Parse whitespace-separated pretrained vectors; dimension inferred from line 1, components finite."""
-    vectors: dict[str, np.ndarray] = {}
-    rows: list[np.ndarray] = []
+    tokens: list[str] = []
+    rows: list[str] = []
     linenos: list[int] = []
-    dimension = None
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts:
-                continue
-            token, values = parts[0], parts[1:]
-            if dimension is None:
-                if not values:
-                    raise CorpusFormatError(f"{path}: line {lineno}: no vector components")
-                dimension = len(values)
-            if len(values) != dimension:
-                raise CorpusFormatError(
-                    f"{path}: line {lineno}: expected {dimension} components, got {len(values)}"
-                )
-            try:
-                vec = np.asarray([float(v) for v in values], dtype=np.float64)
-            except ValueError:
-                raise CorpusFormatError(f"{path}: line {lineno}: non-numeric vector component") from None
-            rows.append(vec)
-            linenos.append(lineno)
-            vectors.setdefault(token, vec)  # first occurrence wins
-    if dimension is None:
+            parts = raw.split(None, 1)
+            if parts:
+                tokens.append(parts[0])
+                rows.append(parts[1] if len(parts) == 2 else "")
+                linenos.append(lineno)
+    if not rows:
         raise CorpusFormatError(f"{path}: empty word vector file")
-    _require_finite(path, rows, linenos, "vector")
-    return WordVectorTable(dimension=dimension, vectors=vectors)
+    matrix = _parse_rows(path, rows, linenos, "vector")
+    _require_finite(path, matrix, linenos, "vector")
+    vectors: dict[str, np.ndarray] = {}
+    for token, vec in zip(tokens, matrix):
+        vectors.setdefault(token, vec)  # first occurrence wins
+    return WordVectorTable(dimension=matrix.shape[1], vectors=vectors)
 
 
 def load_node_features(path) -> dict[str, np.ndarray]:
-    """Parse dense per-node feature vectors (one `node_id<TAB>v1 v2 ...` row each, components finite)."""
-    features: dict[str, np.ndarray] = {}
+    """Parse dense per-node feature vectors (`node_id<TAB>v1 v2 ...` rows, components finite) as rows of one matrix."""
+    ids: dict[str, None] = {}  # an insertion-ordered set
+    rows: list[str] = []
     linenos: list[int] = []
-    dimension = None
+    problem = None
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -199,29 +192,51 @@ def load_node_features(path) -> dict[str, np.ndarray]:
                 continue
             fields = line.split("\t")
             if len(fields) != 2:
-                raise CorpusFormatError(f"{path}: line {lineno}: expected `node_id<TAB>values`, got {len(fields)} fields")
-            node_id, values = fields
-            if node_id in features:
-                raise CorpusFormatError(f"{path}: line {lineno}: duplicate node id {node_id!r}")
-            try:
-                vec = np.asarray([float(v) for v in values.split()], dtype=np.float64)
-            except ValueError:
-                raise CorpusFormatError(f"{path}: line {lineno}: non-numeric feature component") from None
-            if dimension is None:
-                dimension = len(vec)
-            elif len(vec) != dimension:
-                raise CorpusFormatError(f"{path}: line {lineno}: expected {dimension} components, got {len(vec)}")
-            features[node_id] = vec
+                problem = f"line {lineno}: expected `node_id<TAB>values`, got {len(fields)} fields"
+            elif fields[0] in ids:
+                problem = f"line {lineno}: duplicate node id {fields[0]!r}"
+            if problem:
+                break
+            ids[fields[0]] = None
+            rows.append(fields[1])
             linenos.append(lineno)
-    if not features:
-        raise CorpusFormatError(f"{path}: empty feature file")
-    _require_finite(path, list(features.values()), linenos, "feature")
-    return features
+    if rows:
+        matrix = _parse_rows(path, rows, linenos, "feature")  # a malformed row above `problem` is named first
+    if problem or not rows:
+        raise CorpusFormatError(f"{path}: {problem or 'empty feature file'}")
+    _require_finite(path, matrix, linenos, "feature")
+    return dict(zip(ids, matrix))
 
 
-def _require_finite(path, rows: list, linenos: list, what: str) -> None:
-    """One vectorized check over the parsed rows; NaN or infinity fails naming its line."""
-    bad = np.flatnonzero(~np.isfinite(np.stack(rows)).all(axis=1))
+def _parse_rows(path, rows: list, linenos: list, what: str) -> np.ndarray:
+    """Parse rows of whitespace-separated numbers into one float64 matrix.
+
+    One `np.loadtxt` call parses every row with CPython's own string-to-double
+    routine, so each value is bit-for-bit `float(token)`. Only after it fails
+    are the rows read one by one, to name the first bad line.
+    """
+    if all(row and not row.isspace() for row in rows):  # loadtxt would skip a blank row
+        try:
+            return np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    dimension = len(rows[0].split())
+    if not dimension:
+        raise CorpusFormatError(f"{path}: line {linenos[0]}: no {what} components")
+    for row, lineno in zip(rows, linenos):
+        count = len(row.split())
+        if count != dimension:
+            raise CorpusFormatError(f"{path}: line {lineno}: expected {dimension} components, got {count}")
+        try:
+            np.loadtxt([row], dtype=np.float64, comments=None)
+        except ValueError:
+            raise CorpusFormatError(f"{path}: line {lineno}: non-numeric {what} component") from None
+    raise AssertionError("np.loadtxt failed on rows that each parse")
+
+
+def _require_finite(path, matrix: np.ndarray, linenos: list, what: str) -> None:
+    """One vectorized check over the parsed matrix; NaN or infinity fails naming its line."""
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:
         raise CorpusFormatError(f"{path}: line {linenos[bad[0]]}: non-finite {what} component")
 

@@ -134,6 +134,30 @@ class TestIngest:
         assert f"{feat_file}: line 4: non-finite feature component" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_features_gathered_in_node_order(self, dataset, tmp_path):
+        root, edges, text, vecs = dataset
+        nodes = sorted({n for line in edges.read_text().splitlines()[1:] for n in line.split("\t")})
+        rng = np.random.default_rng(1)
+        given = {n: rng.normal(size=4) for n in nodes[2:] + ["not-in-graph"]}
+        feat_file = tmp_path / "features.tsv"
+        feat_file.write_text("".join(f"{n}\t{' '.join(map(repr, v.tolist()))}\n" for n, v in given.items()), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--edges", str(edges), "--node-features", str(feat_file), "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stats"]["text"] == {"nodes_without_features": 2}
+        expected = np.array([given.get(n, np.zeros(4)) for n in manifest["nodes"]])
+        assert np.load(out / "text_vectors.npy").tobytes() == expected.tobytes()
+
+    def test_feature_rows_without_components_exit_2(self, dataset, tmp_path, capsys):
+        root, edges, text, vecs = dataset
+        nodes = sorted({n for line in edges.read_text().splitlines()[1:] for n in line.split("\t")})
+        feat_file = tmp_path / "features.tsv"
+        feat_file.write_text("".join(f"{n}\t\n" for n in nodes), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--edges", str(edges), "--node-features", str(feat_file), "--out-dir", str(out)]) == 2
+        assert f"{feat_file}: line 1: no feature components" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestTrain:
     def test_ndp_report_has_zero_sd_phases(self, dataset, tmp_path):

@@ -2,6 +2,7 @@
 
 import re
 from dataclasses import replace
+from decimal import Context, Decimal
 
 import numpy as np
 import pytest
@@ -88,6 +89,18 @@ class TestLoadWordVectors:
         with pytest.raises(CorpusFormatError, match=re.escape(f"{path}: line 4: non-finite vector component")):
             load_word_vectors(path)
 
+    @pytest.mark.parametrize("content, message", [
+        ("a 1.0 0.0\n\nb 0.5 2.0\nc 1.0 oops\n", "line 4: non-numeric vector component"),
+        ("a 1.0 0.0\n\nb 0.5 2.0\nc 1.0 2.0 3.0\n", "line 4: expected 2 components, got 3"),
+        ("a 1.0 0.0\n\nb 0.5 2.0\nc\n", "line 4: expected 2 components, got 0"),
+        ("a 1.0 0.0\n\nb 0.5 2.0\na oops 1.0\n", "line 4: non-numeric vector component"),
+        ("\na\nb 1.0\n", "line 2: no vector components"),
+    ])
+    def test_malformed_later_line_named(self, tmp_path, content, message):
+        path = write(tmp_path, "v.txt", content)
+        with pytest.raises(CorpusFormatError, match=re.escape(f"{path}: {message}")):
+            load_word_vectors(path)
+
 
 class TestLoadNodeText:
     def test_multiple_rows_per_node(self, tmp_path):
@@ -122,6 +135,107 @@ class TestLoadNodeFeatures:
     def test_largest_finite_values_accepted(self, tmp_path):
         feats = load_node_features(write(tmp_path, "f.tsv", "p1\t1.7976931348623157e308 -5e-324\n"))
         assert feats["p1"].tolist() == [np.finfo(float).max, -5e-324]
+
+    @pytest.mark.parametrize("content, message", [
+        ("# header\np1\t1 0 1\n\np2\t0 x 1\n", "line 4: non-numeric feature component"),
+        ("# header\np1\t1 0 1\n\np2\t0 1\n", "line 4: expected 3 components, got 2"),
+        ("# header\np1\t1 0 1\n\np2\t   \n", "line 4: expected 3 components, got 0"),
+        ("# header\np1\t1 0 1\n\np1\t0 1 0\n", "line 4: duplicate node id 'p1'"),
+        ("# header\np1\t1 0 1\n\np2\t0 1 0\tx\n", "line 4: expected `node_id<TAB>values`, got 3 fields"),
+        # the first bad line is named, as when each line was parsed in turn
+        ("# header\np1\t1 x 1\n\np1\t0 1 0\n", "line 2: non-numeric feature component"),
+        ("# header\np1\t1 0 1\np2\t1\n\np1\t0 1 0\n", "line 3: expected 3 components, got 1"),
+    ])
+    def test_malformed_later_line_named(self, tmp_path, content, message):
+        path = write(tmp_path, "f.tsv", content)
+        with pytest.raises(CorpusFormatError, match=re.escape(f"{path}: {message}")):
+            load_node_features(path)
+
+    @pytest.mark.parametrize("content, line", [("p1\t\np2\t\n", 1), ("# header\n\np1\t   \np2\t1 2\n", 3)])
+    def test_row_without_components_rejected(self, tmp_path, content, line):
+        path = write(tmp_path, "f.tsv", content)
+        with pytest.raises(CorpusFormatError, match=re.escape(f"{path}: line {line}: no feature components")):
+            load_node_features(path)
+
+    def test_rows_share_one_matrix(self, tmp_path):
+        feats = load_node_features(write(tmp_path, "f.tsv", "p1\t1 2\np2\t3 4\n"))
+        assert feats["p1"].base is not None and feats["p1"].base is feats["p2"].base
+
+
+def _midpoint(x: float) -> Decimal:
+    """The exact decimal midpoint between x and its neighbouring double toward zero."""
+    ctx = Context(prec=2000)
+    return ctx.divide(ctx.add(Decimal(x), Decimal(float(np.nextafter(x, 0.0)))), 2)
+
+
+# Spellings of one double: shortest repr, 17 significant digits, a 41-digit
+# mantissa, the exact decimal expansion, an exact halfway case (rounds half to
+# even) and a near-halfway one, which a parse through 80-bit long double
+# would round twice and get wrong about half the time.
+TOKEN_FORMATS = (
+    repr, lambda x: "%.17g" % x, lambda x: "%.40e" % x, lambda x: str(Decimal(x)),
+    lambda x: str(_midpoint(x)), lambda x: format(_midpoint(x), ".25g"),
+)
+TOKENS = st.builds(lambda x, spell: spell(x), st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from(TOKEN_FORMATS))
+TOKEN_ROWS = st.integers(1, 4).flatmap(
+    lambda dim: st.lists(st.lists(TOKENS, min_size=dim, max_size=dim), min_size=1, max_size=6)
+)
+
+
+class TestNumericParse:
+    """Both numeric loaders: values bit-for-bit `float(token)`, each row under its own id."""
+
+    @staticmethod
+    def bits(values):
+        return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+    @given(rows=TOKEN_ROWS, data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_node_features_bit_exact_and_aligned(self, tmp_path_factory, rows, data):
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+        filler = st.lists(st.sampled_from(["", "   ", "\t", "# 1 2 comment", "  # indented"]), max_size=2)
+        spaces = st.text(alphabet=" \x0b\x0c\u3000", min_size=1, max_size=3)
+        lines = []
+        for i, tokens in enumerate(rows):
+            lines += data.draw(filler)
+            sep = data.draw(spaces)
+            lines.append(f"p{i}\t{data.draw(st.sampled_from(['', sep]))}{sep.join(tokens)}{data.draw(st.sampled_from(['', sep]))}")
+        path = tmp_path_factory.mktemp("features") / "f.tsv"
+        path.write_bytes(newline.join(lines).encode("utf-8") + newline.encode())
+        feats = load_node_features(path)
+        assert list(feats) == [f"p{i}" for i in range(len(rows))]
+        for i, tokens in enumerate(rows):
+            assert self.bits(feats[f"p{i}"]) == self.bits([float(t) for t in tokens])
+
+    @given(rows=TOKEN_ROWS, data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_word_vectors_bit_exact_and_aligned(self, tmp_path_factory, rows, data):
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+        filler = st.lists(st.sampled_from(["", "   ", "\t \x0c"]), max_size=2)
+        spaces = st.text(alphabet=" \t\x0b\u3000", min_size=1, max_size=3)
+        lines = []
+        for i, tokens in enumerate(rows):
+            lines += data.draw(filler)
+            sep = data.draw(spaces)
+            lines.append(f"{data.draw(st.sampled_from(['', sep]))}w{i}{sep}{sep.join(tokens)}{data.draw(st.sampled_from(['', sep]))}")
+        path = tmp_path_factory.mktemp("vectors") / "v.txt"
+        path.write_bytes(newline.join(lines).encode("utf-8") + newline.encode())
+        table = load_word_vectors(path)
+        assert list(table.vectors) == [f"w{i}" for i in range(len(rows))]
+        for i, tokens in enumerate(rows):
+            assert self.bits(table.vectors[f"w{i}"]) == self.bits([float(t) for t in tokens])
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661", "\uff11"])
+    def test_tokens_only_float_accepts_are_non_numeric(self, tmp_path, token):
+        # float() takes underscore digit groups and non-ASCII digits; the C parser does not
+        float(token)
+        path = write(tmp_path, "f.tsv", f"p1\t1 2\np2\t3 {token}\n")
+        with pytest.raises(CorpusFormatError, match=re.escape(f"{path}: line 2: non-numeric feature component")):
+            load_node_features(path)
+        path = write(tmp_path, "v.txt", f"a 1 2\nb {token} 3\n")
+        with pytest.raises(CorpusFormatError, match=re.escape(f"{path}: line 2: non-numeric vector component")):
+            load_word_vectors(path)
 
 
 TABLE = WordVectorTable(dimension=2, vectors={"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
