@@ -20,7 +20,7 @@ from .corpus import (
     split_edges,
 )
 from .explain import AspectExplanation, explain_target, export_explanation
-from .graph import CitationGraph, SnapshotView, build_graph, dangling_nodes, snapshot
+from .graph import CitationGraph, build_graph, dangling_nodes
 from .metrics import MetricsReport, auc, average_precision_at_k, evaluate, ndcg_at_k, recall
 from .model import (
     Dims,
@@ -49,8 +49,6 @@ from .training import (
     Triplet,
     TrainingAbort,
     fit,
-    loss_aspect,
-    loss_edge,
     sample_triplets,
     train_sd_phase,
     train_sy_phase,

@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage, 2 data/schema, 3 domain (e.g. unknown node),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -265,6 +266,16 @@ def _load_manifest(path: str):
 
 # ------------------------------------------------------------------ train
 
+# Every TrainConfig field is a `train` flag and config-file key of the same
+# name with its dataclass default, except the two set otherwise: --variant
+# gives dynamic_propagation, and the seed resolves through _Resolver.seed.
+_TRAIN_OPTIONS = {
+    f.name: (f.default, _parse_int_list if isinstance(f.default, tuple) else type(f.default))
+    for f in dataclasses.fields(TrainConfig)
+    if f.name not in ("dynamic_propagation", "seed")
+}
+
+
 def cmd_train(args) -> int:
     res = _Resolver(args)
     out_dir = _out_dir(args)
@@ -274,20 +285,8 @@ def cmd_train(args) -> int:
     if variant not in ("dp", "ndp"):
         raise UsageError(f"--variant must be dp or ndp, got {variant!r}")
     config = TrainConfig(
-        aspects=res.get("aspects", 5, parse=int),
-        struct_dim=res.get("struct_dim", 100, parse=int),
-        margin_edge=res.get("margin_edge", 1.0, parse=float),
-        margin_aspect=res.get("margin_aspect", 1.0, parse=float),
-        learning_rate=res.get("learning_rate", 0.05, parse=float),
-        momentum=res.get("momentum", 0.0, parse=float),
-        epochs_per_phase=res.get("epochs_per_phase", 20, parse=int),
-        alternations=res.get("alternations", 3, parse=int),
-        batch_size=res.get("batch_size", 512, parse=int),
-        aspect_loss_weight=res.get("aspect_loss_weight", 1.0, parse=float),
+        **{name: res.get(name, default, parse=parse) for name, (default, parse) in _TRAIN_OPTIONS.items()},
         dynamic_propagation=variant == "dp",
-        snapshot_cutoffs=res.get("snapshot_cutoffs", (), parse=_parse_int_list),
-        propagation_epsilon=res.get("propagation_epsilon", 1e-8, parse=float),
-        propagation_max_steps=res.get("propagation_max_steps", 100, parse=int),
         seed=res.seed(default=manifest["seed"]),
     )
     try:
@@ -460,19 +459,8 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--manifest", required=True)
     p.add_argument("--variant", choices=("dp", "ndp"))
-    p.add_argument("--aspects", type=int)
-    p.add_argument("--struct-dim", type=int)
-    p.add_argument("--margin-edge", type=float)
-    p.add_argument("--margin-aspect", type=float)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--epochs-per-phase", type=int)
-    p.add_argument("--alternations", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--aspect-loss-weight", type=float)
-    p.add_argument("--snapshot-cutoffs", type=_parse_int_list)
-    p.add_argument("--propagation-epsilon", type=float)
-    p.add_argument("--propagation-max-steps", type=int)
+    for name, (_, parse) in _TRAIN_OPTIONS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=parse)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a held-out split and write the metrics report")

@@ -3,7 +3,7 @@
 File formats (all UTF-8):
   edges:        TSV `source<TAB>target[<TAB>timestamp]`, `#` comment lines skipped
   node text:    TSV `node_id<TAB>channel<TAB>space-separated tokens`
-  word vectors: text `token v1 v2 ... vL` per line
+  word vectors: text `token v1 v2 ... vL` per line, no comments (`#` is a token)
   features:     TSV `node_id<TAB>v1 v2 ... vL` (dense per-node vectors used
                 directly as the text embedding, e.g. bag-of-words datasets)
 

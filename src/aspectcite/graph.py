@@ -1,5 +1,5 @@
 """Directed citation graph held as arrays: dense node indexing, CSR adjacency
-both ways, sorted edge keys, dangling nodes, and cumulative time snapshots.
+both ways, sorted edge keys, optional per-edge times, and dangling nodes.
 
 Edge `(i, j)` ("i cites j", everywhere in this package) has key `i * N + j`.
 One sort of the keys finds duplicates, gives the out-CSR with ascending rows
@@ -9,13 +9,12 @@ in-CSR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, compress, count
 from operator import itemgetter
 
 import numpy as np
 
-__all__ = ["CitationGraph", "SnapshotView", "build_graph", "dangling_nodes", "snapshot"]
+__all__ = ["CitationGraph", "build_graph", "dangling_nodes"]
 
 
 def _csr(rows: np.ndarray, cols: np.ndarray, n: int):
@@ -139,26 +138,6 @@ class CitationGraph:
         return self.num_edges / (n * (n - 1)) if n > 1 else 0.0
 
 
-@dataclass(frozen=True)
-class SnapshotView:
-    """Read-only cumulative view: all edges with time <= cutoff, full node set."""
-
-    base: CitationGraph
-    cutoff: int
-    edge_indices: np.ndarray = field(repr=False)
-
-    @property
-    def num_nodes(self) -> int:
-        return self.base.num_nodes
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edge_indices)
-
-    def edges(self) -> list[tuple[int, int]]:
-        return list(map(tuple, self.base.edge_array[self.edge_indices].tolist()))
-
-
 def build_graph(edges) -> CitationGraph:
     """Construct a CitationGraph from (source, target[, time]) tuples."""
     return CitationGraph(edges)
@@ -171,11 +150,3 @@ def dangling_nodes(graph: CitationGraph) -> np.ndarray:
     mass and must be repaired by the uniform teleport correction.
     """
     return np.flatnonzero(graph.in_degrees() == 0)
-
-
-def snapshot(graph: CitationGraph, cutoff: int) -> SnapshotView:
-    """Cumulative snapshot: edges with time <= cutoff. Requires a timed graph."""
-    if not graph.timed:
-        raise ValueError("snapshots need per-edge timestamps, but this graph is untimed")
-    keep = np.flatnonzero(graph.edge_times <= cutoff)
-    return SnapshotView(base=graph, cutoff=cutoff, edge_indices=keep)

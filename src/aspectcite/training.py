@@ -14,7 +14,9 @@ loss traces are per-triplet means.
 All gradients are derived by hand (the chain is shallow) and verified
 against central finite differences in the test suite with the aspect
 selection frozen, matching the straight-through treatment: forward passes
-use the hard Gumbel-max sample, backward passes hold it constant.
+use the hard Gumbel-max sample, backward passes hold it constant. Each
+batch runs the forward once: its positive-pair impacts draw the sample and
+its cached intermediates feed the backward.
 """
 
 from __future__ import annotations
@@ -51,13 +53,10 @@ __all__ = [
     "Triplet",
     "TrainingAbort",
     "FitResult",
-    "loss_edge",
-    "loss_aspect",
     "sample_triplets",
     "batch_loss_and_grads",
     "batch_loss",
     "sample_batch_alphas",
-    "infer_batch_alphas",
     "train_sy_phase",
     "train_sd_phase",
     "fit",
@@ -112,18 +111,6 @@ class Triplet(NamedTuple):
     source: int
     positive: int
     negative: int
-
-
-def loss_edge(f_pos: float, f_neg: float, margin_edge: float) -> float:
-    """Hinge on the link-score gap: max(0, margin - (f_pos - f_neg))."""
-    return max(0.0, margin_edge - (f_pos - f_neg))
-
-
-def loss_aspect(d_pos, d_neg, alpha, margin_aspect: float) -> float:
-    """Hinge on the selected-aspect impact gap; alpha comes from the positive pair."""
-    alpha = np.asarray(alpha)
-    gap = float(alpha @ np.asarray(d_pos)) - float(alpha @ np.asarray(d_neg))
-    return max(0.0, margin_aspect - gap)
 
 
 class TripletBatch(list):
@@ -198,35 +185,34 @@ def sample_batch_alphas(impacts: np.ndarray, rng: np.random.Generator) -> np.nda
     return select_aspects(impacts, rng)
 
 
-def infer_batch_alphas(impacts: np.ndarray) -> np.ndarray:
-    """Deterministic argmax aspect selection (ties to the lowest index)."""
-    return select_aspects(impacts)
+def _hinge(fw: dict, alphas: np.ndarray, config: TrainConfig):
+    """Summed margin loss of a forward and each triplet's hinge arguments.
+
+    Per triplet: max(0, z_e) + weight * max(0, z_t), where z_e is the edge
+    margin minus the link-score gap f_j - f_k and z_t the aspect margin minus
+    the impact gap on the aspect `alphas` selects (from the positive pair).
+    """
+    z_e = config.margin_edge - (fw["f_j"] - fw["f_k"])
+    gap = (alphas * fw["imp_j"]).sum(axis=1) - (alphas * fw["imp_k"]).sum(axis=1)
+    z_t = config.margin_aspect - gap
+    loss = float((np.maximum(z_e, 0.0) + config.aspect_loss_weight * np.maximum(z_t, 0.0)).sum())
+    return loss, z_e, z_t
 
 
 def batch_loss(params, state_matrix, text_vectors, triplets, alphas, config: TrainConfig) -> float:
     """Summed triplet loss with the aspect selection held fixed (forward only)."""
-    fw = _forward(params, state_matrix, text_vectors, triplets)
-    z_e = config.margin_edge - (fw["f_j"] - fw["f_k"])
-    gap = (alphas * fw["imp_j"]).sum(axis=1) - (alphas * fw["imp_k"]).sum(axis=1)
-    z_t = config.margin_aspect - gap
-    per = np.maximum(z_e, 0.0) + config.aspect_loss_weight * np.maximum(z_t, 0.0)
-    return float(per.sum())
+    return _hinge(_forward(params, state_matrix, text_vectors, triplets), alphas, config)[0]
 
 
-def batch_loss_and_grads(params, state_matrix, text_vectors, triplets, alphas, config: TrainConfig):
-    """Summed triplet loss and its hand-derived gradients for every tensor.
+def batch_loss_and_grads(params, fw: dict, alphas, config: TrainConfig):
+    """Summed triplet loss of the forward `fw` and its hand-derived gradients.
 
     Summing (rather than averaging) over the batch makes one update
     equivalent to per-triplet SGD at the configured learning rate; batching
     is purely a vectorization detail. The aspect selection `alphas` (one row
     per triplet, from the positive pair) is a constant of the backward pass.
     """
-    fw = _forward(params, state_matrix, text_vectors, triplets)
-
-    z_e = config.margin_edge - (fw["f_j"] - fw["f_k"])
-    gap = (alphas * fw["imp_j"]).sum(axis=1) - (alphas * fw["imp_k"]).sum(axis=1)
-    z_t = config.margin_aspect - gap
-    loss = float((np.maximum(z_e, 0.0) + config.aspect_loss_weight * np.maximum(z_t, 0.0)).sum())
+    loss, z_e, z_t = _hinge(fw, alphas, config)
 
     active_e = (z_e > 0).astype(np.float64)
     active_t = (z_t > 0).astype(np.float64) * config.aspect_loss_weight
@@ -254,9 +240,10 @@ def batch_loss_and_grads(params, state_matrix, text_vectors, triplets, alphas, c
     text_dim = params.dims.text_dim
 
     def through_normalization(g_r, r, norms):
+        # Only the structural columns reach a tensor; `inner` still spans all.
         inner = (g_r * r).sum(axis=1, keepdims=True)
-        g_fused = np.where(norms == 0.0, 0.0, (g_r - inner * r) / np.where(norms == 0.0, 1.0, norms))
-        return g_fused[:, text_dim:]
+        g_r, r = g_r[:, text_dim:], r[:, text_dim:]
+        return np.where(norms == 0.0, 0.0, (g_r - inner * r) / np.where(norms == 0.0, 1.0, norms))
 
     grad_emb = np.zeros_like(params.node_embeddings)
     np.add.at(grad_emb, fw["bi"], through_normalization(g_r_i, fw["r_i"], fw["norm_i"]))
@@ -307,7 +294,7 @@ def train_sy_phase(
 
     eval_rng = substream(config.seed, "eval-batch")
     eval_batch = sample_triplets(split, min(config.batch_size, 4 * len(edges)), eval_rng, graph, train_edges=edges)
-    eval_alphas = infer_batch_alphas(_forward(params, state_matrix, text_vectors, eval_batch)["imp_j"])
+    eval_alphas = select_aspects(_forward(params, state_matrix, text_vectors, eval_batch)["imp_j"])
 
     batches_per_epoch = max(1, int(np.ceil(len(edges) / config.batch_size)))
     trace = {"train_loss": [], "eval_loss": [], "skipped_sources": 0}
@@ -319,9 +306,9 @@ def train_sy_phase(
             trace["skipped_sources"] += triplets.skipped
             if not triplets:
                 continue
-            fw_imp = _forward(params, state_matrix, text_vectors, triplets)["imp_j"]
-            alphas = sample_batch_alphas(fw_imp, rng_gumbel)
-            loss, grads = batch_loss_and_grads(params, state_matrix, text_vectors, triplets, alphas, config)
+            fw = _forward(params, state_matrix, text_vectors, triplets)
+            alphas = sample_batch_alphas(fw["imp_j"], rng_gumbel)
+            loss, grads = batch_loss_and_grads(params, fw, alphas, config)
             if not np.isfinite(loss):
                 norms = {name: float(np.linalg.norm(getattr(params, name))) for name in ModelParams.TENSOR_FIELDS}
                 raise TrainingAbort(f"non-finite loss {loss}; parameter norms {norms}; first triplet {triplets[0]}")

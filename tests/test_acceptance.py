@@ -16,7 +16,7 @@ import pytest
 import aspectcite as ac
 from aspectcite.cli import main
 from aspectcite.corpus import TokenizedDocument, WordVectorTable, embed_documents
-from aspectcite.model import Dims, ModelParams, sample_aspect, softmax
+from aspectcite.model import Dims, ModelParams, sample_aspect, select_aspects, softmax
 from aspectcite.propagation import (
     AspectState,
     apply_projection,
@@ -31,7 +31,6 @@ from aspectcite.training import (
     _forward,
     batch_loss,
     batch_loss_and_grads,
-    infer_batch_alphas,
 )
 
 from test_metrics import ap_oracle, auc_oracle, ndcg_oracle, recall_oracle
@@ -262,8 +261,9 @@ def test_criterion_5_gradients_match_finite_differences():
             if len({i, j, k}) == 3:
                 triplets.append((i, j, k))
         config = TrainConfig(aspects=aspects, struct_dim=struct_dim, seed=0)
-        alphas = infer_batch_alphas(_forward(params, state, text, triplets)["imp_j"])
-        _, grads = batch_loss_and_grads(params, state, text, triplets, alphas, config)
+        fw = _forward(params, state, text, triplets)
+        alphas = select_aspects(fw["imp_j"])
+        _, grads = batch_loss_and_grads(params, fw, alphas, config)
         for name in ModelParams.TENSOR_FIELDS:
             flat = getattr(params, name).ravel()
             for idx in rng.choice(flat.size, size=min(10, flat.size), replace=False):

@@ -73,6 +73,12 @@ class TestLoadWordVectors:
         with pytest.raises(CorpusFormatError, match="line 2"):
             load_word_vectors(write(tmp_path, "v.txt", "a 1.0\nb 2.0 3.0\n"))
 
+    def test_hash_row_is_a_token_not_a_comment(self, tmp_path):
+        table = load_word_vectors(write(tmp_path, "v.txt", "# 1 2\nthe 3 4\n"))
+        assert table.dimension == 2
+        assert table.vectors["#"].tolist() == [1.0, 2.0]
+        assert table.vectors["the"].tolist() == [3.0, 4.0]
+
     def test_first_occurrence_wins(self, tmp_path):
         table = load_word_vectors(write(tmp_path, "v.txt", "a 1.0 0.0\na 9.0 9.0\n"))
         assert len(table) == 1

@@ -119,9 +119,9 @@ class TestMiniaturePlantedSeparation:
             _forward,
             batch_loss,
             batch_loss_and_grads,
-            infer_batch_alphas,
             sample_batch_alphas,
         )
+        from aspectcite.model import select_aspects
 
         edges = [(f"c{i}", "t") for i in range(6)]
         graph = build_graph(edges)
@@ -146,13 +146,13 @@ class TestMiniaturePlantedSeparation:
         triplets = [(c, t_idx, citer_idx[(pos + 3) % 6]) for pos, c in enumerate(citer_idx)]
         rng = substream(3, "gumbel")
         for _ in range(400):
-            impacts = _forward(params, state.matrix, texts, triplets)["imp_j"]
-            alphas = sample_batch_alphas(impacts, rng)
-            _, grads = batch_loss_and_grads(params, state.matrix, texts, triplets, alphas, config)
+            fw = _forward(params, state.matrix, texts, triplets)
+            alphas = sample_batch_alphas(fw["imp_j"], rng)
+            _, grads = batch_loss_and_grads(params, fw, alphas, config)
             for name, grad in grads.items():
                 tensor = getattr(params, name)
                 tensor -= config.learning_rate * grad
-        final_alphas = infer_batch_alphas(_forward(params, state.matrix, texts, triplets)["imp_j"])
+        final_alphas = select_aspects(_forward(params, state.matrix, texts, triplets)["imp_j"])
         final = batch_loss(params, state.matrix, texts, triplets, final_alphas, config)
         assert final / len(triplets) <= 0.05
 

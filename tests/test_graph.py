@@ -1,4 +1,4 @@
-"""Graph structure, dangling detection, and snapshot contracts."""
+"""Graph structure and dangling-detection contracts."""
 
 import re
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspectcite import build_graph, dangling_nodes, snapshot
+from aspectcite import build_graph, dangling_nodes
 
 
 def edge_lists(max_nodes=8):
@@ -193,41 +193,3 @@ class TestDanglingNodes:
         expected = {k for k in range(g.num_nodes) if g.in_degree(k) == 0}
         assert set(dangling_nodes(g).tolist()) == expected
 
-
-class TestSnapshot:
-    def test_filter_by_cutoff(self):
-        g = build_graph([("A", "B", 1), ("B", "C", 2)])
-        view = snapshot(g, 1)
-        assert view.edges() == [(g.index_of("A"), g.index_of("B"))]
-        assert view.num_nodes == 3
-
-    def test_cutoff_below_min_is_empty_with_full_node_set(self):
-        g = build_graph([("A", "B", 5), ("B", "C", 6)])
-        view = snapshot(g, 4)
-        assert view.num_edges == 0
-        assert view.num_nodes == 3
-
-    def test_cutoff_at_max_is_full(self):
-        g = build_graph([("A", "B", 5), ("B", "C", 6)])
-        assert snapshot(g, 6).num_edges == 2
-
-    def test_untimed_graph_rejected(self):
-        g = build_graph([("A", "B")])
-        with pytest.raises(ValueError, match="timestamps"):
-            snapshot(g, 1)
-
-    def test_monotone_in_cutoff(self):
-        rng = np.random.default_rng(3)
-        edges = []
-        seen = set()
-        while len(edges) < 30:
-            a, b = rng.integers(12, size=2)
-            if a != b and (a, b) not in seen:
-                seen.add((a, b))
-                edges.append((f"n{a}", f"n{b}", int(rng.integers(2000, 2020))))
-        g = build_graph(edges)
-        previous = set()
-        for cutoff in range(1999, 2021):
-            current = set(snapshot(g, cutoff).edges())
-            assert previous <= current
-            previous = current

@@ -13,58 +13,62 @@ from aspectcite import (
     build_graph,
     fit,
     initialize_state,
-    loss_aspect,
-    loss_edge,
     sample_triplets,
     split_edges,
     train_sd_phase,
     train_sy_phase,
 )
 from aspectcite import training
-from aspectcite.model import save_checkpoint, softmax
+from aspectcite.model import save_checkpoint, select_aspects, softmax
 from aspectcite.seeding import substream
 from aspectcite.training import (
     TrainingAbort,
     _forward,
     batch_loss,
     batch_loss_and_grads,
-    infer_batch_alphas,
     sample_batch_alphas,
 )
 
 from conftest import community_dataset
 
 
+def hinge_loss(f_j=9.0, f_k=0.0, imp_j=(9.0,), imp_k=(0.0,), alpha=(1.0,), margin_edge=1.0, margin_aspect=1.0):
+    """Summed loss of a hand-built one-triplet forward; the defaults satisfy both margins."""
+    fw = {"f_j": np.array([f_j]), "f_k": np.array([f_k]), "imp_j": np.array([imp_j]), "imp_k": np.array([imp_k])}
+    config = TrainConfig(margin_edge=margin_edge, margin_aspect=margin_aspect)
+    return training._hinge(fw, np.array([alpha]), config)[0]
+
+
 class TestLossEdge:
     def test_margin_satisfied(self):
-        assert loss_edge(2.0, 0.5, 1.0) == 0.0
+        assert hinge_loss(f_j=2.0, f_k=0.5) == 0.0
 
     def test_margin_violated(self):
-        assert loss_edge(0.5, 2.0, 1.0) == 2.5
+        assert hinge_loss(f_j=0.5, f_k=2.0) == 2.5
 
     def test_boundary_equals_margin(self):
-        assert loss_edge(1.0, 1.0, 1.0) == 1.0
+        assert hinge_loss(f_j=1.0, f_k=1.0) == 1.0
 
     def test_zero_iff_gap_at_least_margin(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             f_pos, f_neg, margin = rng.normal(size=3)
             margin = abs(margin) + 1e-3
-            value = loss_edge(f_pos, f_neg, margin)
+            value = hinge_loss(f_j=f_pos, f_k=f_neg, margin_edge=margin)
             assert value >= 0.0
             assert (value == 0.0) == (f_pos - f_neg >= margin)
 
 
 class TestLossAspect:
     def test_selected_gap_satisfied(self):
-        assert loss_aspect([2.0, 9.0], [0.0, 9.0], [1.0, 0.0], 1.0) == 0.0
+        assert hinge_loss(imp_j=[2.0, 9.0], imp_k=[0.0, 9.0], alpha=[1.0, 0.0]) == 0.0
 
     def test_selected_gap_violated(self):
-        assert loss_aspect([0.0, 9.0], [2.0, 0.0], [1.0, 0.0], 1.0) == 3.0
+        assert hinge_loss(imp_j=[0.0, 9.0], imp_k=[2.0, 0.0], alpha=[1.0, 0.0]) == 3.0
 
     def test_equal_impacts_cost_margin(self):
         d = [0.4, -0.2]
-        assert loss_aspect(d, d, [0.0, 1.0], 1.0) == 1.0
+        assert hinge_loss(imp_j=d, imp_k=d, alpha=[0.0, 1.0]) == 1.0
 
 
 class TestSampleTriplets:
@@ -118,7 +122,7 @@ class TestGradients:
             if len({int(i), int(j), int(k)}) == 3:
                 triplets.append((int(i), int(j), int(k)))
         config = TrainConfig(aspects=aspects, struct_dim=struct_dim, seed=0)
-        alphas = infer_batch_alphas(_forward(params, state, texts, triplets)["imp_j"])
+        alphas = select_aspects(_forward(params, state, texts, triplets)["imp_j"])
         return params, state, texts, triplets, alphas, config
 
     def test_matches_central_differences(self):
@@ -127,7 +131,7 @@ class TestGradients:
         rng = np.random.default_rng(99)
         for seed in range(4):
             params, state, texts, triplets, alphas, config = self.make_problem(seed)
-            _, grads = batch_loss_and_grads(params, state, texts, triplets, alphas, config)
+            _, grads = batch_loss_and_grads(params, _forward(params, state, texts, triplets), alphas, config)
             for name in ModelParams.TENSOR_FIELDS:
                 flat = getattr(params, name).ravel()
                 for idx in rng.choice(flat.size, size=min(6, flat.size), replace=False):
@@ -144,7 +148,7 @@ class TestGradients:
     def test_bias_gradient_is_zero(self):
         # the bias cancels in both hinge differences, so its gradient vanishes
         params, state, texts, triplets, alphas, config = self.make_problem(7)
-        _, grads = batch_loss_and_grads(params, state, texts, triplets, alphas, config)
+        _, grads = batch_loss_and_grads(params, _forward(params, state, texts, triplets), alphas, config)
         assert np.allclose(grads["bias"], 0.0, atol=1e-15)
 
 
@@ -255,15 +259,36 @@ class TestTrainSyPhase:
         triplet = [(graph.index_of("a"), graph.index_of("b"), graph.index_of("c"))]
         rng = substream(0, "gumbel")
         for _ in range(500):
-            impacts = _forward(params, state.matrix, texts, triplet)["imp_j"]
-            alphas = sample_batch_alphas(impacts, rng)
-            loss, grads = batch_loss_and_grads(params, state.matrix, texts, triplet, alphas, config)
+            fw = _forward(params, state.matrix, texts, triplet)
+            alphas = sample_batch_alphas(fw["imp_j"], rng)
+            loss, grads = batch_loss_and_grads(params, fw, alphas, config)
             for name, grad in grads.items():
                 tensor = getattr(params, name)
                 tensor -= config.learning_rate * grad
-        final_alphas = infer_batch_alphas(_forward(params, state.matrix, texts, triplet)["imp_j"])
+        final_alphas = select_aspects(_forward(params, state.matrix, texts, triplet)["imp_j"])
         final = batch_loss(params, state.matrix, texts, triplet, final_alphas, config)
         assert final == 0.0
+
+    def test_one_forward_per_batch(self, small_graph, small_split, small_text, monkeypatch):
+        # per batch one forward feeds both the Gumbel draw and the backward;
+        # the eval batch adds one forward for its alphas and one per epoch
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return _forward(*args)
+
+        monkeypatch.setattr(training, "_forward", counting)
+        config = TrainConfig(aspects=2, struct_dim=3, epochs_per_phase=3, batch_size=8, seed=1)
+        dims = Dims(aspects=2, text_dim=small_text.shape[1], struct_dim=3)
+        params = ModelParams.initialize(dims, small_graph.num_nodes, substream(1, "init"))
+        train_sy_phase(
+            params, initialize_state(small_graph.num_nodes, 2), small_split, config, small_graph, small_text,
+            substream(1, "triplets"), substream(1, "gumbel"),
+        )
+        batches = -(-len(small_split.train_edges) // config.batch_size)
+        assert batches > 1
+        assert len(calls) == batches * config.epochs_per_phase + config.epochs_per_phase + 1
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_nonfinite_loss_aborts_with_diagnostics(self, small_graph, small_split, small_text):
