@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import tempfile
+from itertools import chain
 
 import numpy as np
 
@@ -252,7 +253,7 @@ def _load_manifest(path: str):
         text_vectors = np.load(_require_file(vectors_path, "text vector matrix"))
         text_shape = (graph.num_nodes, payload["text_dim"])
         split.validate(graph)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed manifest: {exc}") from exc
     if list(graph.node_ids) != payload["nodes"]:
         raise DataError(f"{path}: node order does not match its edge list")
@@ -365,20 +366,15 @@ def cmd_predict(args) -> int:
     res.seed()
 
     pairs_file = _require_file(args.pairs, "pair list")
-    pairs_ids: list[tuple[str, str]] = []
-    with open(pairs_file, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) < 2:
-                raise DataError(f"{pairs_file}: line {lineno}: expected source<TAB>target")
-            pairs_ids.append((fields[0], fields[1]))
+    pairs_ids: list[list[str]] = []
+    for lineno, fields in corpus.tab_rows(pairs_file):
+        if len(fields) < 2:
+            raise DataError(f"{pairs_file}: line {lineno}: expected source<TAB>target")
+        pairs_ids.append(fields[:2])
     if not pairs_ids:
         raise DataError(f"{pairs_file}: no pairs to score")
     try:
-        index_pairs = np.asarray([(graph.index_of(a), graph.index_of(b)) for a, b in pairs_ids])
+        index_pairs = graph.indices_of(chain.from_iterable(pairs_ids)).reshape(-1, 2)
     except KeyError as exc:
         raise DomainError(str(exc)) from exc
     if np.any(index_pairs[:, 0] == index_pairs[:, 1]):

@@ -14,6 +14,7 @@ Vector components are ASCII decimal floats, rounded exactly as `float()` does;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -94,6 +95,16 @@ class EdgeList:
     self_loop_count: int
 
 
+def tab_rows(path):
+    """Yield (line number, tab-separated fields) for each line of a UTF-8 file
+    that is neither blank nor a `#` comment."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if line.strip() and not line.lstrip().startswith("#"):
+                yield lineno, line.split("\t")
+
+
 def load_edge_list(path) -> EdgeList:
     """Parse a TSV edge list; dedup and drop self-loops, reporting counts.
 
@@ -103,34 +114,29 @@ def load_edge_list(path) -> EdgeList:
     seen: set[tuple] = set()
     duplicates = 0
     self_loops = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) not in (2, 3):
-                raise CorpusFormatError(f"{path}: line {lineno}: expected 2 or 3 tab-separated fields, got {len(fields)}")
-            src, dst = fields[0], fields[1]
-            if not src or not dst:
-                raise CorpusFormatError(f"{path}: line {lineno}: empty node id")
-            if len(fields) == 3:
-                try:
-                    time = int(fields[2])
-                except ValueError:
-                    raise CorpusFormatError(f"{path}: line {lineno}: timestamp {fields[2]!r} is not an integer") from None
-                edge = (src, dst, time)
-            else:
-                edge = (src, dst)
-            if src == dst:
-                self_loops += 1
-                continue
-            key = (src, dst)
-            if key in seen:
-                duplicates += 1
-                continue
-            seen.add(key)
-            edges.append(edge)
+    for lineno, fields in tab_rows(path):
+        if len(fields) not in (2, 3):
+            raise CorpusFormatError(f"{path}: line {lineno}: expected 2 or 3 tab-separated fields, got {len(fields)}")
+        src, dst = fields[0], fields[1]
+        if not src or not dst:
+            raise CorpusFormatError(f"{path}: line {lineno}: empty node id")
+        if len(fields) == 3:
+            try:
+                time = int(fields[2])
+            except ValueError:
+                raise CorpusFormatError(f"{path}: line {lineno}: timestamp {fields[2]!r} is not an integer") from None
+            edge = (src, dst, time)
+        else:
+            edge = (src, dst)
+        if src == dst:
+            self_loops += 1
+            continue
+        key = (src, dst)
+        if key in seen:
+            duplicates += 1
+            continue
+        seen.add(key)
+        edges.append(edge)
     if not edges and duplicates == 0 and self_loops == 0:
         raise CorpusFormatError(f"{path}: empty edge file")
     return EdgeList(edges=edges, duplicate_count=duplicates, self_loop_count=self_loops)
@@ -139,21 +145,16 @@ def load_edge_list(path) -> EdgeList:
 def load_node_text(path) -> dict[str, TokenizedDocument]:
     """Parse the node-text TSV into one TokenizedDocument per node."""
     channels_by_node: dict[str, dict[str, tuple[str, ...]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise CorpusFormatError(f"{path}: line {lineno}: expected 3 tab-separated fields, got {len(fields)}")
-            node_id, channel, text = fields
-            if channel not in ALLOWED_CHANNELS:
-                raise CorpusFormatError(f"{path}: line {lineno}: unknown channel {channel!r}; allowed: {ALLOWED_CHANNELS}")
-            per_node = channels_by_node.setdefault(node_id, {})
-            if channel in per_node:
-                raise CorpusFormatError(f"{path}: line {lineno}: duplicate channel {channel!r} for node {node_id!r}")
-            per_node[channel] = tuple(text.split())
+    for lineno, fields in tab_rows(path):
+        if len(fields) != 3:
+            raise CorpusFormatError(f"{path}: line {lineno}: expected 3 tab-separated fields, got {len(fields)}")
+        node_id, channel, text = fields
+        if channel not in ALLOWED_CHANNELS:
+            raise CorpusFormatError(f"{path}: line {lineno}: unknown channel {channel!r}; allowed: {ALLOWED_CHANNELS}")
+        per_node = channels_by_node.setdefault(node_id, {})
+        if channel in per_node:
+            raise CorpusFormatError(f"{path}: line {lineno}: duplicate channel {channel!r} for node {node_id!r}")
+        per_node[channel] = tuple(text.split())
     return {nid: TokenizedDocument(node_id=nid, channels=chans) for nid, chans in channels_by_node.items()}
 
 
@@ -185,21 +186,16 @@ def load_node_features(path) -> dict[str, np.ndarray]:
     rows: list[str] = []
     linenos: list[int] = []
     problem = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                problem = f"line {lineno}: expected `node_id<TAB>values`, got {len(fields)} fields"
-            elif fields[0] in ids:
-                problem = f"line {lineno}: duplicate node id {fields[0]!r}"
-            if problem:
-                break
-            ids[fields[0]] = None
-            rows.append(fields[1])
-            linenos.append(lineno)
+    for lineno, fields in tab_rows(path):
+        if len(fields) != 2:
+            problem = f"line {lineno}: expected `node_id<TAB>values`, got {len(fields)} fields"
+        elif fields[0] in ids:
+            problem = f"line {lineno}: duplicate node id {fields[0]!r}"
+        if problem:
+            break
+        ids[fields[0]] = None
+        rows.append(fields[1])
+        linenos.append(lineno)
     if rows:
         matrix = _parse_rows(path, rows, linenos, "feature")  # a malformed row above `problem` is named first
     if problem or not rows:
@@ -285,63 +281,78 @@ def embed_documents(docs, node_ids, channels, table):
     return matrix, stats
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DatasetSplit:
     """Disjoint train/validation/test edge partition plus sampled non-edges.
 
-    Edges and negatives are dense-index pairs of the originating graph.
-    Construction is a pure function of (graph, ratios, negatives, seed).
+    Each edge part and each split's negatives is a read-only (k, 2) int64
+    array of dense-index pairs, laid out like `graph.edge_array`; the
+    constructor converts the pairs it is given. Equal splits have equal
+    seeds, split names and arrays.
     """
 
-    train_edges: tuple
-    validation_edges: tuple
-    test_edges: tuple
-    negatives: dict[str, tuple]
+    train_edges: np.ndarray
+    validation_edges: np.ndarray
+    test_edges: np.ndarray
+    negatives: dict[str, np.ndarray]
     seed: int
 
-    def edges_of(self, name: str) -> tuple:
+    def __post_init__(self):
+        def pair_array(pairs):
+            array = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+            array.setflags(write=False)
+            return array
+
+        for name in SPLIT_NAMES:
+            object.__setattr__(self, f"{name}_edges", pair_array(self.edges_of(name)))
+        object.__setattr__(self, "negatives", {name: pair_array(p) for name, p in self.negatives.items()})
+
+    def __eq__(self, other):
+        if not isinstance(other, DatasetSplit):
+            return NotImplemented
+        same_edges = all(np.array_equal(self.edges_of(n), other.edges_of(n)) for n in SPLIT_NAMES)
+        same_negatives = self.negatives.keys() == other.negatives.keys() and all(
+            np.array_equal(p, other.negatives[n]) for n, p in self.negatives.items()
+        )
+        return self.seed == other.seed and same_edges and same_negatives
+
+    def edges_of(self, name: str) -> np.ndarray:
         if name not in SPLIT_NAMES:
             raise KeyError(f"unknown split {name!r}")
         return getattr(self, f"{name}_edges")
 
     def validate(self, graph: CitationGraph) -> None:
-        pairs = [*self.train_edges, *self.validation_edges, *self.test_edges]
-        if not graph.contains(pairs).all() or len(np.unique(graph.edge_positions(pairs))) != graph.num_edges:
+        pairs = np.concatenate([self.train_edges, self.validation_edges, self.test_edges])
+        positions, found = graph.lookup(pairs)
+        if not found.all() or not np.bincount(positions, minlength=graph.num_edges).all():
             raise ValueError("split parts do not reassemble the full edge set")
         if len(pairs) != graph.num_edges:
             raise ValueError("split parts overlap")
         for name, negs in self.negatives.items():
-            pairs = np.asarray(negs, dtype=np.int64).reshape(-1, 2)
-            bad = np.flatnonzero((pairs[:, 0] == pairs[:, 1]) | graph.contains(pairs))
+            bad = np.flatnonzero((negs[:, 0] == negs[:, 1]) | graph.contains(negs))
             if bad.size:
-                i, j = negs[bad[0]]
+                i, j = negs[bad[0]].tolist()
                 if i == j:
                     raise ValueError(f"negative self-loop in split {name!r}")
                 raise ValueError(f"negative pair {(i, j)} is an actual edge (split {name!r})")
 
     def to_dict(self, graph: CitationGraph) -> dict:
-        ids = graph.node_ids
-
-        def as_ids(pairs):
-            return [[ids[i], ids[j]] for i, j in pairs]
-
+        ids = np.array(graph.node_ids, dtype=object)
         return {
             "seed": self.seed,
-            "train": as_ids(self.train_edges),
-            "validation": as_ids(self.validation_edges),
-            "test": as_ids(self.test_edges),
-            "negatives": {name: as_ids(p) for name, p in self.negatives.items()},
+            **{name: ids[self.edges_of(name)].tolist() for name in SPLIT_NAMES},
+            "negatives": {name: ids[p].tolist() for name, p in self.negatives.items()},
         }
 
     @classmethod
     def from_dict(cls, payload: dict, graph: CitationGraph) -> "DatasetSplit":
         def as_indices(pairs):
-            return tuple((graph.index_of(a), graph.index_of(b)) for a, b in pairs)
+            if set(map(len, pairs)) - {2}:
+                raise ValueError("every split pair must hold exactly two node ids")
+            return graph.indices_of(chain.from_iterable(pairs))
 
         return cls(
-            train_edges=as_indices(payload["train"]),
-            validation_edges=as_indices(payload["validation"]),
-            test_edges=as_indices(payload["test"]),
+            **{f"{name}_edges": as_indices(payload[name]) for name in SPLIT_NAMES},
             negatives={name: as_indices(p) for name, p in payload["negatives"].items()},
             seed=int(payload["seed"]),
         )
@@ -360,7 +371,8 @@ def _largest_remainder_counts(total: int, ratios) -> list[int]:
 def split_edges(graph: CitationGraph, ratios, negatives_per_positive: int, seed: int) -> DatasetSplit:
     """Uniform random edge partition plus uniform non-edge negatives, seeded.
 
-    Split sizes follow the largest-remainder rule. Negatives are
+    Split sizes follow the largest-remainder rule; each part is the rows of
+    `graph.edge_array` at its share of one seeded permutation. Negatives are
     rejection-sampled without replacement within each split and never collide
     with any edge of the full graph or with the diagonal.
     """
@@ -379,25 +391,25 @@ def split_edges(graph: CitationGraph, ratios, negatives_per_positive: int, seed:
 
     rng = substream(seed, "split")
     order = rng.permutation(m)
-    parts = [tuple(map(tuple, graph.edge_array[chunk].tolist())) for chunk in np.split(order, np.cumsum(counts)[:2])]
+    parts = [graph.edge_array[chunk] for chunk in np.split(order, np.cumsum(counts)[:2])]
 
     n = graph.num_nodes
     available_non_edges = n * (n - 1) - m
     neg_rng = substream(seed, "negatives")
-    negatives: dict[str, tuple] = {}
+    negatives: dict[str, np.ndarray] = {}
     for name, part in zip(SPLIT_NAMES, parts):
         want = negatives_per_positive * len(part)
         if want > available_non_edges:
             raise ValueError(
                 f"requested {want} negatives for split {name!r} but only {available_non_edges} non-edges exist"
             )
-        chosen: dict[tuple[int, int], None] = {}  # insertion-ordered set
+        chosen: dict[int, None] = {}  # insertion-ordered set of keys i * n + j
         while len(chosen) < want:
             i = int(neg_rng.integers(n))
             j = int(neg_rng.integers(n))
             if i != j and not graph.has_edge(i, j):
-                chosen[i, j] = None
-        negatives[name] = tuple(chosen)
+                chosen[i * n + j] = None
+        negatives[name] = np.column_stack(np.divmod(np.fromiter(chosen, dtype=np.int64, count=len(chosen)), n))
 
     split = DatasetSplit(
         train_edges=parts[0],

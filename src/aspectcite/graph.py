@@ -64,6 +64,7 @@ class CitationGraph:
             raise ValueError("duplicate edges must be removed before graph construction")
         self.in_indptr, self.in_indices, _ = _csr(pairs[:, 1], pairs[:, 0], n)
         self._keys = keys
+        pairs.setflags(write=False)
         self.edge_array = pairs
         self.edge_times = np.fromiter(map(int, thirds), dtype=np.int64, count=len(edges)) if self.timed else None
 
@@ -76,10 +77,14 @@ class CitationGraph:
         return len(self.edge_array)
 
     def index_of(self, node_id: str) -> int:
+        return int(self.indices_of([node_id])[0])
+
+    def indices_of(self, node_ids) -> np.ndarray:
+        """int64 dense indices of an iterable of node ids; an unknown id is a KeyError naming it."""
         try:
-            return self._index[node_id]
-        except KeyError:
-            raise KeyError(f"unknown node id {node_id!r}") from None
+            return np.fromiter(map(self._index.__getitem__, node_ids), dtype=np.int64)
+        except KeyError as exc:
+            raise KeyError(f"unknown node id {exc.args[0]!r}") from None
 
     def out_neighbors(self, i: int) -> np.ndarray:
         """Nodes `i` cites, ascending (a read-only view into the CSR)."""
@@ -109,8 +114,8 @@ class CitationGraph:
         pos = int(self._keys.searchsorted(key))
         return pos < len(self._keys) and bool(self._keys[pos] == key)
 
-    def _lookup(self, pairs):
-        """Positions of `(i, j)` pairs in the sorted keys, and which are edges."""
+    def lookup(self, pairs):
+        """Positions of `(i, j)` pairs in the sorted edge keys, and which are edges."""
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         n = self.num_nodes
         inside = np.all((pairs >= 0) & (pairs < n), axis=1)
@@ -120,18 +125,14 @@ class CitationGraph:
 
     def contains(self, pairs) -> np.ndarray:
         """Boolean mask: which `(i, j)` rows of `pairs` are edges."""
-        return self._lookup(pairs)[1]
+        return self.lookup(pairs)[1]
 
     def edge_positions(self, pairs) -> np.ndarray:
         """Row of `edge_array` holding each `(i, j)` of `pairs`; every pair must be an edge."""
-        pos, found = self._lookup(pairs)
+        pos, found = self.lookup(pairs)
         if not found.all():
             raise ValueError("edge_positions got a pair that is not an edge")
         return np.argsort(self.edge_array[:, 0] * self.num_nodes + self.edge_array[:, 1])[pos]
-
-    def edges(self) -> list[tuple[int, int]]:
-        """Edge index pairs in construction order."""
-        return list(map(tuple, self.edge_array.tolist()))
 
     def density(self) -> float:
         n = self.num_nodes

@@ -11,6 +11,7 @@ Conventions pinned here so numbers are comparable across runs:
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass, field
 
@@ -176,11 +177,11 @@ def evaluate(
     deterministic infer mode. `per_source_csv`, when given, receives one row
     per ranked source for plotting.
     """
-    positives = list(split.edges_of(split_name))
-    negatives = list(split.negatives[split_name])
-    if not positives:
+    positives = split.edges_of(split_name)
+    negatives = split.negatives[split_name]
+    if len(positives) == 0:
         raise ValueError(f"split {split_name!r} has no positive edges to evaluate")
-    if not negatives:
+    if len(negatives) == 0:
         raise ValueError(f"split {split_name!r} has no sampled negatives")
 
     state_matrix = state.matrix if hasattr(state, "matrix") else np.asarray(state)
@@ -188,24 +189,24 @@ def evaluate(
         def score_fn(pairs):
             return scores_for_pairs(pairs, state_matrix, params, text_vectors, scorer=scorer)
 
-    pos_scores = score_fn(np.asarray(positives))
-    neg_scores = score_fn(np.asarray(negatives))
+    pos_scores = score_fn(positives)
+    neg_scores = score_fn(negatives)
 
-    by_source: dict[int, list[int]] = {}
-    for i, j in positives:
-        by_source.setdefault(i, []).append(j)
+    # each source's held-out targets, in split order, sources ascending
+    by_source = positives[np.argsort(positives[:, 0], kind="stable")]
+    sources, starts = np.unique(by_source[:, 0], return_index=True)
 
     rng = substream(seed, "rank-negatives")
     ap_totals = {k: 0.0 for k in ks}
     ndcg_totals = {k: 0.0 for k in ks}
     ranked_sources = 0
     per_source_rows = []
-    for source in sorted(by_source):
-        targets = by_source[source]
+    for source, targets in zip(sources.tolist(), np.split(by_source[:, 1], starts[1:])):
         neg_targets = _sample_source_negatives(source, graph, rank_negatives_per_source, rng)
         if not neg_targets:
             continue
-        cand_pairs = np.asarray([(source, t) for t in targets + neg_targets])
+        cand_targets = np.concatenate([targets, neg_targets])
+        cand_pairs = np.column_stack([np.full(len(cand_targets), source), cand_targets])
         cand_scores = score_fn(cand_pairs)
         relevance = np.zeros(len(cand_pairs), dtype=int)
         relevance[: len(targets)] = 1
@@ -226,10 +227,8 @@ def evaluate(
         raise ValueError("no source had both positives and candidate negatives to rank")
 
     if per_source_csv is not None:
-        import csv as _csv
-
         with open(per_source_csv, "w", encoding="utf-8", newline="") as fh:
-            writer = _csv.DictWriter(fh, fieldnames=list(per_source_rows[0]))
+            writer = csv.DictWriter(fh, fieldnames=list(per_source_rows[0]))
             writer.writeheader()
             writer.writerows(per_source_rows)
 

@@ -5,7 +5,8 @@ triplets (source, cited, non-cited) while the influence states stay fixed;
 the propagation system then recomputes per-edge masked impacts with the
 updated tensors and re-propagates influence to its fixed point. The two
 phases alternate a configurable number of times; the non-dynamic variant
-skips propagation and keeps the uniform initial state throughout.
+skips propagation and keeps the uniform initial state throughout. Train
+pairs stay (k, 2) int64 arrays; a snapshot stage selects rows by edge time.
 
 Batch updates sum per-triplet gradients (per-sample SGD, vectorized), so the
 learning rate is per sampled triplet and independent of batch size. Reported
@@ -22,8 +23,7 @@ its cached intermediates feed the backward.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, replace
-from itertools import compress
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -76,7 +76,6 @@ class TrainConfig:
     margin_edge: float = 1.0
     margin_aspect: float = 1.0
     learning_rate: float = 0.05
-    momentum: float = 0.0
     epochs_per_phase: int = 20
     alternations: int = 3
     batch_size: int = 512
@@ -94,8 +93,6 @@ class TrainConfig:
             raise ValueError("margins must be positive")
         if self.learning_rate < 0:
             raise ValueError("learning rate must be nonnegative")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
         if self.epochs_per_phase < 1 or self.alternations < 1 or self.batch_size < 1:
             raise ValueError("epochs_per_phase, alternations, and batch_size must be >= 1")
         if self.aspect_loss_weight < 0:
@@ -119,22 +116,21 @@ class TripletBatch(list):
     skipped: int = 0
 
 
-def sample_triplets(split: DatasetSplit, batch: int, rng: np.random.Generator, graph: CitationGraph, train_edges=None):
+def sample_triplets(edges: np.ndarray, batch: int, rng: np.random.Generator, graph: CitationGraph):
     """Draw `batch` (source, positive, negative) triplets.
 
-    Positives come uniformly (with replacement) from the train edges;
-    negatives are rejection-sampled uniformly over the source's non-neighbors.
-    Sources with no non-neighbor are skipped (counted in the returned warning
-    total, exposed via the .skipped attribute of the list-like result).
+    Positives come uniformly (with replacement) from the (k, 2) train pairs
+    `edges`; negatives are rejection-sampled uniformly over the source's
+    non-neighbors. Sources with no non-neighbor are skipped (counted in the
+    returned warning total, exposed via the .skipped attribute of the result).
     """
-    edges = list(train_edges) if train_edges is not None else list(split.train_edges)
-    if not edges:
+    if len(edges) == 0:
         raise ValueError("train edge set is empty")
     triplets: list[Triplet] = []
     skipped = 0
     n = graph.num_nodes
     while len(triplets) < batch:
-        i, j = edges[int(rng.integers(len(edges)))]
+        i, j = edges[int(rng.integers(len(edges)))].tolist()  # the row's two ids as Python ints
         if graph.out_degree(i) >= n - 1:
             skipped += 1
             if skipped > 10 * batch:
@@ -147,7 +143,7 @@ def sample_triplets(split: DatasetSplit, batch: int, rng: np.random.Generator, g
                 negative = cand
                 break
         if negative is None:
-            allowed = sorted(set(range(n)) - {i} - set(graph.out_neighbors(i).tolist()))
+            allowed = np.setdiff1d(np.arange(n), np.append(graph.out_neighbors(i), i))
             negative = int(allowed[int(rng.integers(len(allowed)))])
         triplets.append(Triplet(i, j, negative))
     result = TripletBatch(triplets)
@@ -260,49 +256,43 @@ def batch_loss_and_grads(params, fw: dict, alphas, config: TrainConfig):
     return loss, grads
 
 
-def _apply_sgd(params: ModelParams, grads: dict, learning_rate: float, momentum: float = 0.0, velocity: dict | None = None) -> None:
+def _apply_sgd(params: ModelParams, grads: dict, learning_rate: float) -> None:
     for name, grad in grads.items():
         tensor = getattr(params, name)
-        if momentum > 0.0 and velocity is not None:
-            velocity[name] = momentum * velocity.get(name, 0.0) + grad
-            tensor -= learning_rate * velocity[name]
-        else:
-            tensor -= learning_rate * grad
+        tensor -= learning_rate * grad
 
 
 def train_sy_phase(
     params: ModelParams,
     state: AspectState,
-    split: DatasetSplit,
+    edges: np.ndarray,
     config: TrainConfig,
     graph: CitationGraph,
     text_vectors: np.ndarray,
     rng_triplets: np.random.Generator,
     rng_gumbel: np.random.Generator,
-    train_edges=None,
 ):
-    """One scoring-system phase: SGD over sampled triplets, state held fixed.
+    """One scoring-system phase: SGD over triplets sampled from the (k, 2)
+    train pairs `edges`, state held fixed.
 
     Returns (params, trace) where trace holds the per-epoch mean training
     loss, the loss on a fixed evaluation batch, and the skipped-source count.
     """
     config.validate()
-    edges = list(train_edges) if train_edges is not None else list(split.train_edges)
-    if not edges:
+    if len(edges) == 0:
         raise ValueError("no train edges available for this phase")
     state_matrix = state.matrix
 
     eval_rng = substream(config.seed, "eval-batch")
-    eval_batch = sample_triplets(split, min(config.batch_size, 4 * len(edges)), eval_rng, graph, train_edges=edges)
+    eval_batch = sample_triplets(edges, min(config.batch_size, 4 * len(edges)), eval_rng, graph)
     eval_alphas = select_aspects(_forward(params, state_matrix, text_vectors, eval_batch)["imp_j"])
 
     batches_per_epoch = max(1, int(np.ceil(len(edges) / config.batch_size)))
     trace = {"train_loss": [], "eval_loss": [], "skipped_sources": 0}
-    velocity: dict = {}  # momentum buffers live for the duration of the phase
     for _ in range(config.epochs_per_phase):
         epoch_losses = []
         for _ in range(batches_per_epoch):
-            triplets = sample_triplets(split, config.batch_size, rng_triplets, graph, train_edges=edges)
+            triplets = sample_triplets(edges, config.batch_size, rng_triplets, graph)
             trace["skipped_sources"] += triplets.skipped
             if not triplets:
                 continue
@@ -313,7 +303,7 @@ def train_sy_phase(
                 norms = {name: float(np.linalg.norm(getattr(params, name))) for name in ModelParams.TENSOR_FIELDS}
                 raise TrainingAbort(f"non-finite loss {loss}; parameter norms {norms}; first triplet {triplets[0]}")
             if config.learning_rate > 0.0:
-                _apply_sgd(params, grads, config.learning_rate, config.momentum, velocity)
+                _apply_sgd(params, grads, config.learning_rate)
             epoch_losses.append(loss / len(triplets))
         trace["train_loss"].append(float(np.mean(epoch_losses)) if epoch_losses else 0.0)
         trace["eval_loss"].append(
@@ -380,9 +370,9 @@ def fit(graph: CitationGraph, split: DatasetSplit, config: TrainConfig, text_vec
         if not graph.timed:
             raise ValueError("snapshot schedule requires a timed graph")
         times = graph.edge_times[graph.edge_positions(split.train_edges)]
-        stages = [(cutoff, list(compress(split.train_edges, times <= cutoff))) for cutoff in config.snapshot_cutoffs]
+        stages = [(cutoff, split.train_edges[times <= cutoff]) for cutoff in config.snapshot_cutoffs]
     else:
-        stages = [(None, list(split.train_edges))]
+        stages = [(None, split.train_edges)]
 
     report = {
         "config": config.to_dict(),
@@ -393,12 +383,12 @@ def fit(graph: CitationGraph, split: DatasetSplit, config: TrainConfig, text_vec
     started = time.perf_counter()
     for cutoff, active_edges in stages:
         stage_report = {"cutoff": cutoff, "num_train_edges": len(active_edges), "sy_phases": [], "sd_phases": []}
-        if not active_edges:
+        if len(active_edges) == 0:
             report["stages"].append(stage_report)
             continue
         for _ in range(config.alternations):
             params, trace = train_sy_phase(
-                params, state, split, config, graph, text_vectors, rng_triplets, rng_gumbel, train_edges=active_edges
+                params, state, active_edges, config, graph, text_vectors, rng_triplets, rng_gumbel
             )
             stage_report["sy_phases"].append(trace)
             if config.dynamic_propagation:

@@ -1,5 +1,6 @@
 """CLI pipeline: exit codes, artifact schemas, reproducibility."""
 
+import csv
 import json
 import os
 import re
@@ -242,6 +243,24 @@ class TestEvaluate:
         assert 0.0 <= metrics["auc"] <= 1.0
         assert metrics["ap_at_k"]["1"] == metrics["ndcg_at_k"]["1"]
 
+    def test_per_source_csv_rows_average_to_metrics(self, dataset, tmp_path):
+        root, edges, text, vecs = dataset
+        out = tmp_path / "out"
+        run_pipeline(root, edges, text, vecs, out)
+        assert main([
+            "evaluate", "--manifest", str(out / "manifest.json"), "--checkpoint", str(out / "checkpoint.json"),
+            "--state", str(out / "state.json"), "--out-dir", str(out), "--rank-negatives", "5", "--per-source-csv",
+        ]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        with open(out / "per_source.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == metrics["num_ranked_sources"] > 0
+        assert len({row["source"] for row in rows}) == len(rows)
+        for k in metrics["ap_at_k"]:
+            for column, key in ((f"ap@{k}", "ap_at_k"), (f"ndcg@{k}", "ndcg_at_k")):
+                mean = sum(float(row[column]) for row in rows) / len(rows)
+                assert mean == pytest.approx(metrics[key][k], rel=1e-12, abs=1e-15)
+
     def test_malformed_checkpoint_exits_2(self, dataset, tmp_path, capsys):
         root, edges, text, vecs = dataset
         out = tmp_path / "out"
@@ -365,15 +384,21 @@ class TestManifestChecks:
         edit(manifest)
         (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
 
-    @pytest.mark.parametrize("damage", ["test_edge_in_train", "edge_as_test_negative"])
+    SPLIT_DAMAGE = {
+        "test_edge_in_train": lambda m: m["split"]["train"].append(m["split"]["test"][0]),
+        "edge_as_test_negative": lambda m: m["split"]["negatives"]["test"].__setitem__(0, m["edges"][0][:2]),
+        "one_id_pair": lambda m: m["split"]["test"][0].pop(),
+        "three_id_pair": lambda m: m["split"]["validation"][0].append(m["nodes"][0]),
+        "number_as_pair": lambda m: m["split"]["test"].__setitem__(0, 5),
+        "unknown_id": lambda m: m["split"]["negatives"]["train"][0].__setitem__(1, "ghost"),
+    }
+
+    @pytest.mark.parametrize("damage", list(SPLIT_DAMAGE))
     def test_inconsistent_split_exits_2(self, dataset, tmp_path, capsys, damage):
         root, edges, text, vecs = dataset
         out = tmp_path / "out"
         run_pipeline(root, edges, text, vecs, out)
-        if damage == "test_edge_in_train":
-            self.edit_manifest(out, lambda m: m["split"]["train"].append(m["split"]["test"][0]))
-        else:
-            self.edit_manifest(out, lambda m: m["split"]["negatives"]["test"].__setitem__(0, m["edges"][0][:2]))
+        self.edit_manifest(out, self.SPLIT_DAMAGE[damage])
         pairs = last_node_pairs(out, tmp_path)
         capsys.readouterr()
         assert query_exit_codes(out, pairs) == (2, 2)

@@ -322,8 +322,8 @@ class TestSplitEdges:
 
     def test_partition_is_exact_and_disjoint(self, small_graph):
         split = split_edges(small_graph, (0.6, 0.2, 0.2), 1, seed=9)
-        parts = [set(split.train_edges), set(split.validation_edges), set(split.test_edges)]
-        assert parts[0] | parts[1] | parts[2] == set(small_graph.edges())
+        parts = [set(map(tuple, split.edges_of(name).tolist())) for name in ("train", "validation", "test")]
+        assert parts[0] | parts[1] | parts[2] == set(map(tuple, small_graph.edge_array.tolist()))
         assert sum(len(p) for p in parts) == small_graph.num_edges
 
     def test_negatives_never_edges_nor_self_loops(self, small_graph):
@@ -356,15 +356,27 @@ class TestSplitEdges:
 
         assert DatasetSplit.from_dict(split.to_dict(small_graph), small_graph) == split
 
-    def test_pairs_hold_python_ints_before_and_after_round_trip(self, small_graph):
+    def test_parts_are_read_only_int64_pair_arrays_before_and_after_round_trip(self, small_graph):
         from aspectcite.corpus import DatasetSplit
 
         split = split_edges(small_graph, (0.8, 0.1, 0.1), 2, seed=5)
         loaded = DatasetSplit.from_dict(split.to_dict(small_graph), small_graph)
         for s in (split, loaded):
-            pairs = [*s.train_edges, *s.validation_edges, *s.test_edges, *(p for n in s.negatives.values() for p in n)]
-            assert {type(pair) for pair in pairs} == {tuple}
-            assert {type(index) for pair in pairs for index in pair} == {int}
+            arrays = [s.train_edges, s.validation_edges, s.test_edges, *s.negatives.values()]
+            for array in arrays:
+                assert array.dtype == np.int64 and array.ndim == 2 and array.shape[1] == 2
+                assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            split.train_edges[0, 0] = 0
+
+    def test_empty_part_round_trips(self, small_graph):
+        from aspectcite.corpus import DatasetSplit
+
+        split = split_edges(small_graph, (1.0, 0.0, 0.0), 1, seed=5)
+        assert split.validation_edges.shape == (0, 2) and split.negatives["test"].shape == (0, 2)
+        payload = split.to_dict(small_graph)
+        assert payload["validation"] == [] and payload["negatives"]["test"] == []
+        assert DatasetSplit.from_dict(payload, small_graph) == split
 
 
 class TestSplitValidate:
@@ -372,7 +384,7 @@ class TestSplitValidate:
 
     @staticmethod
     def corrupt(split, graph, kind):
-        train, val, test = list(split.train_edges), list(split.validation_edges), list(split.test_edges)
+        train, val = split.train_edges.copy(), split.validation_edges
         negatives = dict(split.negatives)
         if kind == "missing edge":
             train = train[1:]
@@ -381,21 +393,20 @@ class TestSplitValidate:
         elif kind == "out-of-range pair":
             train[0] = (0, graph.num_nodes)  # its key would alias edge (1, 0) without the range check
         elif kind == "edge in two parts":
-            val.append(train[0])
+            val = np.vstack([val, train[:1]])
         elif kind == "edge twice in one part":
-            train.append(train[0])
+            train = np.vstack([train, train[:1]])
         elif kind == "negative self-loop":
-            negatives["validation"] = negatives["validation"] + ((3, 3), train[0])
+            negatives["validation"] = np.vstack([negatives["validation"], (3, 3), train[0]])
         elif kind == "negative is an edge":
-            negatives["test"] = negatives["test"] + (tuple(map(int, train[0])), (2, 2))
-        return replace(split, train_edges=tuple(train), validation_edges=tuple(val), test_edges=tuple(test),
-                       negatives=negatives)
+            negatives["test"] = np.vstack([negatives["test"], train[0], (2, 2)])
+        return replace(split, train_edges=train, validation_edges=val, negatives=negatives)
 
     def test_edge_reused_as_negative_message_prints_plain_ints(self):
         graph = build_graph([("A", "B"), ("B", "A")] + [(f"n{k}", f"n{k + 1}") for k in range(20)])
         split = split_edges(graph, (0.8, 0.1, 0.1), 1, seed=4)
-        assert split.train_edges[0] == (15, 16)
-        broken = replace(split, negatives={**split.negatives, "test": split.negatives["test"] + split.train_edges[:1]})
+        assert split.train_edges[0].tolist() == [15, 16]
+        broken = replace(split, negatives={**split.negatives, "test": np.vstack([split.negatives["test"], split.train_edges[:1]])})
         with pytest.raises(ValueError, match=re.escape("negative pair (15, 16) is an actual edge (split 'test')") + "$"):
             broken.validate(graph)
 

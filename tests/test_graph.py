@@ -88,7 +88,6 @@ class TestBuildGraph:
         assert g.node_ids == ref.node_ids and g.num_nodes == n and g.num_edges == len(edges)
         assert g.edge_array.dtype == np.int64 and g.edge_array.flags["C_CONTIGUOUS"]
         assert g.edge_array.tolist() == [list(p) for p in ref.pairs]
-        assert g.edges() == ref.pairs
         for k in range(n):
             assert g.out_neighbors(k).tolist() == ref.out[k]
             assert g.in_neighbors(k).tolist() == ref.inn[k]
@@ -106,6 +105,14 @@ class TestBuildGraph:
             assert g.edge_times.dtype == np.int64 and g.edge_times.tolist() == ref.times
         else:
             assert g.edge_times is None
+
+    def test_indices_of_names_unknown_id(self):
+        g = build_graph([("A", "B"), ("B", "C"), ("C", "A")])
+        got = g.indices_of(["C", "A", "B", "B"])
+        assert got.dtype == np.int64 and got.tolist() == [2, 0, 1, 1]
+        assert g.indices_of([]).shape == (0,) and g.index_of("B") == 1
+        with pytest.raises(KeyError, match="unknown node id 'ghost'"):
+            g.indices_of(["A", "B", "C", "ghost"])
 
     def test_contains_empty_probe_list(self):
         g = build_graph([("A", "B")])

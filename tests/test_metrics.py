@@ -195,7 +195,7 @@ class TestEvaluateHarness:
             np.random.default_rng(0),
         )
         state = initialize_state(small_graph.num_nodes, 2)
-        edge_set = set(small_graph.edges())
+        edge_set = set(map(tuple, small_graph.edge_array.tolist()))
 
         def oracle(pairs):
             return np.asarray([1.0 if (i, j) in edge_set else 0.0 for i, j in pairs])
@@ -256,7 +256,7 @@ class TestEvaluateHarness:
         )
         state = initialize_state(small_graph.num_nodes, 2)
         empty = DatasetSplit(
-            train_edges=tuple(small_graph.edges()),
+            train_edges=small_graph.edge_array,
             validation_edges=(),
             test_edges=(),
             negatives={"train": (), "validation": (), "test": ()},

@@ -73,36 +73,34 @@ class TestLossAspect:
 
 class TestSampleTriplets:
     def test_deterministic_under_seed(self, small_graph, small_split):
-        a = sample_triplets(small_split, 16, substream(3, "triplets"), small_graph)
-        b = sample_triplets(small_split, 16, substream(3, "triplets"), small_graph)
+        a = sample_triplets(small_split.train_edges, 16, substream(3, "triplets"), small_graph)
+        b = sample_triplets(small_split.train_edges, 16, substream(3, "triplets"), small_graph)
         assert list(a) == list(b)
 
     def test_invariants_exhaustive(self, small_graph, small_split):
         rng = substream(1, "triplets")
-        triplets = sample_triplets(small_split, 300, rng, small_graph)
-        train = set(small_split.train_edges)
+        triplets = sample_triplets(small_split.train_edges, 300, rng, small_graph)
+        train = set(map(tuple, small_split.train_edges.tolist()))
         for i, j, k in triplets:
             assert (i, j) in train
             assert not small_graph.has_edge(i, k)
             assert len({i, j, k}) == 3
 
     def test_batch_zero_is_empty(self, small_graph, small_split):
-        assert sample_triplets(small_split, 0, substream(0, "x"), small_graph) == []
+        assert sample_triplets(small_split.train_edges, 0, substream(0, "x"), small_graph) == []
 
     def test_exhausted_source_skipped_with_warning(self):
         # node a cites every other node; sampling must skip it gracefully
         edges = [("a", f"x{i}") for i in range(10)] + [("x0", "x1"), ("x1", "x2")]
         graph = build_graph(edges)
         split = split_edges(graph, (1.0, 0.0, 0.0), 1, seed=0)
-        exhausted_only = [e for e in split.train_edges if e[0] == graph.index_of("a")]
-        batch = sample_triplets(
-            split, 5, substream(0, "t"), graph, train_edges=exhausted_only
-        )
+        exhausted_only = split.train_edges[split.train_edges[:, 0] == graph.index_of("a")]
+        batch = sample_triplets(exhausted_only, 5, substream(0, "t"), graph)
         assert batch == [] and batch.skipped > 0
 
 
 class TestGradients:
-    def make_problem(self, seed):
+    def make_problem(self, seed, aspect_loss_weight=1.0):
         rng = np.random.default_rng(seed)
         aspects = int(rng.integers(2, 5))
         text_dim = int(rng.integers(2, 6))
@@ -121,16 +119,17 @@ class TestGradients:
             i, j, k = rng.integers(n, size=3)
             if len({int(i), int(j), int(k)}) == 3:
                 triplets.append((int(i), int(j), int(k)))
-        config = TrainConfig(aspects=aspects, struct_dim=struct_dim, seed=0)
+        config = TrainConfig(aspects=aspects, struct_dim=struct_dim, aspect_loss_weight=aspect_loss_weight, seed=0)
         alphas = select_aspects(_forward(params, state, texts, triplets)["imp_j"])
         return params, state, texts, triplets, alphas, config
 
-    def test_matches_central_differences(self):
+    @pytest.mark.parametrize("aspect_loss_weight", [0.0, 1.0, 2.5])
+    def test_matches_central_differences(self, aspect_loss_weight):
         # criterion tolerance: 1e-4 relative error, alpha frozen, h = 1e-5
         h = 1e-5
         rng = np.random.default_rng(99)
         for seed in range(4):
-            params, state, texts, triplets, alphas, config = self.make_problem(seed)
+            params, state, texts, triplets, alphas, config = self.make_problem(seed, aspect_loss_weight)
             _, grads = batch_loss_and_grads(params, _forward(params, state, texts, triplets), alphas, config)
             for name in ModelParams.TENSOR_FIELDS:
                 flat = getattr(params, name).ravel()
@@ -241,7 +240,7 @@ class TestTrainSyPhase:
         before = {name: getattr(params, name).copy() for name in ModelParams.TENSOR_FIELDS}
         state = initialize_state(small_graph.num_nodes, 2)
         train_sy_phase(
-            params, state, small_split, config, small_graph, small_text,
+            params, state, small_split.train_edges, config, small_graph, small_text,
             substream(1, "triplets"), substream(1, "gumbel"),
         )
         for name, tensor in before.items():
@@ -283,7 +282,8 @@ class TestTrainSyPhase:
         dims = Dims(aspects=2, text_dim=small_text.shape[1], struct_dim=3)
         params = ModelParams.initialize(dims, small_graph.num_nodes, substream(1, "init"))
         train_sy_phase(
-            params, initialize_state(small_graph.num_nodes, 2), small_split, config, small_graph, small_text,
+            params, initialize_state(small_graph.num_nodes, 2), small_split.train_edges, config, small_graph,
+            small_text,
             substream(1, "triplets"), substream(1, "gumbel"),
         )
         batches = -(-len(small_split.train_edges) // config.batch_size)
@@ -299,7 +299,7 @@ class TestTrainSyPhase:
         state = initialize_state(small_graph.num_nodes, 2)
         with pytest.raises(TrainingAbort, match="norms"):
             train_sy_phase(
-                params, state, small_split, config, small_graph, small_text,
+                params, state, small_split.train_edges, config, small_graph, small_text,
                 substream(1, "triplets"), substream(1, "gumbel"),
             )
 
@@ -375,7 +375,7 @@ class TestFit:
         assert result.state.step == phases[-1]["steps"]
 
     def test_negatives_per_positive_is_not_a_training_knob(self):
-        for removed in ("negatives_per_positive", "gumbel_temperature"):
+        for removed in ("negatives_per_positive", "gumbel_temperature", "momentum"):
             assert removed not in TrainConfig().to_dict()
             with pytest.raises(TypeError):
                 TrainConfig(**{removed: 2})
@@ -450,14 +450,14 @@ class TestFit:
         stage_edges = []
         real_sy_phase = training.train_sy_phase
 
-        def spy(*args, train_edges, **kwargs):
-            stage_edges.append(list(train_edges))
-            return real_sy_phase(*args, train_edges=train_edges, **kwargs)
+        def spy(params, state, edges, *args):
+            stage_edges.append(edges.tolist())
+            return real_sy_phase(params, state, edges, *args)
 
         monkeypatch.setattr(training, "train_sy_phase", spy)
         result = fit(graph, split, config, text)
-        time_of = {tuple(e): int(t) for e, t in zip(graph.edge_array, graph.edge_times)}
-        expected = [[e for e in split.train_edges if time_of[e] <= cutoff] for cutoff in cutoffs]
+        time_of = {tuple(e): int(t) for e, t in zip(graph.edge_array.tolist(), graph.edge_times)}
+        expected = [[e for e in split.train_edges.tolist() if time_of[tuple(e)] <= cutoff] for cutoff in cutoffs]
         assert expected[0] == [] and 0 < len(expected[1]) < len(expected[2]) < len(expected[3])
         assert stage_edges == expected[1:]
         assert [s["num_train_edges"] for s in result.report["stages"]] == [len(s) for s in expected]
