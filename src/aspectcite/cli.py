@@ -18,12 +18,12 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 from itertools import chain
 
 import numpy as np
 
 from . import corpus
+from .codec import atomic_write as _atomic_write, write_atomically as _write_atomically
 from .explain import explain_target, export_explanation
 from .graph import build_graph
 from .metrics import evaluate
@@ -51,37 +51,6 @@ class DomainError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); usage errors are exit 1 here
         raise UsageError(message)
-
-
-def _write_atomically(path: str, write) -> None:
-    """Call write(tmp) on a fresh temp file beside path, then rename it over path.
-
-    The temp name is unique, so concurrent runs sharing an --out-dir never
-    write into each other's files; if write raises, the temp file is removed
-    and any existing file at path is left untouched.
-    """
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=f".{os.path.basename(path)}.")
-    os.close(fd)
-    try:
-        # mkstemp creates the file 0600; give it the mode a plain open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        write(tmp)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def _atomic_write(path: str, data: str | bytes) -> None:
-    mode, encoding = ("wb", None) if isinstance(data, bytes) else ("w", "utf-8")
-
-    def write(tmp: str) -> None:
-        with open(tmp, mode, encoding=encoding) as fh:
-            fh.write(data)
-
-    _write_atomically(path, write)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -250,11 +219,14 @@ def _load_manifest(path: str):
         graph = build_graph(payload["edges"])
         split = corpus.DatasetSplit.from_dict(payload["split"], graph)
         vectors_path = os.path.join(os.path.dirname(os.path.abspath(path)), payload["text_vectors_file"])
-        text_vectors = np.load(_require_file(vectors_path, "text vector matrix"))
         text_shape = (graph.num_nodes, payload["text_dim"])
         split.validate(graph)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed manifest: {exc}") from exc
+    try:  # mapped read-only: a query gathers a few rows, so it need not read the whole file
+        text_vectors = np.asarray(np.load(_require_file(vectors_path, "text vector matrix"), mmap_mode="r"))
+    except ValueError as exc:
+        raise DataError(f"{vectors_path}: unreadable text vector matrix: {exc}") from exc
     if list(graph.node_ids) != payload["nodes"]:
         raise DataError(f"{path}: node order does not match its edge list")
     if text_vectors.dtype != np.float64 or text_vectors.shape != text_shape:
@@ -296,8 +268,8 @@ def cmd_train(args) -> int:
         raise UsageError(str(exc)) from exc
 
     result = fit(graph, split, config, text_vectors)
-    _write_atomically(os.path.join(out_dir, "checkpoint.json"), lambda tmp: save_checkpoint(result.params, tmp))
-    _write_atomically(os.path.join(out_dir, "state.json"), lambda tmp: save_state(result.state, tmp))
+    save_checkpoint(result.params, os.path.join(out_dir, "checkpoint.json"))
+    save_state(result.state, os.path.join(out_dir, "state.json"))
     _write_json(os.path.join(out_dir, "report.json"), result.report)
     _echo_config(out_dir, "train", {**res.resolved, "manifest": args.manifest, "out_dir": out_dir})
     phases = sum(len(s["sy_phases"]) for s in result.report["stages"])
@@ -402,19 +374,24 @@ def cmd_explain(args) -> int:
     fmt = res.get("format", "json", flag="format")
     res.seed(default=manifest["seed"])
 
-    texts = None
-    if args.node_text:
+    docs = None
+    if args.node_text:  # parsed and validated whole, so a malformed line anywhere exits 2
         try:
             docs = corpus.load_node_text(_require_file(args.node_text, "node text"))
         except corpus.CorpusFormatError as exc:
             raise DataError(str(exc)) from exc
-        channels = manifest.get("channels", list(corpus.ALLOWED_CHANNELS))
-        texts = {nid: doc.tokens([c for c in channels if c in doc.channels]) for nid, doc in docs.items()}
 
     try:
-        graph.index_of(args.target)
+        target = graph.index_of(args.target)
     except KeyError as exc:
         raise DomainError(f"unknown target node: {args.target!r}") from exc
+    texts = None
+    if docs is not None:  # explain_target reads tokens of the target's citers only
+        channels = manifest.get("channels", list(corpus.ALLOWED_CHANNELS))
+        citers = (graph.node_ids[i] for i in graph.in_neighbors(target))
+        texts = {
+            nid: docs[nid].tokens([c for c in channels if c in docs[nid].channels]) for nid in citers if nid in docs
+        }
     explanation = explain_target(
         args.target, params, state, graph, text_vectors, texts=texts, top_n=top_n, top_m=top_m
     )

@@ -1,69 +1,144 @@
-"""The on-disk format of the checkpoint and state artifacts.
+"""The on-disk format of the checkpoint and state artifacts, and atomic writes.
 
-Both files are one JSON object written with sorted keys and indent 1. A
-top-level "format" marker names the file kind and version. Each tensor is
-stored as
+Each artifact is two files:
 
-    {"shape": [d0, d1, ...], "data": "<base64 of the C-order little-endian float64 bytes>"}
+- the header, one JSON object written with sorted keys and indent 1. A
+  top-level "format" marker names the file kind and version, each tensor is
+  an entry {"shape": [d0, d1, ...]}, and "sidecar" records the byte length
+  and sha256 of the second file;
+- the sidecar, named after the header with its suffix replaced by ".bin"
+  (checkpoint.json -> checkpoint.bin). It holds the C-order little-endian
+  float64 bytes of every tensor, concatenated in the order the writer lists
+  them. Its name is derived, not stored, so the header's bytes do not depend
+  on the directory or the file name.
 
-so a float round-trips bit for bit and a file loads without parsing one JSON
-number per entry. A file with a missing or different marker, including the
-earlier one-float-per-entry list format, is rejected, not converted.
+A load reads the sidecar once, checks its length and sha256 against the
+header and slices it, so a float round-trips bit for bit and nothing parses
+one JSON number or base64 character per entry. A save renames the sidecar
+into place before the header, so a crash between the two leaves the old
+header beside a new sidecar, which the sha256 check rejects. A header with a
+missing or different marker, including the earlier base64 and
+one-float-per-entry list formats, is rejected, not converted.
 """
 
 from __future__ import annotations
 
-import base64
+import hashlib
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 
-__all__ = ["encode_tensor", "decode_tensor", "write_payload", "read_payload"]
+__all__ = [
+    "atomic_write", "write_atomically", "sidecar_path", "tensor_entry", "write_artifact", "read_payload",
+    "read_tensors",
+]
 
 _WIRE_DTYPE = np.dtype("<f8")
 
 
-def encode_tensor(array) -> dict:
-    array = np.asarray(array, dtype=_WIRE_DTYPE)
-    return {"shape": list(array.shape), "data": base64.b64encode(array.tobytes(order="C")).decode("ascii")}
+def write_atomically(path, write) -> None:
+    """Call write(tmp) on a fresh temp file beside path, then rename it over path.
 
-
-def decode_tensor(entry) -> np.ndarray:
-    """Inverse of encode_tensor: a writable, C-contiguous, native float64 array.
-
-    Raises ValueError unless entry is a {"shape", "data"} object whose shape is
-    a list of nonnegative ints and whose data is strict base64 of exactly
-    8 * prod(shape) bytes.
+    The temp name is unique, so concurrent runs sharing a directory never
+    write into each other's files; if write raises, the temp file is removed
+    and any existing file at path is left untouched.
     """
-    if not isinstance(entry, dict) or set(entry) != {"shape", "data"}:
-        raise ValueError("a tensor must be an object with exactly the keys 'shape' and 'data'")
-    shape, data = entry["shape"], entry["data"]
-    if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
-        raise ValueError(f"tensor shape must be a list of nonnegative ints, got {shape!r}")
-    if not isinstance(data, str):
-        raise ValueError(f"tensor data must be a base64 string, got {type(data).__name__}")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=f".{os.path.basename(path)}.")
+    os.close(fd)
     try:
-        raw = base64.b64decode(data, validate=True)
-    except ValueError as exc:  # binascii.Error, or a non-ASCII character
-        raise ValueError(f"tensor data is not valid base64: {exc}") from exc
-    expected = _WIRE_DTYPE.itemsize * math.prod(shape)
-    if len(raw) != expected:
-        raise ValueError(f"tensor data holds {len(raw)} bytes, shape {shape} needs {expected}")
-    return np.frombuffer(raw, dtype=_WIRE_DTYPE).astype(np.float64).reshape(shape)
+        # mkstemp creates the file 0600; give it the mode a plain open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
-def write_payload(path, fmt: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"format": fmt, **payload}, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+def atomic_write(path, data: str | bytes) -> None:
+    mode, encoding = ("wb", None) if isinstance(data, bytes) else ("w", "utf-8")
+
+    def write(tmp: str) -> None:
+        with open(tmp, mode, encoding=encoding) as fh:
+            fh.write(data)
+
+    write_atomically(path, write)
+
+
+def sidecar_path(path) -> str:
+    root, suffix = os.path.splitext(os.fspath(path))
+    if suffix == ".bin":
+        raise ValueError(f"{path}: a header cannot end in .bin, the suffix of its tensor sidecar")
+    return root + ".bin"
+
+
+def tensor_entry(array) -> dict:
+    """The header entry of a tensor whose bytes go into the sidecar."""
+    return {"shape": list(np.shape(array))}
+
+
+def write_artifact(path, fmt: str, payload: dict, tensors) -> None:
+    """Write tensors, in order, as the sidecar of path, then payload as its header.
+
+    payload holds each tensor's tensor_entry wherever the format puts it.
+    """
+    raw = b"".join(np.asarray(t, dtype=_WIRE_DTYPE).tobytes(order="C") for t in tensors)
+    atomic_write(sidecar_path(path), raw)
+    header = {"format": fmt, **payload, "sidecar": {"bytes": len(raw), "sha256": hashlib.sha256(raw).hexdigest()}}
+    atomic_write(path, json.dumps(header, sort_keys=True, indent=1) + "\n")
 
 
 def read_payload(path, fmt: str) -> dict:
-    """Load the JSON object at path; ValueError unless its marker is fmt."""
+    """Load the JSON header at path; ValueError unless its marker is fmt."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     found = payload.get("format") if isinstance(payload, dict) else None
     if found != fmt:
         raise ValueError(f"{path}: format {found!r}, expected {fmt!r}; re-run train to write one")
     return payload
+
+
+def _shape(entry) -> list:
+    if not isinstance(entry, dict) or set(entry) != {"shape"}:
+        raise ValueError("a tensor entry must be an object with exactly the key 'shape'")
+    shape = entry["shape"]
+    if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+        raise ValueError(f"tensor shape must be a list of nonnegative ints, got {shape!r}")
+    return shape
+
+
+def read_tensors(path, payload: dict, entries) -> list:
+    """The tensors that entries (from payload, in sidecar order) describe.
+
+    Each comes back a writable, C-contiguous, native float64 array. Raises
+    ValueError unless every shape is a list of nonnegative ints, the sidecar
+    exists with the length and sha256 the header records, and it holds
+    exactly the bytes the shapes need.
+    """
+    shapes = [_shape(entry) for entry in entries]
+    record = payload.get("sidecar")
+    if not isinstance(record, dict) or set(record) != {"bytes", "sha256"}:
+        raise ValueError("the header must record its sidecar as an object with the keys 'bytes' and 'sha256'")
+    side = sidecar_path(path)
+    try:
+        with open(side, "rb") as fh:
+            raw = fh.read()
+    except FileNotFoundError:
+        raise ValueError(f"tensor sidecar {side} not found; re-run train to write one") from None
+    if len(raw) != record["bytes"] or hashlib.sha256(raw).hexdigest() != record["sha256"]:
+        raise ValueError(
+            f"tensor sidecar {side} ({len(raw)} bytes) does not match the length and sha256 its header "
+            f"records: a torn or edited write; re-run train"
+        )
+    sizes = [math.prod(shape) for shape in shapes]
+    expected = _WIRE_DTYPE.itemsize * sum(sizes)
+    if len(raw) != expected:
+        raise ValueError(f"tensor sidecar {side} holds {len(raw)} bytes, shapes {shapes} need {expected}")
+    flat = np.frombuffer(raw, dtype=_WIRE_DTYPE)
+    offsets = np.cumsum([0] + sizes)
+    return [flat[start:end].astype(np.float64).reshape(shape) for start, end, shape in zip(offsets, offsets[1:], shapes)]

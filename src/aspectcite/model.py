@@ -292,16 +292,18 @@ def scores_for_pairs(pairs, state_matrix, params, text_vectors, scorer: str = "t
     raise ValueError(f"unknown scorer {scorer!r}")
 
 
-CHECKPOINT_FORMAT = "aspectcite-checkpoint-v2"
+CHECKPOINT_FORMAT = "aspectcite-checkpoint-v3"
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    """Write dims, the seed lineage and every tensor as a CHECKPOINT_FORMAT file.
+    """Write dims, the seed lineage and every tensor as a CHECKPOINT_FORMAT header at path.
 
-    Tensors are encoded by `codec.encode_tensor` (base64 of the C-order
-    little-endian float64 bytes), so load_checkpoint returns them bit for bit.
+    The tensors go, in TENSOR_FIELDS order, into the `codec` sidecar beside
+    path (checkpoint.json -> checkpoint.bin); both files are written
+    atomically, sidecar first. load_checkpoint returns the tensors bit for bit.
     """
-    codec.write_payload(path, CHECKPOINT_FORMAT, {
+    tensors = [getattr(params, name) for name in ModelParams.TENSOR_FIELDS]
+    codec.write_artifact(path, CHECKPOINT_FORMAT, {
         "dims": {
             "aspects": params.dims.aspects,
             "text_dim": params.dims.text_dim,
@@ -309,21 +311,23 @@ def save_checkpoint(params: ModelParams, path) -> None:
         },
         "num_nodes": params.num_nodes,
         "seed_lineage": params.seed_lineage,
-        "tensors": {name: codec.encode_tensor(getattr(params, name)) for name in ModelParams.TENSOR_FIELDS},
-    })
+        "tensors": {name: codec.tensor_entry(t) for name, t in zip(ModelParams.TENSOR_FIELDS, tensors)},
+    }, tensors)
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Read a save_checkpoint file and validate the parameters.
+    """Read a save_checkpoint header and its sidecar, and validate the parameters.
 
-    Raises ValueError for any other format (the earlier list-of-floats
-    checkpoints included: re-run train), a malformed tensor, or parameters
-    that fail ModelParams.validate.
+    Raises ValueError for any other format (the earlier base64 and
+    list-of-floats checkpoints included: re-run train), a malformed tensor
+    entry, a missing sidecar or one that does not match its header, or
+    parameters that fail ModelParams.validate.
     """
     payload = codec.read_payload(path, CHECKPOINT_FORMAT)
     try:
         dims = Dims(**payload["dims"])
-        tensors = {name: codec.decode_tensor(payload["tensors"][name]) for name in ModelParams.TENSOR_FIELDS}
+        entries = [payload["tensors"][name] for name in ModelParams.TENSOR_FIELDS]
+        tensors = dict(zip(ModelParams.TENSOR_FIELDS, codec.read_tensors(path, payload, entries)))
         params = ModelParams(dims=dims, seed_lineage=payload.get("seed_lineage", ""), **tensors)
         params.validate()  # IndexError: a 0-d node_embeddings has no num_nodes
     except (IndexError, KeyError, TypeError, ValueError) as exc:

@@ -186,7 +186,8 @@ def apply_projection(op: ProjectionOperator, state: AspectState) -> AspectState:
     n = op.num_nodes
     flat = matrix.T.ravel()  # aspect-major: element k*N + j is matrix[j, k]; a view for our own outputs
     dangling_mass = np.array([flat[idx].sum() for idx in op.dangling])
-    out = np.bincount(op.rows, weights=op.data * flat.take(op.cols), minlength=op.aspects * n).reshape(op.aspects, n)
+    out = np.bincount(op.rows, weights=op.data * flat.take(op.cols), minlength=op.aspects * n)
+    out = out.astype(np.float64, copy=False).reshape(op.aspects, n)  # an empty bincount is int64: no positive impact
     out += (dangling_mass / n)[:, None]
     out *= op.nu
     out += op.beta * column_sums[:, None]
@@ -226,35 +227,37 @@ def propagate(
     return replace(current, matrix=np.ascontiguousarray(current.matrix), residual=residual, converged=residual < epsilon)
 
 
-STATE_FORMAT = "aspectcite-state-v2"
+STATE_FORMAT = "aspectcite-state-v3"
 
 
 def save_state(state: AspectState, path) -> None:
-    """Write the state as a STATE_FORMAT file.
+    """Write the state as a STATE_FORMAT header at path.
 
-    The matrix is encoded by `codec.encode_tensor` (base64 of the C-order
-    little-endian float64 bytes), so load_state returns it bit for bit.
+    The matrix goes into the `codec` sidecar beside path (state.json ->
+    state.bin); both files are written atomically, sidecar first. load_state
+    returns the matrix bit for bit.
     """
-    codec.write_payload(path, STATE_FORMAT, {
+    codec.write_artifact(path, STATE_FORMAT, {
         "num_nodes": state.num_nodes,
         "aspects": state.aspects,
         "step": state.step,
         "residual": state.residual if np.isfinite(state.residual) else None,
         "converged": state.converged,
-        "matrix": codec.encode_tensor(state.matrix),
-    })
+        "matrix": codec.tensor_entry(state.matrix),
+    }, [state.matrix])
 
 
 def load_state(path) -> AspectState:
-    """Read a save_state file.
+    """Read a save_state header and its sidecar.
 
-    Raises ValueError for any other format (the earlier list-of-floats
-    states included: re-run train) or a malformed matrix. Column
+    Raises ValueError for any other format (the earlier base64 and
+    list-of-floats states included: re-run train), a malformed matrix entry,
+    or a missing sidecar or one that does not match its header. Column
     stochasticity is not checked here; callers that need it call validate().
     """
     payload = codec.read_payload(path, STATE_FORMAT)
     try:
-        matrix = codec.decode_tensor(payload["matrix"])
+        (matrix,) = codec.read_tensors(path, payload, [payload["matrix"]])
         if matrix.shape != (payload["num_nodes"], payload["aspects"]):
             raise ValueError(f"matrix shape {matrix.shape} does not match num_nodes and aspects")
         residual = payload["residual"]

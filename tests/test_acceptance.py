@@ -395,8 +395,8 @@ def test_criterion_8_pipeline_determinism(tmp_path):
             "--out-dir", str(out), "--seed", "11",
         ]) == 0
         artifacts = {}
-        for name in ("manifest.json", "text_vectors.npy", "checkpoint.json", "state.json",
-                     "metrics.json", "explanation.json"):
+        for name in ("manifest.json", "text_vectors.npy", "checkpoint.json", "checkpoint.bin", "state.json",
+                     "state.bin", "metrics.json", "explanation.json"):
             artifacts[name] = (out / name).read_bytes()
         # the report carries wall-clock under "timing"; compare it with that key dropped
         rep = json.loads((out / "report.json").read_text())

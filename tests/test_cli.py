@@ -11,12 +11,16 @@ import numpy as np
 import pytest
 
 import aspectcite
-from aspectcite.cli import _write_atomically, main
-from aspectcite.codec import decode_tensor, encode_tensor
-from aspectcite.model import load_checkpoint
-from aspectcite.propagation import load_state
-from test_model import write_v1_checkpoint
-from test_propagation import ARTIFACT_CORRUPTIONS, corrupt_artifact, write_v1_state
+from aspectcite import codec, corpus
+from aspectcite.cli import _load_manifest, _write_atomically, main
+from aspectcite.explain import explain_target, export_explanation
+from aspectcite.graph import build_graph
+from aspectcite.model import ModelParams, load_checkpoint
+from aspectcite.propagation import load_state, save_state
+from test_model import checkpoint_entries, write_v1_checkpoint, write_v2_checkpoint
+from test_propagation import ARTIFACT_CORRUPTIONS, corrupt_artifact, write_v1_state, write_v2_state
+
+ARTIFACT_FILES = ("checkpoint.json", "checkpoint.bin", "state.json", "state.bin")
 
 
 @pytest.fixture
@@ -228,7 +232,7 @@ class TestTrain:
         for name in ("a", "b"):
             out = tmp_path / name
             run_pipeline(root, edges, text, vecs, out)
-            digests.append((out / "checkpoint.json").read_bytes())
+            digests.append([(out / artifact).read_bytes() for artifact in ARTIFACT_FILES])
         assert digests[0] == digests[1]
 
 
@@ -304,11 +308,9 @@ class TestPredict:
         root, edges, text, vecs = dataset
         out = tmp_path / "out"
         run_pipeline(root, edges, text, vecs, out)
-        payload = json.loads((out / "state.json").read_text())
-        matrix = decode_tensor(payload["matrix"])
-        matrix[:, 0] *= 1.001
-        payload["matrix"] = encode_tensor(matrix)
-        (out / "state.json").write_text(json.dumps(payload), encoding="utf-8")
+        state = load_state(out / "state.json")
+        state.matrix[:, 0] *= 1.001
+        save_state(state, out / "state.json")
         manifest = json.loads((out / "manifest.json").read_text())
         pairs = tmp_path / "pairs.tsv"
         pairs.write_text(f"{manifest['nodes'][0]}\t{manifest['nodes'][1]}\n", encoding="utf-8")
@@ -351,31 +353,65 @@ def last_node_pairs(out, tmp_path):
 
 
 class TestArtifactFormat:
-    TENSOR_OF = {
-        "checkpoint.json": lambda payload: payload["tensors"]["node_embeddings"],
-        "state.json": lambda payload: payload["matrix"],
+    # the header's tensor entries in sidecar order, and the one a defect goes into
+    TENSORS_OF = {
+        "checkpoint.json": (checkpoint_entries, ModelParams.TENSOR_FIELDS.index("node_embeddings")),
+        "state.json": (lambda payload: [payload["matrix"]], 0),
     }
 
-    @pytest.mark.parametrize("how", ARTIFACT_CORRUPTIONS + ["v1_list_file"])
+    def assert_queries_exit_2(self, out, tmp_path, capsys, message):
+        pairs = last_node_pairs(out, tmp_path)
+        capsys.readouterr()
+        assert query_exit_codes(out, pairs) == (2, 2)
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 2 and all(e.startswith("data error") and re.search(message, e) for e in errors)
+
+    @pytest.mark.parametrize("how", ARTIFACT_CORRUPTIONS + ["v1_list_file", "v2_base64_file"])
     @pytest.mark.parametrize("artifact", ["checkpoint.json", "state.json"])
     def test_corrupt_artifact_exits_2(self, dataset, tmp_path, capsys, artifact, how):
         root, edges, text, vecs = dataset
         out = tmp_path / "out"
         run_pipeline(root, edges, text, vecs, out)
         path = out / artifact
-        if how != "v1_list_file":
-            message = corrupt_artifact(path, how, tensor=self.TENSOR_OF[artifact])
-        elif artifact == "checkpoint.json":
-            write_v1_checkpoint(load_checkpoint(path), path)
-            message = "format None, expected 'aspectcite-checkpoint-v2'; re-run train"
+        kind = artifact.removesuffix(".json")
+        old_writer = {
+            ("checkpoint", "v1_list_file"): lambda: write_v1_checkpoint(load_checkpoint(path), path),
+            ("checkpoint", "v2_base64_file"): lambda: write_v2_checkpoint(load_checkpoint(path), path),
+            ("state", "v1_list_file"): lambda: write_v1_state(load_state(path), path),
+            ("state", "v2_base64_file"): lambda: write_v2_state(load_state(path), path),
+        }.get((kind, how))
+        if old_writer is None:
+            entries, tensor = self.TENSORS_OF[artifact]
+            message = corrupt_artifact(path, how, entries=entries, tensor=tensor)
         else:
-            write_v1_state(load_state(path), path)
-            message = "format None, expected 'aspectcite-state-v2'; re-run train"
-        pairs = last_node_pairs(out, tmp_path)
-        capsys.readouterr()
-        assert query_exit_codes(out, pairs) == (2, 2)
-        errors = capsys.readouterr().err.splitlines()
-        assert len(errors) == 2 and all(e.startswith("data error") and re.search(message, e) for e in errors)
+            old_writer()
+            found = "None" if how == "v1_list_file" else f"'aspectcite-{kind}-v2'"
+            message = f"format {found}, expected 'aspectcite-{kind}-v3'; re-run train"
+        self.assert_queries_exit_2(out, tmp_path, capsys, message)
+
+    @pytest.mark.parametrize("artifact", ["checkpoint.json", "state.json"])
+    def test_crash_between_renames_exits_2(self, dataset, tmp_path, capsys, monkeypatch, artifact):
+        # a second train dies after renaming artifact's new sidecar into
+        # place and before renaming its header: the old header must not load
+        # the new tensors
+        root, edges, text, vecs = dataset
+        out = tmp_path / "out"
+        run_pipeline(root, edges, text, vecs, out)
+        header = (out / artifact).read_bytes()
+        atomic_write = codec.atomic_write
+
+        def dies_before_header(path, data):
+            if os.path.basename(path) == artifact:
+                raise OSError("killed")
+            atomic_write(path, data)
+
+        monkeypatch.setattr(codec, "atomic_write", dies_before_header)
+        with pytest.raises(OSError, match="killed"):
+            main(["train", "--manifest", str(out / "manifest.json"), "--out-dir", str(out), "--aspects", "3",
+                  "--struct-dim", "4", "--epochs-per-phase", "1", "--alternations", "1", "--seed", "8"])
+        monkeypatch.undo()
+        assert (out / artifact).read_bytes() == header
+        self.assert_queries_exit_2(out, tmp_path, capsys, "does not match .*; re-run train")
 
 
 class TestManifestChecks:
@@ -422,6 +458,27 @@ class TestManifestChecks:
         assert query_exit_codes(out, pairs) == (2, 2)
         assert "text vector matrix" in capsys.readouterr().err
 
+    def test_text_matrix_is_mapped_read_only(self, dataset, tmp_path):
+        root, edges, text, vecs = dataset
+        out = tmp_path / "out"
+        run_pipeline(root, edges, text, vecs, out)  # train ran on the mapped matrix, so it wrote nothing into it
+        text_vectors = _load_manifest(str(out / "manifest.json"))[3]
+        assert type(text_vectors) is np.ndarray and not text_vectors.flags.writeable
+        assert text_vectors.tobytes() == np.load(out / "text_vectors.npy").tobytes()
+
+    def test_truncated_text_matrix_exits_2(self, dataset, tmp_path, capsys):
+        # the matrix is memory-mapped, so a short file must fail at open, not at a later row gather
+        root, edges, text, vecs = dataset
+        out = tmp_path / "out"
+        run_pipeline(root, edges, text, vecs, out)
+        path = out / "text_vectors.npy"
+        path.write_bytes(path.read_bytes()[:-8])
+        pairs = last_node_pairs(out, tmp_path)
+        capsys.readouterr()
+        assert query_exit_codes(out, pairs) == (2, 2)
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 2 and all("unreadable text vector matrix" in e for e in errors)
+
 
 class TestExplain:
     def test_schema_valid_json(self, dataset, tmp_path):
@@ -439,6 +496,42 @@ class TestExplain:
         payload = json.loads((out / "explanation.json").read_text())
         assert payload["target"] == target
         assert all(len(entry["citers"]) <= 5 for entry in payload["aspects"])
+
+    def test_explanation_equals_tokenizing_every_document(self, dataset, tmp_path):
+        root, edges, text, vecs = dataset
+        out = tmp_path / "out"
+        run_pipeline(root, edges, text, vecs, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        for target in sorted({edge[1] for edge in manifest["edges"]})[:4]:
+            assert main([
+                "explain", "--manifest", str(out / "manifest.json"), "--checkpoint", str(out / "checkpoint.json"),
+                "--state", str(out / "state.json"), "--target", target, "--node-text", str(text),
+                "--out-dir", str(out),
+            ]) == 0
+            docs = corpus.load_node_text(str(text))
+            texts = {nid: doc.tokens([c for c in manifest["channels"] if c in doc.channels]) for nid, doc in docs.items()}
+            explanation = explain_target(
+                target, load_checkpoint(out / "checkpoint.json"), load_state(out / "state.json"),
+                build_graph(manifest["edges"]), np.load(out / "text_vectors.npy"), texts=texts,
+            )
+            export_explanation(explanation, tmp_path / "reference.json")
+            assert (out / "explanation.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+            assert any(entry["top_terms"] for entry in json.loads((out / "explanation.json").read_text())["aspects"])
+
+    def test_malformed_text_line_of_a_non_citer_exits_2(self, dataset, tmp_path, capsys):
+        root, edges, text, vecs = dataset
+        out = tmp_path / "out"
+        run_pipeline(root, edges, text, vecs, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        target = manifest["edges"][0][1]
+        bad = tmp_path / "bad_text.tsv"
+        bad.write_text(text.read_text(encoding="utf-8") + "nobody\tsummary\tw1 w2\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main([
+            "explain", "--manifest", str(out / "manifest.json"), "--checkpoint", str(out / "checkpoint.json"),
+            "--state", str(out / "state.json"), "--target", target, "--node-text", str(bad), "--out-dir", str(out),
+        ]) == 2
+        assert "summary" in capsys.readouterr().err
 
     def test_unknown_target_exits_3(self, dataset, tmp_path):
         root, edges, text, vecs = dataset
@@ -476,10 +569,11 @@ class TestAtomicWrite:
         ]) == 0
         names = sorted(p.name for p in out.iterdir())
         assert not [n for n in names if n.startswith(".") or n.endswith(".tmp")]
-        assert {"checkpoint.json", "state.json", "explanation.json"} <= set(names)
+        assert {*ARTIFACT_FILES, "explanation.json"} <= set(names)
         umask = os.umask(0)
         os.umask(umask)
-        assert (out / "state.json").stat().st_mode & 0o777 == 0o666 & ~umask  # not mkstemp's 0600
+        for name in ARTIFACT_FILES:
+            assert (out / name).stat().st_mode & 0o777 == 0o666 & ~umask  # not mkstemp's 0600
 
 
 class TestConfigResolution:

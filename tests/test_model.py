@@ -1,6 +1,7 @@
 """Scoring-chain operation contracts and invariants."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from aspectcite.model import (
     select_aspects,
     softmax,
 )
-from test_propagation import ARTIFACT_CORRUPTIONS, corrupt_artifact, special_values
+from test_propagation import ARTIFACT_CORRUPTIONS, corrupt_artifact, special_values, v2_entry
 
 
 def make_params(aspects=2, text_dim=2, struct_dim=3, num_nodes=4, seed=0):
@@ -46,6 +47,24 @@ def write_v1_checkpoint(params, path):
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
+
+
+def write_v2_checkpoint(params, path):
+    """The earlier single-file checkpoint format: every tensor inline as base64."""
+    payload = {
+        "format": "aspectcite-checkpoint-v2",
+        "dims": {"aspects": params.dims.aspects, "text_dim": params.dims.text_dim, "struct_dim": params.dims.struct_dim},
+        "num_nodes": params.num_nodes,
+        "seed_lineage": params.seed_lineage,
+        "tensors": {name: v2_entry(getattr(params, name)) for name in ModelParams.TENSOR_FIELDS},
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
+
+
+def checkpoint_entries(payload):
+    """A checkpoint header's tensor entries in sidecar order."""
+    return [payload["tensors"][name] for name in ModelParams.TENSOR_FIELDS]
 
 
 def impacts(params, state, pairs, texts=None):
@@ -463,21 +482,43 @@ class TestCheckpoint:
         save_checkpoint(params, tmp_path / "a.json")
         save_checkpoint(load_checkpoint(tmp_path / "a.json"), tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    def test_sidecar_holds_the_tensors_in_field_order(self, tmp_path):
+        params = make_params(num_nodes=6, seed=4)
+        save_checkpoint(params, tmp_path / "ckpt.json")
+        want = b"".join(getattr(params, name).astype("<f8").tobytes() for name in ModelParams.TENSOR_FIELDS)
+        assert (tmp_path / "ckpt.bin").read_bytes() == want
 
     @pytest.mark.parametrize("tensor", ["bias", "node_embeddings"])
     @pytest.mark.parametrize("how", ARTIFACT_CORRUPTIONS)
     def test_corrupt_file_rejected(self, tmp_path, how, tensor):
         path = tmp_path / "ckpt.json"
         save_checkpoint(make_params(), path)
-        message = corrupt_artifact(path, how, tensor=lambda payload: payload["tensors"][tensor])
+        message = corrupt_artifact(path, how, entries=checkpoint_entries, tensor=ModelParams.TENSOR_FIELDS.index(tensor))
         with pytest.raises(ValueError, match=message):
             load_checkpoint(path)
 
     def test_v1_list_file_rejected_naming_the_format(self, tmp_path):
         path = tmp_path / "ckpt.json"
         write_v1_checkpoint(make_params(), path)
-        with pytest.raises(ValueError, match="aspectcite-checkpoint-v2"):
+        with pytest.raises(ValueError, match="aspectcite-checkpoint-v3"):
             load_checkpoint(path)
+
+    def test_v2_base64_file_rejected_naming_the_format(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        write_v2_checkpoint(make_params(), path)
+        pattern = "format 'aspectcite-checkpoint-v2', expected 'aspectcite-checkpoint-v3'; re-run train"
+        with pytest.raises(ValueError, match=pattern):
+            load_checkpoint(path)
+
+    def test_header_with_another_runs_sidecar_rejected(self, tmp_path):
+        # a crash between the sidecar's rename and the header's leaves this pair
+        save_checkpoint(make_params(seed=1), tmp_path / "ckpt.json")
+        save_checkpoint(make_params(seed=2), tmp_path / "other.json")
+        os.replace(tmp_path / "other.bin", tmp_path / "ckpt.bin")
+        with pytest.raises(ValueError, match="does not match .*; re-run train"):
+            load_checkpoint(tmp_path / "ckpt.json")
 
 
 def test_softmax_rows_sum_to_one():

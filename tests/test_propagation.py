@@ -1,7 +1,10 @@
 """Propagation operator contracts against dense brute-force oracles."""
 
 import base64
+import hashlib
 import json
+import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from aspectcite import Dims, ModelParams, TrainConfig, build_graph, propagation, substream, train_sd_phase, training
-from aspectcite.codec import decode_tensor, encode_tensor
+from aspectcite.codec import read_payload, read_tensors, sidecar_path, tensor_entry, write_artifact
 from aspectcite.propagation import (
     apply_projection,
     build_projection,
@@ -324,6 +327,18 @@ class TestApplyProjection:
             out = apply_projection(op, AspectState(matrix=state))
             assert np.array_equal(out.matrix, apply_projection_per_aspect(op, AspectState(matrix=state)))
 
+    def test_no_positive_impact_gives_the_uniform_state(self):
+        # every column is dangling, so the step is the uniform distribution;
+        # np.bincount of an empty input is int64 and once broke the step
+        op = build_projection(build_transition([[0, 1], [1, 2]], np.zeros((2, 2)), 3))
+        assert op.tensor.dangling_mask.all() and len(op.rows) == 0
+        state = AspectState(matrix=np.array([[0.5, 0.2], [0.3, 0.2], [0.2, 0.6]]))
+        out = propagate(op, state)
+        assert out.matrix.dtype == np.float64 and np.allclose(out.matrix, 1.0 / 3.0, atol=1e-15)
+        assert out.converged and out.step == 2
+        uniform = propagate(op, initialize_state(3, 2))
+        assert np.allclose(uniform.matrix, 1.0 / 3.0, atol=1e-15) and uniform.converged
+
     def test_positivity_after_one_step(self):
         rng = np.random.default_rng(2)
         n, aspects, edges, impacts = random_instance(rng, max_n=25)
@@ -540,45 +555,67 @@ def special_values(shape, seed=0):
     return np.resize(np.roll(values, seed), size).reshape(shape)
 
 
-def _b64(raw: bytes) -> str:
-    return base64.b64encode(raw).decode("ascii")
+def v2_entry(array) -> dict:
+    """A tensor as the earlier base64 format wrote it inline in the JSON."""
+    array = np.asarray(array, dtype="<f8")
+    return {"shape": list(array.shape), "data": base64.b64encode(array.tobytes()).decode("ascii")}
 
 
-# name: (defect written into a saved file, pattern the loader's ValueError must match)
+# name: (defect written into one tensor's header entry and sidecar bytes,
+# returning its new bytes, pattern the loader's ValueError must match). The
+# header is resealed afterwards, so each defect reaches the check it names.
 TENSOR_CORRUPTIONS = {
-    # "*" is outside the alphabet; a lenient decoder would skip it and read the right bytes
-    "invalid_base64_char": (lambda t: t.update(data=t["data"][:4] + "*" + t["data"][4:]), "not valid base64"),
-    "eight_bytes_too_many": (lambda t: t.update(data=_b64(base64.b64decode(t["data"]) + bytes(8))), "needs"),
-    "eight_bytes_too_few": (lambda t: t.update(data=_b64(base64.b64decode(t["data"])[:-8])), "needs"),
-    "negative_shape": (lambda t: t.update(shape=[-d for d in t["shape"]]), "nonnegative ints"),
-    "non_integer_shape": (lambda t: t.update(shape=[float(d) for d in t["shape"]]), "nonnegative ints"),
-    "zero_dimensional": (lambda t: t.update(shape=[], data=_b64(bytes(8))), "malformed"),
-    "list_data": (
-        lambda t: t.update(data=np.frombuffer(base64.b64decode(t["data"]), "<f8").tolist()), "base64 string"
-    ),
+    "eight_bytes_too_many": (lambda t, raw: raw + bytes(8), "holds .* bytes, shapes .* need"),
+    "eight_bytes_too_few": (lambda t, raw: raw[:-8], "holds .* bytes, shapes .* need"),
+    "negative_shape": (lambda t, raw: t.update(shape=[-d for d in t["shape"]]) or raw, "nonnegative ints"),
+    "non_integer_shape": (lambda t, raw: t.update(shape=[float(d) for d in t["shape"]]) or raw, "nonnegative ints"),
+    "zero_dimensional": (lambda t, raw: t.update(shape=[]) or bytes(8), "malformed"),
+    # the data inline in the header, as the earlier list-of-floats format had it
+    "list_data": (lambda t, raw: t.update(data=np.frombuffer(raw, "<f8").tolist()) or raw, "exactly the key 'shape'"),
+}
+# name: (defect written into one tensor's sidecar bytes, returning its new
+# bytes or None to delete the sidecar, pattern); the header is left as it was.
+SIDECAR_CORRUPTIONS = {
+    "missing_sidecar": (lambda t, raw: None, "tensor sidecar {sidecar} not found; re-run train"),
+    "flipped_byte": (lambda t, raw: raw[:3] + bytes([raw[3] ^ 0x40]) + raw[4:], "does not match .*; re-run train"),
 }
 FORMAT_CORRUPTIONS = {
     "missing_format": (lambda p: p.pop("format"), "format None, expected"),
-    "unknown_format": (lambda p: p.update(format=p["format"].replace("-v2", "-v3")), "-v3', expected"),
+    "unknown_format": (lambda p: p.update(format=p["format"].replace("-v3", "-v4")), "-v4', expected"),
 }
-ARTIFACT_CORRUPTIONS = sorted(TENSOR_CORRUPTIONS) + sorted(FORMAT_CORRUPTIONS)
+ARTIFACT_CORRUPTIONS = sorted(TENSOR_CORRUPTIONS) + sorted(SIDECAR_CORRUPTIONS) + sorted(FORMAT_CORRUPTIONS)
 
 
-def corrupt_artifact(path, how, tensor=lambda payload: payload["matrix"]):
-    """Rewrite a saved checkpoint or state with one ARTIFACT_CORRUPTIONS defect
-    and return the pattern its rejection must match; `tensor` picks the
-    encoded tensor a tensor-level defect goes into."""
+def corrupt_artifact(path, how, entries=lambda payload: [payload["matrix"]], tensor=0):
+    """Rewrite a saved checkpoint or state, header and sidecar, with one
+    ARTIFACT_CORRUPTIONS defect and return the pattern its rejection must
+    match. entries lists the header's tensor entries in sidecar order; a
+    tensor-level defect goes into entries(payload)[tensor] and its bytes."""
+    side = sidecar_path(path)
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    if how in TENSOR_CORRUPTIONS:
-        damage, message = TENSOR_CORRUPTIONS[how]
-        damage(tensor(payload))
-    else:
+    with open(side, "rb") as fh:
+        raw = fh.read()
+    if how in FORMAT_CORRUPTIONS:
         damage, message = FORMAT_CORRUPTIONS[how]
         damage(payload)
+    else:
+        chosen = entries(payload)
+        ends = np.cumsum([0] + [8 * int(np.prod(e["shape"])) for e in chosen])
+        start, end = ends[tensor], ends[tensor + 1]
+        damage, message = {**TENSOR_CORRUPTIONS, **SIDECAR_CORRUPTIONS}[how]
+        part = damage(chosen[tensor], raw[start:end])
+        raw = None if part is None else raw[:start] + part + raw[end:]
+        if how in TENSOR_CORRUPTIONS:  # record the new bytes, as a consistent writer would
+            payload["sidecar"] = {"bytes": len(raw), "sha256": hashlib.sha256(raw).hexdigest()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
-    return message
+    if raw is None:
+        os.unlink(side)
+    else:
+        with open(side, "wb") as fh:
+            fh.write(raw)
+    return message.format(sidecar=re.escape(side))
 
 
 def write_v1_state(state, path):
@@ -595,25 +632,56 @@ def write_v1_state(state, path):
         json.dump(payload, fh, sort_keys=True, indent=1)
 
 
+def write_v2_state(state, path):
+    """The earlier single-file state format: the matrix inline as base64."""
+    payload = {
+        "format": "aspectcite-state-v2",
+        "num_nodes": state.num_nodes,
+        "aspects": state.aspects,
+        "step": state.step,
+        "residual": state.residual if np.isfinite(state.residual) else None,
+        "converged": state.converged,
+        "matrix": v2_entry(state.matrix),
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
+
+
 class TestStateFile:
     @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (9, 1), (6, 4)])
     def test_round_trip_is_bitwise(self, tmp_path, shape):
         matrix = special_values(shape)
-        assert decode_tensor(encode_tensor(matrix)).tobytes() == matrix.tobytes()
         save_state(AspectState(matrix=matrix, step=3, residual=2.5e-9, converged=False), tmp_path / "state.json")
+        assert (tmp_path / "state.bin").read_bytes() == matrix.astype("<f8").tobytes()
         loaded = load_state(tmp_path / "state.json")
         assert loaded.matrix.shape == shape and loaded.matrix.tobytes() == matrix.tobytes()
         assert (loaded.step, loaded.residual, loaded.converged) == (3, 2.5e-9, False)
 
-    def test_zero_size_and_scalar_tensors_round_trip(self):
-        for array in (np.zeros((0, 3)), np.array(-0.0)):
-            decoded = decode_tensor(encode_tensor(array))
-            assert decoded.shape == array.shape and decoded.tobytes() == array.tobytes()
+    def test_zero_size_and_scalar_tensors_round_trip(self, tmp_path):
+        arrays = [np.zeros((0, 3)), np.array(-0.0), special_values((2, 3)), np.zeros(0)]
+        path = tmp_path / "tensors.json"
+        write_artifact(path, "test-v1", {"tensors": [tensor_entry(a) for a in arrays]}, arrays)
+        payload = read_payload(path, "test-v1")
+        for got, want in zip(read_tensors(path, payload, payload["tensors"]), arrays, strict=True):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_save_load_save_gives_same_bytes(self, tmp_path):
         save_state(AspectState(matrix=special_values((5, 3), seed=1), step=7), tmp_path / "a.json")
         save_state(load_state(tmp_path / "a.json"), tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    def test_header_holds_no_file_name(self, tmp_path):
+        # the header's bytes must not depend on where it is written, and
+        # never name a temp file
+        state = AspectState(matrix=special_values((5, 3), seed=2), step=4)
+        (tmp_path / "elsewhere").mkdir()
+        save_state(state, tmp_path / "state.json")
+        save_state(state, tmp_path / "elsewhere" / "other.json")
+        header = (tmp_path / "state.json").read_bytes()
+        assert header == (tmp_path / "elsewhere" / "other.json").read_bytes()
+        assert b"state" not in header.replace(b"aspectcite-state-v3", b"") and b".bin" not in header
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["elsewhere", "state.bin", "state.json"]
 
     def test_loaded_matrix_is_writable_native_and_c_contiguous(self, tmp_path):
         save_state(initialize_state(4, 3), tmp_path / "state.json")
@@ -630,17 +698,36 @@ class TestStateFile:
         with pytest.raises(ValueError, match=message):
             load_state(path)
 
+    def test_header_with_another_runs_sidecar_rejected(self, tmp_path):
+        # a crash between the sidecar's rename and the header's leaves this pair
+        save_state(initialize_state(4, 3), tmp_path / "state.json")
+        save_state(AspectState(matrix=special_values((4, 3), seed=5)), tmp_path / "other.json")
+        os.replace(tmp_path / "other.bin", tmp_path / "state.bin")
+        with pytest.raises(ValueError, match="does not match .*; re-run train"):
+            load_state(tmp_path / "state.json")
+
     def test_v1_list_file_rejected_naming_the_format(self, tmp_path):
         path = tmp_path / "state.json"
         write_v1_state(initialize_state(4, 3), path)
-        with pytest.raises(ValueError, match="aspectcite-state-v2"):
+        with pytest.raises(ValueError, match="aspectcite-state-v3"):
+            load_state(path)
+
+    def test_v2_base64_file_rejected_naming_the_format(self, tmp_path):
+        path = tmp_path / "state.json"
+        write_v2_state(initialize_state(4, 3), path)
+        with pytest.raises(ValueError, match="format 'aspectcite-state-v2', expected 'aspectcite-state-v3'; re-run train"):
             load_state(path)
 
     def test_shape_must_match_the_envelope(self, tmp_path):
         path = tmp_path / "state.json"
         save_state(initialize_state(4, 3), path)
         payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["matrix"] = encode_tensor(np.full((3, 4), 0.25))
+        payload["matrix"]["shape"] = [3, 4]  # the same 12 entries, transposed
         path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(ValueError, match="does not match"):
+        with pytest.raises(ValueError, match="does not match num_nodes and aspects"):
             load_state(path)
+
+    def test_header_cannot_take_the_sidecar_suffix(self, tmp_path):
+        with pytest.raises(ValueError, match="cannot end in .bin"):
+            save_state(initialize_state(4, 3), tmp_path / "state.bin")
+        assert list(tmp_path.iterdir()) == []

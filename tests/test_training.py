@@ -341,6 +341,13 @@ class TestTrainSdPhase:
         assert np.array_equal(from_list.matrix, from_array.matrix)
         assert (from_list.step, from_list.residual) == (from_array.step, from_array.residual)
 
+    def test_no_positive_impact_gives_the_uniform_state(self, small_graph, small_split, small_text):
+        config, params, state = self.make(small_graph, small_text)
+        params.bias[:] = -100.0  # every masked edge impact is zero, so every column is dangling
+        out = train_sd_phase(params, state, small_split.train_edges, config, small_text)
+        assert out.matrix.dtype == np.float64
+        assert np.allclose(out.matrix, 1.0 / small_graph.num_nodes, rtol=1e-12) and out.converged
+
 
 class TestFit:
     def test_ndp_runs_sy_only(self, small_graph, small_split, small_text):
