@@ -16,8 +16,8 @@ train edges in a propagation phase and every candidate pair in evaluation.
 
 import numpy as np
 
-from aspectcite import Dims, ModelParams, initialize_state, sample_aspect, score_pair
-from aspectcite.model import impacts_for_pairs, representations_for
+from aspectcite import Dims, ModelParams, initialize_state, sample_aspect
+from aspectcite.model import impacts_for_pairs, masked_impacts, representations_for, select_aspects
 from aspectcite.seeding import substream
 
 dims = Dims(aspects=3, text_dim=4, struct_dim=3)
@@ -42,8 +42,6 @@ rng = substream(7, "gumbel")
 draws = [int(sample_aspect(d[0], mode="train", rng=rng)[0].argmax()) for _ in range(12)]
 print(f"train-mode Gumbel draws (12x): {draws}")
 
-bundle = score_pair(i, j, state.matrix, params, texts, mode="infer")
-bundle.validate()
-print(f"Y_ij (masked nonnegative impact) = {np.round(bundle.y_pair, 4)}")
-print(f"F_ij (link score) = {bundle.f:.6f}  (sum(c) + sum(e) = {c.sum() + e.sum():.6f})")
-print(f"score_pair bundles the same row: alpha = {bundle.alpha}, zero representation: {bundle.zero_representation}")
+alphas = select_aspects(d)  # the batched infer-mode choice: argmax per row
+print(f"Y_ij (masked nonnegative impact) = {np.round(masked_impacts(d, alphas)[0], 4)}")
+print(f"F_ij (link score) = sum(c) + sum(e) = {c.sum() + e.sum():.6f}")

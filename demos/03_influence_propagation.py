@@ -29,7 +29,8 @@ rng = np.random.default_rng(0)
 impacts = rng.random((len(edges), 2))  # two aspects with random edge impacts
 tensor = build_transition(edges, impacts, graph.num_nodes)
 for k in range(2):
-    sums = np.asarray(tensor.matrices[k].sum(axis=0)).ravel()
+    mat = tensor.matrices[k]  # CSR arrays of X_k
+    sums = np.bincount(mat.indices, weights=mat.data, minlength=graph.num_nodes)
     print(f"aspect {k}: column sums {np.round(sums, 3)} (1 where fed, 0 where dangling)")
 
 op = build_projection(tensor)

@@ -24,12 +24,10 @@ from .graph import CitationGraph, build_graph, dangling_nodes
 from .metrics import MetricsReport, auc, average_precision_at_k, evaluate, ndcg_at_k, recall
 from .model import (
     Dims,
-    EdgeScore,
     ModelParams,
     load_checkpoint,
     sample_aspect,
     save_checkpoint,
-    score_pair,
     scores_for_pairs,
 )
 from .propagation import (

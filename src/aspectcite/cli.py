@@ -305,12 +305,14 @@ def _load_artifacts(args):
 
 def cmd_evaluate(args) -> int:
     res = _Resolver(args)
+    ks = res.get("ks", (1, 5, 10), parse=_parse_int_list)
+    rank_negatives = res.get("rank_negatives", 50, parse=int)
+    if any(k < 1 for k in ks) or rank_negatives < 1:
+        raise UsageError(f"--ks values and --rank-negatives must be >= 1, got ks={ks} rank-negatives={rank_negatives}")
     out_dir = _out_dir(args)
     manifest, graph, split, text_vectors, params, state = _load_artifacts(args)
     seed = res.seed(default=manifest["seed"])
     split_name = res.get("split", "test", flag="split_name")
-    ks = res.get("ks", (1, 5, 10), parse=_parse_int_list)
-    rank_negatives = res.get("rank_negatives", 50, parse=int)
     scorer = res.get("scorer", "total_impact")
     per_source = os.path.join(out_dir, "per_source.csv") if args.per_source_csv else None
     try:
@@ -367,10 +369,12 @@ def cmd_predict(args) -> int:
 
 def cmd_explain(args) -> int:
     res = _Resolver(args)
-    out_dir = _out_dir(args)
-    manifest, graph, _, text_vectors, params, state = _load_artifacts(args)
     top_n = res.get("top_n", 5, parse=int)
     top_m = res.get("top_m", 10, parse=int)
+    if top_n < 1 or top_m < 0:
+        raise UsageError(f"--top-n must be >= 1 and --top-m >= 0, got {top_n} and {top_m}")
+    out_dir = _out_dir(args)
+    manifest, graph, _, text_vectors, params, state = _load_artifacts(args)
     fmt = res.get("format", "json", flag="format")
     res.seed(default=manifest["seed"])
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .graph import CitationGraph
 from .model import ModelParams, impacts_for_pairs, select_aspects
+from .propagation import AspectState
 
 __all__ = ["AspectExplanation", "RankedCiter", "explain_target", "export_explanation", "load_explanation"]
 
@@ -78,7 +79,7 @@ class AspectExplanation:
 def explain_target(
     target: str,
     params: ModelParams,
-    state,
+    state: AspectState,
     graph: CitationGraph,
     text_vectors: np.ndarray,
     texts: dict | None = None,
@@ -106,9 +107,8 @@ def explain_target(
             note="target has no citers",
         )
 
-    state_matrix = state.matrix if hasattr(state, "matrix") else np.asarray(state)
     pairs = np.asarray([(int(i), t) for i in citers])
-    _, _, impact_rows = impacts_for_pairs(pairs, state_matrix, params, text_vectors)
+    _, _, impact_rows = impacts_for_pairs(pairs, state.matrix, params, text_vectors)
     alphas = select_aspects(impact_rows)
     scores = impact_rows[alphas == 1.0]  # one selected-aspect impact per citer, in citer order
 

@@ -20,6 +20,7 @@ import numpy as np
 from .corpus import DatasetSplit
 from .graph import CitationGraph
 from .model import ModelParams, scores_for_pairs
+from .propagation import AspectState
 from .seeding import substream
 
 __all__ = [
@@ -153,7 +154,7 @@ def _sample_source_negatives(source, graph, count, rng):
 
 def evaluate(
     params: ModelParams,
-    state,
+    state: AspectState,
     split: DatasetSplit,
     graph: CitationGraph,
     text_vectors: np.ndarray,
@@ -184,10 +185,9 @@ def evaluate(
     if len(negatives) == 0:
         raise ValueError(f"split {split_name!r} has no sampled negatives")
 
-    state_matrix = state.matrix if hasattr(state, "matrix") else np.asarray(state)
     if score_fn is None:
         def score_fn(pairs):
-            return scores_for_pairs(pairs, state_matrix, params, text_vectors, scorer=scorer)
+            return scores_for_pairs(pairs, state.matrix, params, text_vectors, scorer=scorer)
 
     pos_scores = score_fn(positives)
     neg_scores = score_fn(negatives)

@@ -11,15 +11,15 @@ For candidate citations (i cites j), one row per pair, the chain is:
                                                    (select_aspects)
   Y_ij  masked nonnegative impact: max(D_ij, 0) at the selected aspect, 0
         elsewhere                                  (masked_impacts)
-  F_ij  scalar link score: sum(c_ij) + sum(e_ij)
+  F_ij  scalar link score: sum(c_ij) + sum(e_ij)  (scores_for_pairs)
 
-`impacts_for_pairs`, the training forward pass and the one-row `score_pair`
-all run these same steps; every aspect choice goes through `select_aspects`.
+`impacts_for_pairs` and the training forward pass both run these same steps;
+every aspect choice goes through `select_aspects`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from . import codec
 __all__ = [
     "Dims",
     "ModelParams",
-    "EdgeScore",
     "softmax",
     "representations_for",
     "distinct_nodes",
@@ -37,7 +36,6 @@ __all__ = [
     "select_aspects",
     "masked_impacts",
     "sample_aspect",
-    "score_pair",
     "scores_for_pairs",
     "save_checkpoint",
     "load_checkpoint",
@@ -129,28 +127,6 @@ class ModelParams:
             node_embeddings=self.node_embeddings.copy(),
             seed_lineage=self.seed_lineage,
         )
-
-
-@dataclass(frozen=True)
-class EdgeScore:
-    """Every intermediate of the scoring chain for one candidate pair."""
-
-    c: np.ndarray
-    e: np.ndarray
-    d_pair: np.ndarray
-    alpha: np.ndarray
-    y_pair: np.ndarray
-    f: float
-    zero_representation: bool = False
-
-    def validate(self) -> None:
-        ones = np.flatnonzero(self.alpha == 1.0)
-        if len(ones) != 1 or not np.all(np.isin(self.alpha, (0.0, 1.0))):
-            raise ValueError("alpha must be one-hot")
-        if np.any(self.y_pair < 0):
-            raise ValueError("masked impact must be nonnegative")
-        if np.count_nonzero(self.y_pair) > 1:
-            raise ValueError("masked impact may have at most one nonzero entry")
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -255,27 +231,6 @@ def sample_aspect(d_pair: np.ndarray, mode: str, rng: np.random.Generator | None
         raise ValueError("train-mode sampling needs a random generator")
     hard = select_aspects(d_pair[None, :], rng if mode == "train" else None)[0]
     return hard, softmax(d_pair)
-
-
-def score_pair(
-    i: int,
-    j: int,
-    state_matrix: np.ndarray,
-    params: ModelParams,
-    text_vectors: np.ndarray,
-    mode: str = "infer",
-    rng: np.random.Generator | None = None,
-) -> EdgeScore:
-    """Full scoring bundle for the candidate citation i -> j (the chain on one row)."""
-    if i == j:
-        raise ValueError(f"cannot score a self-pair ({i}, {j})")
-    reps, norms = representations_for(np.array([i, j]), text_vectors, params)
-    c, e, d = impacts_from_representations(reps, [0], [1], np.asarray(state_matrix)[[j]], params)
-    alpha, _ = sample_aspect(d[0], mode=mode, rng=rng)
-    return EdgeScore(
-        c=c[0], e=e[0], d_pair=d[0], alpha=alpha, y_pair=masked_impacts(d[0], alpha),
-        f=float(c.sum() + e.sum()), zero_representation=bool(np.any(norms == 0.0)),
-    )
 
 
 def scores_for_pairs(pairs, state_matrix, params, text_vectors, scorer: str = "total_impact") -> np.ndarray:

@@ -32,6 +32,7 @@ saved states always see a C-ordered (N, I) matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from . import codec
 
 __all__ = [
     "AspectState",
+    "CSRArrays",
     "TransitionTensor",
     "ProjectionOperator",
     "initialize_state",
@@ -86,16 +88,27 @@ def initialize_state(num_nodes: int, aspects: int) -> AspectState:
     return AspectState(matrix=np.full((num_nodes, aspects), 1.0 / num_nodes))
 
 
+class CSRArrays(NamedTuple):
+    """One aspect's (N, N) transition matrix in compressed sparse row form:
+    row i's entries are indices[indptr[i]:indptr[i + 1]] (ascending columns)
+    with weights data[indptr[i]:indptr[i + 1]]; indptr and indices are int64."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
 @dataclass(frozen=True)
 class TransitionTensor:
     """Per-aspect sparse transition matrices with column-wise normalization.
 
-    matrices[k][i, j] is the share of cited node j's aspect-k influence
-    flowing to citer i. Columns with no positive impact (including every
-    never-cited node) are all-zero and recorded in dangling_mask.
+    matrices[k] holds the CSR arrays of X_k, where X_k[i, j] is the share of
+    cited node j's aspect-k influence flowing to citer i. Columns with no
+    positive impact (including every never-cited node) are all-zero and
+    recorded in dangling_mask.
     """
 
-    matrices: tuple
+    matrices: tuple  # of CSRArrays, one per aspect
     dangling_mask: np.ndarray = field(repr=False)  # (N, I) bool: column j is dangling for aspect k
     num_nodes: int
     aspects: int
@@ -118,8 +131,6 @@ def build_transition(edges, impacts: np.ndarray, num_nodes: int) -> TransitionTe
     if np.any(impacts < 0):
         raise ValueError("edge impacts must be nonnegative")
 
-    from scipy import sparse  # imported here so CLI queries, which build no operator, skip it
-
     aspects = impacts.shape[1]
     matrices = []
     dangling = np.ones((num_nodes, aspects), dtype=bool)
@@ -130,8 +141,7 @@ def build_transition(edges, impacts: np.ndarray, num_nodes: int) -> TransitionTe
         dangling[:, k] = column_mass == 0.0
         order = np.argsort(rows * num_nodes + cols)  # edges are distinct, so this is (row, column) order
         indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=num_nodes))))
-        data = (weight / column_mass[cols])[order]
-        matrices.append(sparse.csr_matrix((data, cols[order], indptr), shape=(num_nodes, num_nodes)))
+        matrices.append(CSRArrays(indptr=indptr, indices=cols[order], data=(weight / column_mass[cols])[order]))
     return TransitionTensor(matrices=tuple(matrices), dangling_mask=dangling, num_nodes=num_nodes, aspects=aspects)
 
 
@@ -168,8 +178,8 @@ def build_projection(tensor: TransitionTensor) -> ProjectionOperator:
     nu = 1.0 - beta * n
     mats = tensor.matrices
     rows = np.concatenate([np.repeat(np.arange(k * n, (k + 1) * n), np.diff(mat.indptr)) for k, mat in enumerate(mats)])
-    cols = np.concatenate([mat.indices[: mat.nnz].astype(np.int64) + k * n for k, mat in enumerate(mats)])
-    data = np.concatenate([mat.data[: mat.nnz] for mat in mats])
+    cols = np.concatenate([mat.indices + k * n for k, mat in enumerate(mats)])
+    data = np.concatenate([mat.data for mat in mats])
     dangling = tuple(np.flatnonzero(tensor.dangling_mask[:, k]) + k * n for k in range(aspects))
     return ProjectionOperator(tensor=tensor, beta=beta, nu=nu, rows=rows, cols=cols, data=data, dangling=dangling)
 

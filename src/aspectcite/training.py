@@ -99,6 +99,8 @@ class TrainConfig:
             raise ValueError("aspect_loss_weight must be nonnegative")
         if list(self.snapshot_cutoffs) != sorted(self.snapshot_cutoffs):
             raise ValueError("snapshot_cutoffs must be ordered ascending")
+        if self.propagation_epsilon <= 0 or self.propagation_max_steps < 0:
+            raise ValueError("propagation_epsilon must be positive and propagation_max_steps nonnegative")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "snapshot_cutoffs": list(self.snapshot_cutoffs)}

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -226,6 +227,19 @@ class TestTrain:
         assert "--gumbel-temperature" in capsys.readouterr().err
         assert not (out / "checkpoint.json").exists()
 
+    @pytest.mark.parametrize("flag,value", [("--propagation-epsilon", "0"), ("--propagation-max-steps", "-1")])
+    def test_out_of_range_propagation_option_is_a_usage_error(self, dataset, tmp_path, capsys, flag, value):
+        root, edges, text, vecs = dataset
+        out = tmp_path / "out"
+        assert main([
+            "ingest", "--edges", str(edges), "--node-text", str(text), "--word-vectors", str(vecs),
+            "--out-dir", str(out), "--seed", "7",
+        ]) == 0
+        capsys.readouterr()
+        assert main(["train", "--manifest", str(out / "manifest.json"), "--out-dir", str(out), flag, value]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not (out / "checkpoint.json").exists()
+
     def test_fixed_seed_reruns_identical_checkpoints(self, dataset, tmp_path):
         root, edges, text, vecs = dataset
         digests = []
@@ -330,6 +344,20 @@ class TestPredict:
             "predict", "--manifest", str(out / "manifest.json"), "--checkpoint", str(out / "checkpoint.json"),
             "--state", str(out / "state.json"), "--pairs", str(pairs), "--out-dir", str(out),
         ]) == 3
+
+    def test_self_pair_exits_3(self, dataset, tmp_path, capsys):
+        root, edges, text, vecs = dataset
+        out = tmp_path / "out"
+        run_pipeline(root, edges, text, vecs, out)
+        node = json.loads((out / "manifest.json").read_text())["nodes"][0]
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text(f"{node}\t{node}\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main([
+            "predict", "--manifest", str(out / "manifest.json"), "--checkpoint", str(out / "checkpoint.json"),
+            "--state", str(out / "state.json"), "--pairs", str(pairs), "--out-dir", str(out),
+        ]) == 3
+        assert "self-pairs" in capsys.readouterr().err
 
 
 def query_exit_codes(out, pairs_file):
@@ -543,6 +571,28 @@ class TestExplain:
         ]) == 3
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("evaluate", ["--ks", "0"]),
+    ("evaluate", ["--rank-negatives", "0"]),
+    ("explain", ["--top-n", "0"]),
+    ("explain", ["--top-m", "-1"]),
+])
+def test_out_of_range_query_option_is_a_usage_error(dataset, tmp_path, capsys, command, flags):
+    root, edges, text, vecs = dataset
+    out = tmp_path / "out"
+    run_pipeline(root, edges, text, vecs, out)
+    target = json.loads((out / "manifest.json").read_text())["edges"][0][1]
+    query = tmp_path / "query"
+    capsys.readouterr()
+    assert main([
+        command, "--manifest", str(out / "manifest.json"), "--checkpoint", str(out / "checkpoint.json"),
+        "--state", str(out / "state.json"), "--out-dir", str(query), *(["--target", target] if command == "explain" else []),
+        *flags,
+    ]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not query.exists()
+
+
 class TestAtomicWrite:
     def test_failed_writer_leaves_old_file_and_no_temp(self, tmp_path):
         target = tmp_path / "state.json"
@@ -612,11 +662,31 @@ class TestConfigResolution:
         assert main(["frobnicate"]) == 1
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    """Only building a propagation operator needs scipy; predict, explain and
-    ingest never do, so importing the CLI must not pay for it."""
+def test_cli_import_leaves_scipy_unloaded(dataset, tmp_path):
+    """numpy is the only runtime dependency: with scipy made unimportable,
+    the CLI imports, a DP fit runs its propagation phases and `train` succeeds."""
+    root, edges, text, vecs = dataset
     src = os.path.dirname(os.path.dirname(os.path.abspath(aspectcite.__file__)))
-    code = "import sys, aspectcite.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+        import aspectcite as ac
+        from aspectcite import cli
+        edges, text, vecs, out = sys.argv[1:]
+        assert cli.main(["ingest", "--edges", edges, "--node-text", text, "--word-vectors", vecs, "--out-dir", out]) == 0
+        _, graph, split, text_vectors = cli._load_manifest(out + "/manifest.json")
+        config = ac.TrainConfig(aspects=2, struct_dim=3, epochs_per_phase=1, alternations=2, batch_size=16)
+        result = ac.fit(graph, split, config, text_vectors)
+        assert [len(stage["sd_phases"]) for stage in result.report["stages"]] == [2]
+        assert cli.main([
+            "train", "--manifest", out + "/manifest.json", "--out-dir", out, "--variant", "dp", "--aspects", "2",
+            "--struct-dim", "3", "--epochs-per-phase", "1", "--alternations", "1", "--batch-size", "16",
+        ]) == 0
+        print(sorted(m for m, module in sys.modules.items() if m.split(".")[0] == "scipy" and module is not None))
+    """)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]", done.stdout
+    argv = [str(edges), str(text), str(vecs), str(tmp_path / "out")]
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]", done.stdout
+    assert (tmp_path / "out" / "checkpoint.json").exists()

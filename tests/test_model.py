@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 from aspectcite import (
     Dims,
-    EdgeScore,
     ModelParams,
     load_checkpoint,
     sample_aspect,
     save_checkpoint,
-    score_pair,
 )
 from aspectcite.model import (
     impacts_for_pairs,
@@ -109,9 +107,8 @@ class TestNodeRepresentation:
         r, norms = representations_for(np.array([2, 0, 2]), texts, params)
         assert np.array_equal(r[[0, 2]], np.zeros((2, 4))) and norms[0, 0] == 0.0 and norms[2, 0] == 0.0
         assert norms[1, 0] > 0.0
-        state = np.full((4, 2), 0.25)
-        assert score_pair(0, 2, state, params, texts).zero_representation
-        assert not score_pair(0, 1, state, params, texts).zero_representation
+        _, e, _ = impacts_for_pairs(np.array([[0, 2], [0, 1]]), np.full((4, 2), 0.25), params, texts)
+        assert not e[0].any() and e[1].any()  # a zero representation zeroes every similarity it enters
 
     def test_dimension_mismatch_rejected(self):
         params = make_params(text_dim=2)
@@ -300,13 +297,6 @@ class TestMaskedImpact:
     def test_mask_kills_unselected(self):
         assert np.allclose(masked_impacts(np.array([[0.0, 5.0]]), np.array([[1.0, 0.0]])), [[0, 0]])
 
-    def test_non_one_hot_rejected(self):
-        bundle = EdgeScore(
-            c=np.zeros(2), e=np.zeros(2), d_pair=np.zeros(2), alpha=np.array([1.0, 1.0]), y_pair=np.zeros(2), f=0.0
-        )
-        with pytest.raises(ValueError, match="one-hot"):
-            bundle.validate()
-
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=60, deadline=None)
     def test_bounds_and_pattern(self, seed):
@@ -328,9 +318,9 @@ class TestLinkScore:
         self.params.state_to_effect = np.eye(2)
 
     def scores(self, texts, state, pair=(0, 1)):
-        f = score_pair(*pair, state, self.params, texts).f
+        c, e, _ = impacts_for_pairs(np.array([pair]), state, self.params, texts)
         batch = scores_for_pairs(np.array([pair, pair]), state, self.params, texts)
-        return f, batch
+        return float(c.sum() + e.sum()), batch
 
     def test_element_sums(self):
         texts = np.array([[0.6, 0.8], [0.6, 0.8], [1.0, 0.0], [1.0, 0.0]])
@@ -352,35 +342,31 @@ class TestLinkScore:
 
 
 class TestScorePair:
-    def test_self_pair_rejected(self):
-        params = make_params()
-        state = np.full((4, 2), 0.5)
-        with pytest.raises(ValueError):
-            score_pair(1, 1, state, params, np.zeros((4, 2)))
+    """One candidate pair through the batched chain."""
 
     def test_infer_deterministic(self):
         params = make_params(num_nodes=5, text_dim=3, struct_dim=2, aspects=3)
         state = np.full((5, 3), 1 / 5)
         texts = np.random.default_rng(2).normal(size=(5, 3))
-        a = score_pair(0, 3, state, params, texts, mode="infer")
-        b = score_pair(0, 3, state, params, texts, mode="infer")
-        assert np.array_equal(a.alpha, b.alpha) and a.f == b.f
-        assert np.array_equal(a.d_pair, b.d_pair)
+        a = impacts_for_pairs(np.array([(0, 3)]), state, params, texts)
+        b = impacts_for_pairs(np.array([(0, 3)]), state, params, texts)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert np.array_equal(select_aspects(a[2]), select_aspects(b[2]))
 
     def test_composition_matches_components(self):
         params = make_params(num_nodes=4, text_dim=2, struct_dim=2, aspects=2)
         state = np.array([[0.3, 0.7], [0.6, 0.4], [0.1, 0.9], [0.5, 0.5]])
         texts = np.random.default_rng(3).normal(size=(4, 2))
         for i, j in ((0, 2), (3, 1)):
-            bundle = score_pair(i, j, state, params, texts, mode="infer")
             c, e, d = impacts_for_pairs(np.array([(i, j)]), state, params, texts)
+            reps, _ = representations_for(np.array([i, j]), texts, params)
+            assert np.array_equal(c[0], state[j] @ params.state_to_effect.T)
+            assert np.array_equal(e[0], reps[0] * reps[1])
+            assert np.allclose(d[0], c[0] @ params.effect_weights + e[0] @ params.similarity_weights + params.bias)
             alphas = select_aspects(d)
-            assert np.array_equal(bundle.c, c[0])
-            assert np.array_equal(bundle.e, e[0])
-            assert np.array_equal(bundle.d_pair, d[0])
-            assert np.array_equal(bundle.alpha, alphas[0])
-            assert np.array_equal(bundle.y_pair, masked_impacts(d, alphas)[0])
-            assert bundle.f == c.sum() + e.sum()
+            assert alphas[0, np.argmax(d[0])] == 1.0 and alphas.sum() == 1.0
+            assert masked_impacts(d, alphas).sum() == max(d.max(), 0.0)
+            assert scores_for_pairs(np.array([(i, j)]), state, params, texts)[0] == c.sum() + e.sum()
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=60, deadline=None)
@@ -390,9 +376,11 @@ class TestScorePair:
         state = np.abs(rng.normal(size=(6, 3)))
         state /= state.sum(axis=0)
         texts = rng.normal(size=(6, 3))
-        mode = "train" if seed % 2 else "infer"
-        bundle = score_pair(0, 1, state, params, texts, mode=mode, rng=rng)
-        bundle.validate()
+        _, _, d = impacts_for_pairs(np.array([(0, 1)]), state, params, texts)
+        alphas = select_aspects(d, rng if seed % 2 else None)
+        y = masked_impacts(d, alphas)
+        assert np.isin(alphas, (0.0, 1.0)).all() and alphas.sum() == 1.0
+        assert np.all(y >= 0) and np.count_nonzero(y) <= 1
 
     def test_batch_scores_match_scalar_path(self):
         params = make_params(num_nodes=6, text_dim=3, struct_dim=2, aspects=3, seed=5)
@@ -404,9 +392,9 @@ class TestScorePair:
         batch = scores_for_pairs(np.asarray(pairs), state, params, texts)
         masked = scores_for_pairs(np.asarray(pairs), state, params, texts, scorer="masked_impact")
         for pair, score, masked_score in zip(pairs, batch, masked):
-            bundle = score_pair(*pair, state, params, texts)
-            assert score == pytest.approx(bundle.f, abs=1e-12)
-            assert masked_score == max(bundle.d_pair.max(), 0.0) == bundle.y_pair.sum()
+            c, e, d = impacts_for_pairs(np.array([pair]), state, params, texts)
+            assert score == pytest.approx(c.sum() + e.sum(), abs=1e-12)
+            assert masked_score == max(d.max(), 0.0) == masked_impacts(d, select_aspects(d)).sum()
 
 
 def impacts_for_pairs_per_row(pairs, state_matrix, params, text_vectors):
