@@ -20,7 +20,8 @@ from aspectcite import (
     split_edges,
 )
 
-workdir = Path(tempfile.mkdtemp(prefix="aspectcite-demo-"))
+tempdir = tempfile.TemporaryDirectory(prefix="aspectcite-demo-")
+workdir = Path(tempdir.name)
 
 (workdir / "edges.tsv").write_text(
     "# citing <TAB> cited\n"
@@ -75,3 +76,5 @@ print(f"split: {len(split.train_edges)} train / {len(split.validation_edges)} va
 
 again = split_edges(graph, (0.8, 0.1, 0.1), negatives_per_positive=1, seed=42)
 print(f"same seed reproduces the exact split: {split == again}")
+
+tempdir.cleanup()

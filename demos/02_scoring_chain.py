@@ -10,14 +10,22 @@ For a candidate citation i -> j the model computes
   Y_ij         nonnegative impact masked to the chosen aspect
   F_ij         scalar link score
 
-Every step is the batched chain run on one row: the same code scores all
-train edges in a propagation phase and every candidate pair in evaluation.
+Every step is the batched chain run on one row. `impacts_from_representations`
+gives c, e and D; `impacts_for_pairs`, which scores all train edges in a
+propagation phase and every candidate pair in evaluation, runs that chain in
+blocks of pairs and returns only F and D.
 """
 
 import numpy as np
 
 from aspectcite import Dims, ModelParams, initialize_state, sample_aspect
-from aspectcite.model import impacts_for_pairs, masked_impacts, representations_for, select_aspects
+from aspectcite.model import (
+    impacts_for_pairs,
+    impacts_from_representations,
+    masked_impacts,
+    representations_for,
+    select_aspects,
+)
 from aspectcite.seeding import substream
 
 dims = Dims(aspects=3, text_dim=4, struct_dim=3)
@@ -30,7 +38,8 @@ reps, norms = representations_for(np.array([i, j]), texts, params)
 for node, r, norm in zip((i, j), reps, norms[:, 0]):
     print(f"r_{node} = {np.round(r, 3)}  (norm {np.linalg.norm(r):.6f}, {norm:.3f} before normalizing)")
 
-c, e, d = impacts_for_pairs(np.array([(i, j)]), state.matrix, params, texts)
+# rows 0 and 1 of `reps` are r_i and r_j; the cited node's state row is d_j
+c, e, d = impacts_from_representations(reps, [0], [1], state.matrix[[j]], params)
 print(f"c_ij (state-driven effect of the cited node) = {np.round(c[0], 4)}")
 print(f"e_ij (similarity, first 4 coords) = {np.round(e[0, :4], 4)}")
 print(f"D_ij (per-aspect impact) = {np.round(d[0], 4)}")
@@ -44,4 +53,6 @@ print(f"train-mode Gumbel draws (12x): {draws}")
 
 alphas = select_aspects(d)  # the batched infer-mode choice: argmax per row
 print(f"Y_ij (masked nonnegative impact) = {np.round(masked_impacts(d, alphas)[0], 4)}")
-print(f"F_ij (link score) = sum(c) + sum(e) = {c.sum() + e.sum():.6f}")
+f, d_batched = impacts_for_pairs(np.array([(i, j)]), state.matrix, params, texts)
+print(f"F_ij (link score) = sum(c) + sum(e) = {c.sum() + e.sum():.6f}; impacts_for_pairs gives {f[0]:.6f}")
+assert np.array_equal(d_batched, d)

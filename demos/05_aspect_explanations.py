@@ -67,6 +67,7 @@ for k, group in enumerate(explanation.aspects):
     citers = ", ".join(f"{c.node_id}({c.score:.2f})" for c in group)
     print(f"  aspect {k}: top citers [{citers}]  terms {list(explanation.terms[k])}")
 
-out = Path(tempfile.mkdtemp(prefix="aspectcite-demo-")) / "explanation.json"
-export_explanation(explanation, out, format="json")
-print(f"\nexported to {out}")
+with tempfile.TemporaryDirectory(prefix="aspectcite-demo-") as tempdir:
+    out = Path(tempdir) / "explanation.json"
+    export_explanation(explanation, out, format="json")
+    print(f"\nexported {out.stat().st_size} bytes to {out.name} in a temporary directory")

@@ -12,7 +12,8 @@ import numpy as np
 
 from aspectcite.cli import main
 
-workdir = Path(tempfile.mkdtemp(prefix="aspectcite-demo-"))
+tempdir = tempfile.TemporaryDirectory(prefix="aspectcite-demo-")
+workdir = Path(tempdir.name)
 out = workdir / "run"
 rng = np.random.default_rng(0)
 
@@ -64,3 +65,5 @@ assert main(["explain", "--manifest", str(out / "manifest.json"), "--checkpoint"
 print(f"\nartifacts under {out}:")
 for path in sorted(out.iterdir()):
     print(f"  {path.name}  ({path.stat().st_size} bytes)")
+
+tempdir.cleanup()

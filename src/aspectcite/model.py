@@ -11,10 +11,10 @@ For candidate citations (i cites j), one row per pair, the chain is:
                                                    (select_aspects)
   Y_ij  masked nonnegative impact: max(D_ij, 0) at the selected aspect, 0
         elsewhere                                  (masked_impacts)
-  F_ij  scalar link score: sum(c_ij) + sum(e_ij)  (scores_for_pairs)
+  F_ij  scalar link score: sum(c_ij) + sum(e_ij)  (impacts_for_pairs)
 
-`impacts_for_pairs` and the training forward pass both run these same steps;
-every aspect choice goes through `select_aspects`.
+`impacts_for_pairs` runs the chain (`impacts_from_representations`) in blocks
+of pairs and keeps F and D; every aspect choice goes through `select_aspects`.
 """
 
 from __future__ import annotations
@@ -175,22 +175,38 @@ def impacts_from_representations(reps: np.ndarray, src_rows, dst_rows, dst_state
     c stays a per-pair product: a BLAS matmul's last bit can depend on its row
     count, so computing it per node could change the result.
     """
-    e = reps[src_rows]
-    e *= reps[dst_rows]  # e = r_src * r_dst without keeping both gathers alive
+    # np.take copies whole rows: the same values as reps[rows], in less time
+    e = np.take(reps, src_rows, axis=0)
+    e *= np.take(reps, dst_rows, axis=0)  # e = r_src * r_dst without keeping both gathers alive
     c = dst_states @ params.state_to_effect.T
     d = c @ params.effect_weights + e @ params.similarity_weights + params.bias
     return c, e, d
 
 
-def impacts_for_pairs(pairs: np.ndarray, state_matrix: np.ndarray, params: ModelParams, text_vectors: np.ndarray):
-    """(c, e, D) for an array of (i, j) pairs; rows align with the input.
+# Pairs per block of `impacts_for_pairs`. A BLAS product's last bit can depend
+# on its row count: on OpenBLAS a 1-row (gemv) or 85-row (small-matrix) block
+# differs from the whole product, while blocks of >= 512 rows match it. So the
+# last block takes the remainder and a call of < 2 * BLOCK_ROWS pairs is one block.
+BLOCK_ROWS = 4096
 
-    Each distinct node's representation is computed once and gathered per pair.
+
+def impacts_for_pairs(pairs: np.ndarray, state_matrix: np.ndarray, params: ModelParams, text_vectors: np.ndarray):
+    """(F, D) for an array of (i, j) pairs; rows align with the input.
+
+    F = sum(c) + sum(e) is the link score, D the per-aspect impacts. Each node's
+    representation is computed once; c and e exist for one block at a time.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     nodes, (src_rows, dst_rows) = distinct_nodes(params.num_nodes, pairs[:, 0], pairs[:, 1])
     reps, _ = representations_for(nodes, text_vectors, params)
-    return impacts_from_representations(reps, src_rows, dst_rows, np.asarray(state_matrix)[pairs[:, 1]], params)
+    f, d = np.empty(len(pairs)), np.empty((len(pairs), params.dims.aspects))
+    starts = [BLOCK_ROWS * b for b in range(max(len(pairs) // BLOCK_ROWS, 1))]
+    for start, stop in zip(starts, starts[1:] + [len(pairs)]):
+        block = slice(start, stop)
+        c, e, d[block] = impacts_from_representations(
+            reps, src_rows[block], dst_rows[block], np.take(state_matrix, pairs[block, 1], axis=0), params)
+        f[block] = c.sum(axis=1) + e.sum(axis=1)
+    return f, d
 
 
 def select_aspects(impacts: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -237,14 +253,13 @@ def scores_for_pairs(pairs, state_matrix, params, text_vectors, scorer: str = "t
     """Vectorized link scores for (i, j) pairs.
 
     scorer "total_impact" is the F score, sum(c) + sum(e); "masked_impact" is
-    the alternative sum of the masked impact vector of the argmax aspect.
+    the alternative sum of the masked impact vector of the argmax aspect. An
+    unknown scorer raises ValueError before any pair is scored.
     """
-    c, e, d = impacts_for_pairs(pairs, state_matrix, params, text_vectors)
-    if scorer == "total_impact":
-        return c.sum(axis=1) + e.sum(axis=1)
-    if scorer == "masked_impact":
-        return masked_impacts(d, select_aspects(d)).sum(axis=1)
-    raise ValueError(f"unknown scorer {scorer!r}")
+    if scorer not in ("total_impact", "masked_impact"):
+        raise ValueError(f"unknown scorer {scorer!r}")
+    f, d = impacts_for_pairs(pairs, state_matrix, params, text_vectors)
+    return f if scorer == "total_impact" else masked_impacts(d, select_aspects(d)).sum(axis=1)
 
 
 CHECKPOINT_FORMAT = "aspectcite-checkpoint-v3"

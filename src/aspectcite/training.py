@@ -332,7 +332,7 @@ def train_sd_phase(
         raise ValueError("no train edges available for propagation")
     from .model import impacts_for_pairs  # looked up per call, so a wrapper bound on the model module sees it
 
-    _, _, impact_rows = impacts_for_pairs(edges, state.matrix, params, text_vectors)
+    _, impact_rows = impacts_for_pairs(edges, state.matrix, params, text_vectors)
     masked = masked_impacts(impact_rows, select_aspects(impact_rows))
     tensor = build_transition(edges, masked, params.num_nodes)
     op = build_projection(tensor)

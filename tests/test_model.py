@@ -15,7 +15,10 @@ from aspectcite import (
     sample_aspect,
     save_checkpoint,
 )
+from aspectcite import model
 from aspectcite.model import (
+    BLOCK_ROWS,
+    distinct_nodes,
     impacts_for_pairs,
     impacts_from_representations,
     masked_impacts,
@@ -66,10 +69,13 @@ def checkpoint_entries(payload):
 
 
 def impacts(params, state, pairs, texts=None):
-    """(c, e, D) rows for `pairs`; texts default to zeros."""
+    """(c, e, D) rows for `pairs`, one representation per distinct node; texts default to zeros."""
     if texts is None:
         texts = np.zeros((params.num_nodes, params.dims.text_dim))
-    return impacts_for_pairs(np.asarray(pairs), np.asarray(state, dtype=np.float64), params, texts)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    nodes, (src_rows, dst_rows) = distinct_nodes(params.num_nodes, pairs[:, 0], pairs[:, 1])
+    reps, _ = representations_for(nodes, texts, params)
+    return from_reps(params, reps, src_rows, dst_rows, np.asarray(state)[pairs[:, 1]])
 
 
 def from_reps(params, reps, src_rows, dst_rows, dst_states):
@@ -107,7 +113,7 @@ class TestNodeRepresentation:
         r, norms = representations_for(np.array([2, 0, 2]), texts, params)
         assert np.array_equal(r[[0, 2]], np.zeros((2, 4))) and norms[0, 0] == 0.0 and norms[2, 0] == 0.0
         assert norms[1, 0] > 0.0
-        _, e, _ = impacts_for_pairs(np.array([[0, 2], [0, 1]]), np.full((4, 2), 0.25), params, texts)
+        _, e, _ = impacts(params, np.full((4, 2), 0.25), [[0, 2], [0, 1]], texts)
         assert not e[0].any() and e[1].any()  # a zero representation zeroes every similarity it enters
 
     def test_dimension_mismatch_rejected(self):
@@ -318,7 +324,7 @@ class TestLinkScore:
         self.params.state_to_effect = np.eye(2)
 
     def scores(self, texts, state, pair=(0, 1)):
-        c, e, _ = impacts_for_pairs(np.array([pair]), state, self.params, texts)
+        c, e, _ = impacts(self.params, state, [pair], texts)
         batch = scores_for_pairs(np.array([pair, pair]), state, self.params, texts)
         return float(c.sum() + e.sum()), batch
 
@@ -348,8 +354,8 @@ class TestScorePair:
         params = make_params(num_nodes=5, text_dim=3, struct_dim=2, aspects=3)
         state = np.full((5, 3), 1 / 5)
         texts = np.random.default_rng(2).normal(size=(5, 3))
-        a = impacts_for_pairs(np.array([(0, 3)]), state, params, texts)
-        b = impacts_for_pairs(np.array([(0, 3)]), state, params, texts)
+        a = impacts(params, state, [(0, 3)], texts)
+        b = impacts(params, state, [(0, 3)], texts)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
         assert np.array_equal(select_aspects(a[2]), select_aspects(b[2]))
 
@@ -358,7 +364,7 @@ class TestScorePair:
         state = np.array([[0.3, 0.7], [0.6, 0.4], [0.1, 0.9], [0.5, 0.5]])
         texts = np.random.default_rng(3).normal(size=(4, 2))
         for i, j in ((0, 2), (3, 1)):
-            c, e, d = impacts_for_pairs(np.array([(i, j)]), state, params, texts)
+            c, e, d = impacts(params, state, [(i, j)], texts)
             reps, _ = representations_for(np.array([i, j]), texts, params)
             assert np.array_equal(c[0], state[j] @ params.state_to_effect.T)
             assert np.array_equal(e[0], reps[0] * reps[1])
@@ -376,7 +382,7 @@ class TestScorePair:
         state = np.abs(rng.normal(size=(6, 3)))
         state /= state.sum(axis=0)
         texts = rng.normal(size=(6, 3))
-        _, _, d = impacts_for_pairs(np.array([(0, 1)]), state, params, texts)
+        _, _, d = impacts(params, state, [(0, 1)], texts)
         alphas = select_aspects(d, rng if seed % 2 else None)
         y = masked_impacts(d, alphas)
         assert np.isin(alphas, (0.0, 1.0)).all() and alphas.sum() == 1.0
@@ -392,33 +398,48 @@ class TestScorePair:
         batch = scores_for_pairs(np.asarray(pairs), state, params, texts)
         masked = scores_for_pairs(np.asarray(pairs), state, params, texts, scorer="masked_impact")
         for pair, score, masked_score in zip(pairs, batch, masked):
-            c, e, d = impacts_for_pairs(np.array([pair]), state, params, texts)
+            c, e, d = impacts(params, state, [pair], texts)
             assert score == pytest.approx(c.sum() + e.sum(), abs=1e-12)
             assert masked_score == max(d.max(), 0.0) == masked_impacts(d, select_aspects(d)).sum()
 
+    def test_unknown_scorer_rejected_before_scoring(self, monkeypatch):
+        params = make_params()
+        scored = []
+        monkeypatch.setattr(model, "impacts_for_pairs", lambda *args: scored.append(args))
+        with pytest.raises(ValueError, match="unknown scorer 'sum'"):
+            scores_for_pairs(np.array([(0, 1)]), np.full((4, 2), 0.25), params, np.zeros((4, 2)), scorer="sum")
+        assert scored == []
+
 
 def impacts_for_pairs_per_row(pairs, state_matrix, params, text_vectors):
-    """Reference: one representation per pair endpoint, recomputed on every row."""
+    """Reference (F, D): one representation per pair endpoint, recomputed on
+    every row, and the whole chain as one product over all rows."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     src, dst = pairs[:, 0], pairs[:, 1]
-    r_src, _ = representations_for(src, text_vectors, params)
-    r_dst, _ = representations_for(dst, text_vectors, params)
+    e, _ = representations_for(src, text_vectors, params)
+    e *= representations_for(dst, text_vectors, params)[0]
     c = np.asarray(state_matrix)[dst] @ params.state_to_effect.T
-    e = r_src * r_dst
     d = c @ params.effect_weights + e @ params.similarity_weights + params.bias
-    return c, e, d
+    return c.sum(axis=1) + e.sum(axis=1), d
 
 
 class TestImpactsForPairs:
-    def setup_inputs(self, num_nodes=40, seed=11):
-        params = make_params(num_nodes=num_nodes, text_dim=7, struct_dim=5, aspects=4, seed=seed)
+    def setup_inputs(self, num_nodes=40, seed=11, text_dim=7, struct_dim=5):
+        params = make_params(num_nodes=num_nodes, text_dim=text_dim, struct_dim=struct_dim, aspects=4, seed=seed)
         rng = np.random.default_rng(seed)
         state = rng.random((num_nodes, 4))
         state /= state.sum(axis=0)
-        texts = rng.normal(size=(num_nodes, 7))
+        texts = rng.normal(size=(num_nodes, text_dim))
         texts[3] = 0.0
         params.node_embeddings[3] = 0.0  # node 3 has a zero-norm representation
         return params, state, texts
+
+    def assert_matches_reference(self, pairs, params, state, texts):
+        got = impacts_for_pairs(pairs, state, params, texts)
+        want = impacts_for_pairs_per_row(pairs, state, params, texts)
+        assert len(got) == 2
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b)
 
     @pytest.mark.parametrize("pairs", [
         [(0, 3)],
@@ -426,13 +447,37 @@ class TestImpactsForPairs:
         [(5, 9), (9, 5), (5, 9), (3, 5), (5, 3), (3, 3), (0, 39)],
         np.random.default_rng(2).integers(40, size=(700, 2)),
         np.random.default_rng(3).integers(6, size=(300, 2)),
+        np.random.default_rng(4).integers(40, size=(2 * BLOCK_ROWS + 5, 2)),  # two blocks, the second 5 rows longer
+        np.zeros((0, 2), dtype=np.int64),
     ])
     def test_bitwise_equal_to_per_row_reference(self, pairs):
+        self.assert_matches_reference(pairs, *self.setup_inputs())
+
+    def test_blocks_bitwise_equal_at_cora_width(self):
+        # L = 1433 + 100: a block of a few rows here would take OpenBLAS's
+        # small-matrix path, whose last bits differ from the one-block product
+        pairs = np.random.default_rng(5).integers(40, size=(2 * BLOCK_ROWS + 5, 2))
+        self.assert_matches_reference(pairs, *self.setup_inputs(text_dim=1433, struct_dim=100))
+
+    @pytest.mark.parametrize("rows", [
+        0, 1, BLOCK_ROWS, 2 * BLOCK_ROWS - 1, 2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 5, 4 * BLOCK_ROWS - 1, 4 * BLOCK_ROWS + 1,
+    ])
+    def test_blocks_have_at_least_block_rows(self, monkeypatch, rows):
         params, state, texts = self.setup_inputs()
-        got = impacts_for_pairs(pairs, state, params, texts)
-        want = impacts_for_pairs_per_row(pairs, state, params, texts)
-        for a, b in zip(got, want):
-            assert a.shape == b.shape and np.array_equal(a, b)
+        sizes = []
+
+        def recording(reps, src_rows, dst_rows, dst_states, params):
+            sizes.append(len(src_rows))
+            return impacts_from_representations(reps, src_rows, dst_rows, dst_states, params)
+
+        monkeypatch.setattr(model, "impacts_from_representations", recording)
+        pairs = np.random.default_rng(rows).integers(40, size=(rows, 2))
+        impacts_for_pairs(pairs, state, params, texts)
+        assert sum(sizes) == rows
+        if rows < 2 * BLOCK_ROWS:
+            assert sizes == [rows]
+        else:
+            assert min(sizes) >= BLOCK_ROWS and max(sizes) < 2 * BLOCK_ROWS
 
 
 class TestCheckpoint:
