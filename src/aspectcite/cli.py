@@ -34,6 +34,9 @@ from .training import TrainConfig, TrainingAbort, fit
 __all__ = ["main", "entrypoint"]
 
 SEED_ENV_VAR = "ASPECTCITE_SEED"
+VARIANTS = ("dp", "ndp")
+SPLITS = ("train", "validation", "test")
+FORMATS = ("json", "csv")
 
 
 class UsageError(Exception):
@@ -85,7 +88,7 @@ class _Resolver:
         self.args = args
         self.resolved: dict = {}
 
-    def get(self, key: str, default, parse=None, flag: str | None = None):
+    def get(self, key: str, default, parse=None, flag: str | None = None, choices: tuple | None = None):
         flag_value = getattr(self.args, (flag or key).replace("-", "_"), None)
         if flag_value is not None:
             value = flag_value
@@ -97,6 +100,8 @@ class _Resolver:
                 raise DataError(f"config key {key!r}: {exc}") from exc
         else:
             value = default
+        if choices is not None and value not in choices:  # argparse checks only the flag, not the config file
+            raise UsageError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
         self.resolved[key] = value
         return value
 
@@ -243,7 +248,7 @@ def _load_manifest(path: str):
 # name with its dataclass default, except the two set otherwise: --variant
 # gives dynamic_propagation, and the seed resolves through _Resolver.seed.
 _TRAIN_OPTIONS = {
-    f.name: (f.default, _parse_int_list if isinstance(f.default, tuple) else type(f.default))
+    f.name: (f.default, type(f.default))
     for f in dataclasses.fields(TrainConfig)
     if f.name not in ("dynamic_propagation", "seed")
 }
@@ -254,9 +259,7 @@ def cmd_train(args) -> int:
     out_dir = _out_dir(args)
     manifest, graph, split, text_vectors = _load_manifest(args.manifest)
 
-    variant = res.get("variant", "dp")
-    if variant not in ("dp", "ndp"):
-        raise UsageError(f"--variant must be dp or ndp, got {variant!r}")
+    variant = res.get("variant", "dp", choices=VARIANTS)
     config = TrainConfig(
         **{name: res.get(name, default, parse=parse) for name, (default, parse) in _TRAIN_OPTIONS.items()},
         dynamic_propagation=variant == "dp",
@@ -272,17 +275,16 @@ def cmd_train(args) -> int:
     save_state(result.state, os.path.join(out_dir, "state.json"))
     _write_json(os.path.join(out_dir, "report.json"), result.report)
     _echo_config(out_dir, "train", {**res.resolved, "manifest": args.manifest, "out_dir": out_dir})
-    phases = sum(len(s["sy_phases"]) for s in result.report["stages"])
-    print(f"train: variant={variant} scoring-phases={phases} -> {out_dir}/checkpoint.json")
-    for stage_index, stage in enumerate(result.report["stages"]):
-        for phase_index, phase in enumerate(stage["sd_phases"]):
-            if not phase["converged"]:
-                print(
-                    f"train: warning: stage {stage_index} propagation phase {phase_index} stopped unconverged "
-                    f"after {phase['phase_steps']} steps: residual {phase['residual']:.3e} "
-                    f">= epsilon {config.propagation_epsilon:.3e}",
-                    file=sys.stderr,
-                )
+    (stage,) = result.report["stages"]
+    print(f"train: variant={variant} scoring-phases={len(stage['sy_phases'])} -> {out_dir}/checkpoint.json")
+    for index, phase in enumerate(stage["sd_phases"]):
+        if not phase["converged"]:
+            print(
+                f"train: warning: propagation phase {index} stopped unconverged "
+                f"after {phase['phase_steps']} steps: residual {phase['residual']:.3e} "
+                f">= epsilon {config.propagation_epsilon:.3e}",
+                file=sys.stderr,
+            )
     return 0
 
 
@@ -309,17 +311,16 @@ def cmd_evaluate(args) -> int:
     rank_negatives = res.get("rank_negatives", 50, parse=int)
     if any(k < 1 for k in ks) or rank_negatives < 1:
         raise UsageError(f"--ks values and --rank-negatives must be >= 1, got ks={ks} rank-negatives={rank_negatives}")
+    split_name = res.get("split", "test", flag="split_name", choices=SPLITS)
     out_dir = _out_dir(args)
     manifest, graph, split, text_vectors, params, state = _load_artifacts(args)
     seed = res.seed(default=manifest["seed"])
-    split_name = res.get("split", "test", flag="split_name")
-    scorer = res.get("scorer", "total_impact")
     per_source = os.path.join(out_dir, "per_source.csv") if args.per_source_csv else None
     try:
         report = evaluate(
             params, state, split, graph, text_vectors,
             split_name=split_name, ks=ks,
-            rank_negatives_per_source=rank_negatives, scorer=scorer, seed=seed,
+            rank_negatives_per_source=rank_negatives, seed=seed,
             per_source_csv=per_source,
         )
     except ValueError as exc:
@@ -336,7 +337,6 @@ def cmd_predict(args) -> int:
     res = _Resolver(args)
     out_dir = _out_dir(args)
     _, graph, _, text_vectors, params, state = _load_artifacts(args)
-    scorer = res.get("scorer", "total_impact")
     res.seed()
 
     pairs_file = _require_file(args.pairs, "pair list")
@@ -354,11 +354,8 @@ def cmd_predict(args) -> int:
     if np.any(index_pairs[:, 0] == index_pairs[:, 1]):
         raise DomainError("cannot score self-pairs")
 
-    scores = scores_for_pairs(index_pairs, state.matrix, params, text_vectors, scorer=scorer)
-    payload = {
-        "scorer": scorer,
-        "pairs": [[a, b, float(s)] for (a, b), s in zip(pairs_ids, scores)],
-    }
+    scores = scores_for_pairs(index_pairs, state.matrix, params, text_vectors)
+    payload = {"pairs": [[a, b, float(s)] for (a, b), s in zip(pairs_ids, scores)]}
     _write_json(os.path.join(out_dir, "predictions.json"), payload)
     _echo_config(out_dir, "predict", {**res.resolved, "pairs": pairs_file, "out_dir": out_dir})
     print(f"predict: scored {len(pairs_ids)} pairs -> {out_dir}/predictions.json")
@@ -373,9 +370,9 @@ def cmd_explain(args) -> int:
     top_m = res.get("top_m", 10, parse=int)
     if top_n < 1 or top_m < 0:
         raise UsageError(f"--top-n must be >= 1 and --top-m >= 0, got {top_n} and {top_m}")
+    fmt = res.get("format", "json", choices=FORMATS)
     out_dir = _out_dir(args)
     manifest, graph, _, text_vectors, params, state = _load_artifacts(args)
-    fmt = res.get("format", "json", flag="format")
     res.seed(default=manifest["seed"])
 
     docs = None
@@ -435,7 +432,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", help="run the alternating optimization and write checkpoint/state/report")
     common(p)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--variant", choices=("dp", "ndp"))
+    p.add_argument("--variant", choices=VARIANTS)
     for name, (_, parse) in _TRAIN_OPTIONS.items():
         p.add_argument("--" + name.replace("_", "-"), type=parse)
     p.set_defaults(func=cmd_train)
@@ -445,10 +442,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--state", required=True)
-    p.add_argument("--split", dest="split_name", choices=("train", "validation", "test"))
+    p.add_argument("--split", dest="split_name", choices=SPLITS)
     p.add_argument("--ks", type=_parse_int_list)
     p.add_argument("--rank-negatives", type=int)
-    p.add_argument("--scorer", choices=("total_impact", "masked_impact"))
     p.add_argument("--per-source-csv", action="store_true", help="also write per-source ranking metrics as CSV")
     p.set_defaults(func=cmd_evaluate)
 
@@ -458,7 +454,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--state", required=True)
     p.add_argument("--pairs", required=True, help="TSV of source<TAB>target pairs")
-    p.add_argument("--scorer", choices=("total_impact", "masked_impact"))
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("explain", help="per-aspect citer ranking and term summary for a target node")
@@ -469,7 +464,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--target", required=True)
     p.add_argument("--top-n", type=int, help="citers per aspect (default 5)")
     p.add_argument("--top-m", type=int, help="summary terms per aspect (default 10)")
-    p.add_argument("--format", choices=("json", "csv"))
+    p.add_argument("--format", choices=FORMATS)
     p.add_argument("--node-text", help="optional node text TSV for term summaries")
     p.set_defaults(func=cmd_explain)
 

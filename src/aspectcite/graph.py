@@ -127,13 +127,6 @@ class CitationGraph:
         """Boolean mask: which `(i, j)` rows of `pairs` are edges."""
         return self.lookup(pairs)[1]
 
-    def edge_positions(self, pairs) -> np.ndarray:
-        """Row of `edge_array` holding each `(i, j)` of `pairs`; every pair must be an edge."""
-        pos, found = self.lookup(pairs)
-        if not found.all():
-            raise ValueError("edge_positions got a pair that is not an edge")
-        return np.argsort(self.edge_array[:, 0] * self.num_nodes + self.edge_array[:, 1])[pos]
-
     def density(self) -> float:
         n = self.num_nodes
         return self.num_edges / (n * (n - 1)) if n > 1 else 0.0

@@ -161,7 +161,6 @@ def evaluate(
     split_name: str = "test",
     ks=RANK_KS,
     rank_negatives_per_source: int = 50,
-    scorer: str = "total_impact",
     seed: int = 0,
     score_fn=None,
     per_source_csv=None,
@@ -173,10 +172,10 @@ def evaluate(
     held-out positives plus `rank_negatives_per_source` freshly sampled
     non-neighbors) and macro-average over sources with at least one positive.
 
-    `score_fn(pairs) -> scores` overrides the model scorer (used by tests to
-    substitute oracle scorers); the default scores with the trained model in
-    deterministic infer mode. `per_source_csv`, when given, receives one row
-    per ranked source for plotting.
+    Pairs are scored by the trained model's F score (`scores_for_pairs`);
+    `score_fn(pairs) -> scores` replaces it (tests pass oracle scores this
+    way). `per_source_csv`, when given, receives one row per ranked source for
+    plotting.
     """
     positives = split.edges_of(split_name)
     negatives = split.negatives[split_name]
@@ -187,7 +186,7 @@ def evaluate(
 
     if score_fn is None:
         def score_fn(pairs):
-            return scores_for_pairs(pairs, state.matrix, params, text_vectors, scorer=scorer)
+            return scores_for_pairs(pairs, state.matrix, params, text_vectors)
 
     pos_scores = score_fn(positives)
     neg_scores = score_fn(negatives)
@@ -244,7 +243,6 @@ def evaluate(
             "split": split_name,
             "ks": list(ks),
             "rank_negatives_per_source": rank_negatives_per_source,
-            "scorer": scorer,
             "seed": seed,
         },
     )

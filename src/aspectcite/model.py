@@ -249,17 +249,9 @@ def sample_aspect(d_pair: np.ndarray, mode: str, rng: np.random.Generator | None
     return hard, softmax(d_pair)
 
 
-def scores_for_pairs(pairs, state_matrix, params, text_vectors, scorer: str = "total_impact") -> np.ndarray:
-    """Vectorized link scores for (i, j) pairs.
-
-    scorer "total_impact" is the F score, sum(c) + sum(e); "masked_impact" is
-    the alternative sum of the masked impact vector of the argmax aspect. An
-    unknown scorer raises ValueError before any pair is scored.
-    """
-    if scorer not in ("total_impact", "masked_impact"):
-        raise ValueError(f"unknown scorer {scorer!r}")
-    f, d = impacts_for_pairs(pairs, state_matrix, params, text_vectors)
-    return f if scorer == "total_impact" else masked_impacts(d, select_aspects(d)).sum(axis=1)
+def scores_for_pairs(pairs, state_matrix, params, text_vectors) -> np.ndarray:
+    """Vectorized F link scores, sum(c) + sum(e), for (i, j) pairs."""
+    return impacts_for_pairs(pairs, state_matrix, params, text_vectors)[0]
 
 
 CHECKPOINT_FORMAT = "aspectcite-checkpoint-v3"

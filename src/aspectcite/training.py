@@ -5,8 +5,8 @@ triplets (source, cited, non-cited) while the influence states stay fixed;
 the propagation system then recomputes per-edge masked impacts with the
 updated tensors and re-propagates influence to its fixed point. The two
 phases alternate a configurable number of times; the non-dynamic variant
-skips propagation and keeps the uniform initial state throughout. Train
-pairs stay (k, 2) int64 arrays; a snapshot stage selects rows by edge time.
+skips propagation and keeps the uniform initial state throughout. Both
+phases read the split's train pairs as one (k, 2) int64 array.
 
 Batch updates sum per-triplet gradients (per-sample SGD, vectorized), so the
 learning rate is per sampled triplet and independent of batch size. Reported
@@ -81,7 +81,6 @@ class TrainConfig:
     batch_size: int = 512
     aspect_loss_weight: float = 1.0
     dynamic_propagation: bool = True
-    snapshot_cutoffs: tuple = ()
     propagation_epsilon: float = 1e-8
     propagation_max_steps: int = 100
     seed: int = 0
@@ -97,13 +96,11 @@ class TrainConfig:
             raise ValueError("epochs_per_phase, alternations, and batch_size must be >= 1")
         if self.aspect_loss_weight < 0:
             raise ValueError("aspect_loss_weight must be nonnegative")
-        if list(self.snapshot_cutoffs) != sorted(self.snapshot_cutoffs):
-            raise ValueError("snapshot_cutoffs must be ordered ascending")
         if self.propagation_epsilon <= 0 or self.propagation_max_steps < 0:
             raise ValueError("propagation_epsilon must be positive and propagation_max_steps nonnegative")
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "snapshot_cutoffs": list(self.snapshot_cutoffs)}
+        return asdict(self)
 
 
 class Triplet(NamedTuple):
@@ -350,10 +347,11 @@ def fit(graph: CitationGraph, split: DatasetSplit, config: TrainConfig, text_vec
     """Run the full alternating schedule and assemble the training report.
 
     Dynamic variant: each alternation is a scoring phase followed by a
-    propagation phase. Non-dynamic: the same number of scoring phases against
-    the uniform initial state, no propagation. Under a snapshot schedule the
-    whole alternation repeats per cumulative cutoff, parameters and state
-    carrying forward.
+    propagation phase, both over `split.train_edges`. Non-dynamic: the same
+    number of scoring phases against the uniform initial state, no
+    propagation. An empty train part raises ValueError from the first
+    scoring phase. The report keeps its phase traces in a one-element
+    `stages` list.
     """
     config.validate()
     text_vectors = np.asarray(text_vectors, dtype=np.float64)
@@ -368,40 +366,27 @@ def fit(graph: CitationGraph, split: DatasetSplit, config: TrainConfig, text_vec
     rng_triplets = substream(config.seed, "triplets")
     rng_gumbel = substream(config.seed, "gumbel")
 
-    if config.snapshot_cutoffs:
-        if not graph.timed:
-            raise ValueError("snapshot schedule requires a timed graph")
-        times = graph.edge_times[graph.edge_positions(split.train_edges)]
-        stages = [(cutoff, split.train_edges[times <= cutoff]) for cutoff in config.snapshot_cutoffs]
-    else:
-        stages = [(None, split.train_edges)]
-
+    train_edges = split.train_edges
+    stage_report = {"num_train_edges": len(train_edges), "sy_phases": [], "sd_phases": []}
+    started = time.perf_counter()
+    for _ in range(config.alternations):
+        params, trace = train_sy_phase(
+            params, state, train_edges, config, graph, text_vectors, rng_triplets, rng_gumbel
+        )
+        stage_report["sy_phases"].append(trace)
+        if config.dynamic_propagation:
+            steps_before = state.step
+            state = train_sd_phase(params, state, train_edges, config, text_vectors)
+            stage_report["sd_phases"].append({
+                "steps": state.step,
+                "phase_steps": state.step - steps_before,
+                "residual": state.residual,
+                "converged": state.converged,
+            })
     report = {
         "config": config.to_dict(),
         "variant": "dp" if config.dynamic_propagation else "ndp",
-        "stages": [],
-        "timing": {},
+        "stages": [stage_report],
+        "timing": {"fit_seconds": time.perf_counter() - started},
     }
-    started = time.perf_counter()
-    for cutoff, active_edges in stages:
-        stage_report = {"cutoff": cutoff, "num_train_edges": len(active_edges), "sy_phases": [], "sd_phases": []}
-        if len(active_edges) == 0:
-            report["stages"].append(stage_report)
-            continue
-        for _ in range(config.alternations):
-            params, trace = train_sy_phase(
-                params, state, active_edges, config, graph, text_vectors, rng_triplets, rng_gumbel
-            )
-            stage_report["sy_phases"].append(trace)
-            if config.dynamic_propagation:
-                steps_before = state.step
-                state = train_sd_phase(params, state, active_edges, config, text_vectors)
-                stage_report["sd_phases"].append({
-                    "steps": state.step,
-                    "phase_steps": state.step - steps_before,
-                    "residual": state.residual,
-                    "converged": state.converged,
-                })
-        report["stages"].append(stage_report)
-    report["timing"]["fit_seconds"] = time.perf_counter() - started
     return FitResult(params=params, state=state, report=report)

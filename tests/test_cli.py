@@ -209,7 +209,7 @@ class TestTrain:
         run_pipeline(root, edges, text, vecs, out)
         report = json.loads((out / "report.json").read_text())
         echo = json.loads((out / "train_config.json").read_text())
-        for removed in ("negatives_per_positive", "gumbel_temperature"):
+        for removed in ("negatives_per_positive", "gumbel_temperature", "snapshot_cutoffs"):
             assert removed not in report["config"]
             assert removed not in echo
 
@@ -226,6 +226,38 @@ class TestTrain:
         ]) == 1
         assert "--gumbel-temperature" in capsys.readouterr().err
         assert not (out / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("train", "--snapshot-cutoffs", "1,2"),
+        ("evaluate", "--scorer", "total_impact"),
+        ("predict", "--scorer", "total_impact"),
+    ])
+    def test_removed_option_is_a_usage_error(self, dataset, tmp_path, capsys, command, flag, value):
+        """The snapshot schedule and the scorer choice are gone; their flags exit 1 and write nothing."""
+        root, edges, text, vecs = dataset
+        out = tmp_path / "out"
+        run_pipeline(root, edges, text, vecs, out)
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("p0\tp1\n", encoding="utf-8")
+        artifacts = ["--checkpoint", str(out / "checkpoint.json"), "--state", str(out / "state.json")]
+        inputs = {"train": [], "evaluate": artifacts, "predict": [*artifacts, "--pairs", str(pairs)]}[command]
+        query = tmp_path / "query"
+        capsys.readouterr()
+        assert main([command, "--manifest", str(out / "manifest.json"), "--out-dir", str(query), *inputs, flag, value]) == 1
+        assert flag in capsys.readouterr().err
+        assert not query.exists()
+
+    def test_empty_train_part_exits_2_and_writes_no_checkpoint(self, dataset, tmp_path, capsys):
+        root, edges, text, vecs = dataset
+        out = tmp_path / "out"
+        assert main([
+            "ingest", "--edges", str(edges), "--node-text", str(text), "--word-vectors", str(vecs),
+            "--ratios", "0,0.5,0.5", "--out-dir", str(out), "--seed", "7",
+        ]) == 0
+        capsys.readouterr()
+        assert main(["train", "--manifest", str(out / "manifest.json"), "--out-dir", str(out)]) == 2
+        assert "no train edges" in capsys.readouterr().err
+        assert not (out / "checkpoint.json").exists() and not (out / "report.json").exists()
 
     @pytest.mark.parametrize("flag,value", [("--propagation-epsilon", "0"), ("--propagation-max-steps", "-1")])
     def test_out_of_range_propagation_option_is_a_usage_error(self, dataset, tmp_path, capsys, flag, value):
@@ -576,12 +608,19 @@ class TestExplain:
     ("evaluate", ["--rank-negatives", "0"]),
     ("explain", ["--top-n", "0"]),
     ("explain", ["--top-m", "-1"]),
+    pytest.param("evaluate", {"split": "foo"}, id="evaluate-config-split"),
+    pytest.param("explain", {"format": "xml"}, id="explain-config-format"),
 ])
 def test_out_of_range_query_option_is_a_usage_error(dataset, tmp_path, capsys, command, flags):
+    """`flags` is a flag list, or a dict of config-file keys, which argparse's `choices` never see."""
     root, edges, text, vecs = dataset
     out = tmp_path / "out"
     run_pipeline(root, edges, text, vecs, out)
     target = json.loads((out / "manifest.json").read_text())["edges"][0][1]
+    if isinstance(flags, dict):
+        config = tmp_path / "query.cfg"
+        config.write_text("".join(f"{key}={value}\n" for key, value in flags.items()), encoding="utf-8")
+        flags = ["--config", str(config)]
     query = tmp_path / "query"
     capsys.readouterr()
     assert main([

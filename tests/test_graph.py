@@ -99,7 +99,6 @@ class TestBuildGraph:
         expected = [p in ref.edge_set for p in probes]
         assert g.contains(probes).tolist() == expected
         assert [g.has_edge(i, j) for i, j in probes] == expected
-        assert g.edge_positions(ref.pairs[::-1]).tolist() == list(range(len(edges)))[::-1]
         assert g.timed == (ref.times is not None)
         if g.timed:
             assert g.edge_times.dtype == np.int64 and g.edge_times.tolist() == ref.times
@@ -117,11 +116,6 @@ class TestBuildGraph:
     def test_contains_empty_probe_list(self):
         g = build_graph([("A", "B")])
         assert g.contains([]).shape == (0,)
-
-    def test_edge_positions_rejects_non_edges(self):
-        g = build_graph([("A", "B"), ("B", "C")])
-        with pytest.raises(ValueError, match="not an edge"):
-            g.edge_positions([(0, 1), (1, 0)])
 
     def test_adjacency_is_read_only(self):
         g = build_graph([("A", "B"), ("B", "C")])

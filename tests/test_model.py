@@ -396,19 +396,9 @@ class TestScorePair:
         texts = rng.normal(size=(6, 3))
         pairs = [(0, 1), (2, 5), (4, 3)]
         batch = scores_for_pairs(np.asarray(pairs), state, params, texts)
-        masked = scores_for_pairs(np.asarray(pairs), state, params, texts, scorer="masked_impact")
-        for pair, score, masked_score in zip(pairs, batch, masked):
-            c, e, d = impacts(params, state, [pair], texts)
+        for pair, score in zip(pairs, batch):
+            c, e, _ = impacts(params, state, [pair], texts)
             assert score == pytest.approx(c.sum() + e.sum(), abs=1e-12)
-            assert masked_score == max(d.max(), 0.0) == masked_impacts(d, select_aspects(d)).sum()
-
-    def test_unknown_scorer_rejected_before_scoring(self, monkeypatch):
-        params = make_params()
-        scored = []
-        monkeypatch.setattr(model, "impacts_for_pairs", lambda *args: scored.append(args))
-        with pytest.raises(ValueError, match="unknown scorer 'sum'"):
-            scores_for_pairs(np.array([(0, 1)]), np.full((4, 2), 0.25), params, np.zeros((4, 2)), scorer="sum")
-        assert scored == []
 
 
 def impacts_for_pairs_per_row(pairs, state_matrix, params, text_vectors):

@@ -1,12 +1,9 @@
 """Losses, triplet sampling, gradient correctness, phases, and the full fit."""
 
-import json
-
 import numpy as np
 import pytest
 
 from aspectcite import (
-    CitationGraph,
     Dims,
     ModelParams,
     TrainConfig,
@@ -381,8 +378,14 @@ class TestFit:
         assert all(1 <= p["phase_steps"] <= 4 for p in phases)
         assert result.state.step == phases[-1]["steps"]
 
+    def test_empty_train_part_raises_instead_of_returning_untrained_params(self, small_graph, small_text):
+        split = split_edges(small_graph, (0.0, 0.5, 0.5), 1, seed=7)
+        assert len(split.train_edges) == 0
+        with pytest.raises(ValueError, match="no train edges"):
+            fit(small_graph, split, TrainConfig(aspects=2, struct_dim=3, seed=0), small_text)
+
     def test_negatives_per_positive_is_not_a_training_knob(self):
-        for removed in ("negatives_per_positive", "gumbel_temperature", "momentum"):
+        for removed in ("negatives_per_positive", "gumbel_temperature", "momentum", "snapshot_cutoffs"):
             assert removed not in TrainConfig().to_dict()
             with pytest.raises(TypeError):
                 TrainConfig(**{removed: 2})
@@ -416,71 +419,3 @@ class TestFit:
             return result.report["stages"][0]["sy_phases"][-1]["train_loss"][-1]
 
         assert final_loss(dp) <= final_loss(ndp) + 1e-9
-
-    def test_snapshot_schedule_carries_forward(self):
-        rng = np.random.default_rng(8)
-        edges = []
-        seen = set()
-        while len(edges) < 40:
-            a, b = rng.integers(15, size=2)
-            if a != b and (a, b) not in seen:
-                seen.add((a, b))
-                edges.append((f"n{a}", f"n{b}", 2000 + len(edges) % 5))
-        graph = build_graph(edges)
-        split = split_edges(graph, (0.8, 0.1, 0.1), 1, seed=8)
-        config = TrainConfig(
-            aspects=2, struct_dim=3, epochs_per_phase=1, alternations=1, batch_size=8,
-            snapshot_cutoffs=(2001, 2004), seed=8,
-        )
-        result = fit(graph, split, config, np.random.default_rng(0).normal(size=(graph.num_nodes, 4)))
-        assert len(result.report["stages"]) == 2
-        assert result.report["stages"][0]["num_train_edges"] <= result.report["stages"][1]["num_train_edges"]
-
-    def test_snapshot_stages_match_dict_lookup(self, monkeypatch):
-        """Stage edge lists, and the whole report, equal those of the former
-        construction: a dict from edge tuple to time, filtered per cutoff."""
-        rng = np.random.default_rng(11)
-        edges = {}
-        while len(edges) < 60:
-            a, b = rng.integers(18, size=2)
-            if a != b:
-                edges.setdefault((f"n{a}", f"n{b}"), int(rng.integers(2000, 2010)))
-        graph = build_graph([(a, b, t) for (a, b), t in edges.items()])
-        split = split_edges(graph, (0.8, 0.1, 0.1), 1, seed=11)
-        cutoffs = (1999, 2003, 2006, 2009)
-        config = TrainConfig(
-            aspects=2, struct_dim=3, epochs_per_phase=1, alternations=1, batch_size=8,
-            snapshot_cutoffs=cutoffs, seed=11,
-        )
-        text = np.random.default_rng(1).normal(size=(graph.num_nodes, 4))
-
-        stage_edges = []
-        real_sy_phase = training.train_sy_phase
-
-        def spy(params, state, edges, *args):
-            stage_edges.append(edges.tolist())
-            return real_sy_phase(params, state, edges, *args)
-
-        monkeypatch.setattr(training, "train_sy_phase", spy)
-        result = fit(graph, split, config, text)
-        time_of = {tuple(e): int(t) for e, t in zip(graph.edge_array.tolist(), graph.edge_times)}
-        expected = [[e for e in split.train_edges.tolist() if time_of[tuple(e)] <= cutoff] for cutoff in cutoffs]
-        assert expected[0] == [] and 0 < len(expected[1]) < len(expected[2]) < len(expected[3])
-        assert stage_edges == expected[1:]
-        assert [s["num_train_edges"] for s in result.report["stages"]] == [len(s) for s in expected]
-
-        def dict_positions(self, pairs):
-            row_of = {tuple(e): k for k, e in enumerate(self.edge_array.tolist())}
-            return np.asarray([row_of[tuple(p)] for p in pairs], dtype=np.int64)
-
-        monkeypatch.setattr(training, "train_sy_phase", real_sy_phase)
-        monkeypatch.setattr(CitationGraph, "edge_positions", dict_positions)
-        reference = fit(graph, split, config, text)
-        result.report.pop("timing"), reference.report.pop("timing")
-        assert json.dumps(result.report, sort_keys=True) == json.dumps(reference.report, sort_keys=True)
-        assert np.array_equal(result.state.matrix, reference.state.matrix)
-
-    def test_snapshot_schedule_requires_timed_graph(self, small_graph, small_split, small_text):
-        config = TrainConfig(aspects=2, struct_dim=3, snapshot_cutoffs=(1,), seed=0)
-        with pytest.raises(ValueError, match="timed"):
-            fit(small_graph, small_split, config, small_text)
