@@ -4,8 +4,14 @@ Every command resolves its configuration before any compute starts
 (defaults < `--config key=value file` < explicit flags; the root seed may
 also come from $ASPECTCITE_SEED), echoes the resolved configuration next to
 its outputs, and writes all artifacts atomically (temp file + rename) under
-`--out-dir`. Outputs are byte-reproducible for a fixed seed; wall-clock
-readings live only under the report's `timing` key.
+`--out-dir`, which it creates only once its options and inputs have been
+checked, just before the first write. Outputs are byte-reproducible for a
+fixed seed; wall-clock readings live only under the report's `timing` key.
+
+`ingest` writes the dataset manifest as compact JSON with sorted keys, the
+one output a program reads back on every query; the reports and echoes meant
+for people are indented. Each artifact goes to disk in one pass, with no
+in-memory copy of its bytes.
 
 Exit codes: 0 success, 1 usage, 2 data/schema, 3 domain (e.g. unknown node),
 4 numeric abort.
@@ -56,8 +62,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write_json(path: str, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+def _write_json(path: str, payload: dict, indent: int | None = 1) -> None:
+    _atomic_write(path, json.dumps(payload, sort_keys=True, indent=indent) + "\n")
 
 
 def _require_file(path: str, what: str) -> str:
@@ -127,6 +133,7 @@ def _parse_float_list(text: str) -> tuple:
 
 
 def _out_dir(args) -> str:
+    """Create --out-dir; called just before a command's first write."""
     os.makedirs(args.out_dir, exist_ok=True)
     return args.out_dir
 
@@ -144,7 +151,6 @@ def _degree_histogram(degrees: np.ndarray) -> list:
 
 def cmd_ingest(args) -> int:
     res = _Resolver(args)
-    out_dir = _out_dir(args)
     seed = res.seed()
     ratios = res.get("ratios", (0.8, 0.1, 0.1), parse=_parse_float_list)
     negatives = res.get("negatives_per_positive", 1, parse=int)
@@ -174,9 +180,9 @@ def cmd_ingest(args) -> int:
     except corpus.CorpusFormatError as exc:
         raise DataError(str(exc)) from exc
 
+    out_dir = _out_dir(args)
     vectors_file = "text_vectors.npy"
-    buffer = _npy_bytes(text_vectors)
-    _atomic_write(os.path.join(out_dir, vectors_file), buffer)
+    _write_atomically(os.path.join(out_dir, vectors_file), lambda tmp: _save_npy(tmp, text_vectors))
 
     manifest = {
         "format": "aspectcite-manifest-v1",
@@ -201,18 +207,16 @@ def cmd_ingest(args) -> int:
             "text": text_stats,
         },
     }
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest, indent=None)
     _echo_config(out_dir, "ingest", {**res.resolved, "edges": edge_file, "out_dir": out_dir})
     print(f"ingest: {graph.num_nodes} nodes, {graph.num_edges} edges -> {out_dir}/manifest.json")
     return 0
 
 
-def _npy_bytes(array: np.ndarray) -> bytes:
-    import io
-
-    buf = io.BytesIO()
-    np.save(buf, np.asarray(array, dtype=np.float64))
-    return buf.getvalue()
+def _save_npy(tmp: str, array: np.ndarray) -> None:
+    # np.save given a path would append ".npy" to the temp name; a handle writes where it is told
+    with open(tmp, "wb") as fh:
+        np.save(fh, np.asarray(array, dtype=np.float64))
 
 
 def _load_manifest(path: str):
@@ -256,7 +260,6 @@ _TRAIN_OPTIONS = {
 
 def cmd_train(args) -> int:
     res = _Resolver(args)
-    out_dir = _out_dir(args)
     manifest, graph, split, text_vectors = _load_manifest(args.manifest)
 
     variant = res.get("variant", "dp", choices=VARIANTS)
@@ -271,6 +274,7 @@ def cmd_train(args) -> int:
         raise UsageError(str(exc)) from exc
 
     result = fit(graph, split, config, text_vectors)
+    out_dir = _out_dir(args)
     save_checkpoint(result.params, os.path.join(out_dir, "checkpoint.json"))
     save_state(result.state, os.path.join(out_dir, "state.json"))
     _write_json(os.path.join(out_dir, "report.json"), result.report)
@@ -312,9 +316,9 @@ def cmd_evaluate(args) -> int:
     if any(k < 1 for k in ks) or rank_negatives < 1:
         raise UsageError(f"--ks values and --rank-negatives must be >= 1, got ks={ks} rank-negatives={rank_negatives}")
     split_name = res.get("split", "test", flag="split_name", choices=SPLITS)
-    out_dir = _out_dir(args)
     manifest, graph, split, text_vectors, params, state = _load_artifacts(args)
     seed = res.seed(default=manifest["seed"])
+    out_dir = _out_dir(args)  # evaluate writes the per-source CSV itself
     per_source = os.path.join(out_dir, "per_source.csv") if args.per_source_csv else None
     try:
         report = evaluate(
@@ -335,7 +339,6 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     res = _Resolver(args)
-    out_dir = _out_dir(args)
     _, graph, _, text_vectors, params, state = _load_artifacts(args)
     res.seed()
 
@@ -356,6 +359,7 @@ def cmd_predict(args) -> int:
 
     scores = scores_for_pairs(index_pairs, state.matrix, params, text_vectors)
     payload = {"pairs": [[a, b, float(s)] for (a, b), s in zip(pairs_ids, scores)]}
+    out_dir = _out_dir(args)
     _write_json(os.path.join(out_dir, "predictions.json"), payload)
     _echo_config(out_dir, "predict", {**res.resolved, "pairs": pairs_file, "out_dir": out_dir})
     print(f"predict: scored {len(pairs_ids)} pairs -> {out_dir}/predictions.json")
@@ -371,7 +375,6 @@ def cmd_explain(args) -> int:
     if top_n < 1 or top_m < 0:
         raise UsageError(f"--top-n must be >= 1 and --top-m >= 0, got {top_n} and {top_m}")
     fmt = res.get("format", "json", choices=FORMATS)
-    out_dir = _out_dir(args)
     manifest, graph, _, text_vectors, params, state = _load_artifacts(args)
     res.seed(default=manifest["seed"])
 
@@ -396,6 +399,7 @@ def cmd_explain(args) -> int:
     explanation = explain_target(
         args.target, params, state, graph, text_vectors, texts=texts, top_n=top_n, top_m=top_m
     )
+    out_dir = _out_dir(args)
     out_path = os.path.join(out_dir, f"explanation.{fmt}")
     _write_atomically(out_path, lambda tmp: export_explanation(explanation, tmp, format=fmt))
     _echo_config(out_dir, "explain", {**res.resolved, "target": args.target, "out_dir": out_dir})

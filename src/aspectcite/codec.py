@@ -12,9 +12,13 @@ Each artifact is two files:
   them. Its name is derived, not stored, so the header's bytes do not depend
   on the directory or the file name.
 
-A load reads the sidecar once, checks its length and sha256 against the
-header and slices it, so a float round-trips bit for bit and nothing parses
-one JSON number or base64 character per entry. A save renames the sidecar
+A save streams each tensor's bytes into the temp sidecar and into one
+sha256, so no joined copy of the tensors is made. A load reads the sidecar
+once, into one float64 buffer, checks its length and sha256 against the
+header, and returns views into that buffer, one per tensor; the bytes are
+swapped in place only on a big-endian host. So a float round-trips bit for
+bit, nothing parses one JSON number or base64 character per entry, and no
+tensor is copied after the read. A save renames the sidecar
 into place before the header, so a crash between the two leaves the old
 header beside a new sidecar, which the sha256 check rejects. A header with a
 missing or different marker, including the earlier base64 and
@@ -87,9 +91,19 @@ def write_artifact(path, fmt: str, payload: dict, tensors) -> None:
 
     payload holds each tensor's tensor_entry wherever the format puts it.
     """
-    raw = b"".join(np.asarray(t, dtype=_WIRE_DTYPE).tobytes(order="C") for t in tensors)
-    atomic_write(sidecar_path(path), raw)
-    header = {"format": fmt, **payload, "sidecar": {"bytes": len(raw), "sha256": hashlib.sha256(raw).hexdigest()}}
+    digest, size = hashlib.sha256(), 0
+
+    def write(tmp: str) -> None:
+        nonlocal size
+        with open(tmp, "wb") as fh:
+            for tensor in tensors:
+                wire = np.ascontiguousarray(tensor, dtype=_WIRE_DTYPE)
+                digest.update(wire)
+                fh.write(wire)
+                size += wire.nbytes
+
+    write_atomically(sidecar_path(path), write)
+    header = {"format": fmt, **payload, "sidecar": {"bytes": size, "sha256": digest.hexdigest()}}
     atomic_write(path, json.dumps(header, sort_keys=True, indent=1) + "\n")
 
 
@@ -115,7 +129,8 @@ def _shape(entry) -> list:
 def read_tensors(path, payload: dict, entries) -> list:
     """The tensors that entries (from payload, in sidecar order) describe.
 
-    Each comes back a writable, C-contiguous, native float64 array. Raises
+    Each comes back a writable, C-contiguous, native float64 view into one
+    buffer that the sidecar is read into; the views do not overlap. Raises
     ValueError unless every shape is a list of nonnegative ints, the sidecar
     exists with the length and sha256 the header records, and it holds
     exactly the bytes the shapes need.
@@ -127,18 +142,23 @@ def read_tensors(path, payload: dict, entries) -> list:
     side = sidecar_path(path)
     try:
         with open(side, "rb") as fh:
-            raw = fh.read()
+            length = os.fstat(fh.fileno()).st_size
+            flat = np.empty(-(-length // _WIRE_DTYPE.itemsize), dtype=_WIRE_DTYPE)  # whole items, >= length bytes
+            raw = memoryview(flat).cast("B")[:length]
+            length = fh.readinto(raw)
     except FileNotFoundError:
         raise ValueError(f"tensor sidecar {side} not found; re-run train to write one") from None
-    if len(raw) != record["bytes"] or hashlib.sha256(raw).hexdigest() != record["sha256"]:
+    raw = raw[:length]
+    if length != record["bytes"] or hashlib.sha256(raw).hexdigest() != record["sha256"]:
         raise ValueError(
-            f"tensor sidecar {side} ({len(raw)} bytes) does not match the length and sha256 its header "
+            f"tensor sidecar {side} ({length} bytes) does not match the length and sha256 its header "
             f"records: a torn or edited write; re-run train"
         )
     sizes = [math.prod(shape) for shape in shapes]
     expected = _WIRE_DTYPE.itemsize * sum(sizes)
-    if len(raw) != expected:
-        raise ValueError(f"tensor sidecar {side} holds {len(raw)} bytes, shapes {shapes} need {expected}")
-    flat = np.frombuffer(raw, dtype=_WIRE_DTYPE)
+    if length != expected:
+        raise ValueError(f"tensor sidecar {side} holds {length} bytes, shapes {shapes} need {expected}")
+    if not _WIRE_DTYPE.isnative:  # a big-endian host swaps the little-endian wire bytes once, in place
+        flat = flat.byteswap(inplace=True).view(flat.dtype.newbyteorder())
     offsets = np.cumsum([0] + sizes)
-    return [flat[start:end].astype(np.float64).reshape(shape) for start, end, shape in zip(offsets, offsets[1:], shapes)]
+    return [flat[start:end].reshape(shape) for start, end, shape in zip(offsets, offsets[1:], shapes)]

@@ -108,7 +108,7 @@ def explain_target(
         )
 
     pairs = np.asarray([(int(i), t) for i in citers])
-    _, impact_rows = impacts_for_pairs(pairs, state.matrix, params, text_vectors)
+    _, impact_rows = impacts_for_pairs(pairs, state.matrix, params, text_vectors, scores=False)
     alphas = select_aspects(impact_rows)
     scores = impact_rows[alphas == 1.0]  # one selected-aspect impact per citer, in citer order
 

@@ -10,11 +10,12 @@ For candidate citations (i cites j), one row per pair, the chain is:
   alpha one-hot aspect choice: Gumbel-max draw in train mode, argmax in infer
                                                    (select_aspects)
   Y_ij  masked nonnegative impact: max(D_ij, 0) at the selected aspect, 0
-        elsewhere                                  (masked_impacts)
+        elsewhere         (masked_impacts; argmax_masked_impacts in infer mode)
   F_ij  scalar link score: sum(c_ij) + sum(e_ij)  (impacts_for_pairs)
 
 `impacts_for_pairs` runs the chain (`impacts_from_representations`) in blocks
-of pairs and keeps F and D; every aspect choice goes through `select_aspects`.
+of pairs and keeps F and D; every aspect choice goes through `select_aspects`,
+or through the one argmax of `argmax_masked_impacts`, which gives the same Y.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "impacts_for_pairs",
     "select_aspects",
     "masked_impacts",
+    "argmax_masked_impacts",
     "sample_aspect",
     "scores_for_pairs",
     "save_checkpoint",
@@ -146,7 +148,10 @@ def representations_for(nodes: np.ndarray, text_vectors: np.ndarray, params: Mod
     """
     if text_vectors.shape[1] != params.dims.text_dim:
         raise ValueError(f"text vectors have width {text_vectors.shape[1]}, expected {params.dims.text_dim}")
-    fused = np.concatenate([text_vectors[nodes], params.node_embeddings[nodes]], axis=1)
+    text_dim = params.dims.text_dim
+    fused = np.empty((len(nodes), params.dims.fused_dim))
+    fused[:, :text_dim] = np.take(text_vectors, nodes, axis=0)
+    fused[:, text_dim:] = np.take(params.node_embeddings, nodes, axis=0)
     norms = np.linalg.norm(fused, axis=1, keepdims=True)
     fused /= np.where(norms == 0.0, 1.0, norms)
     return fused, norms
@@ -190,22 +195,26 @@ def impacts_from_representations(reps: np.ndarray, src_rows, dst_rows, dst_state
 BLOCK_ROWS = 4096
 
 
-def impacts_for_pairs(pairs: np.ndarray, state_matrix: np.ndarray, params: ModelParams, text_vectors: np.ndarray):
+def impacts_for_pairs(
+    pairs: np.ndarray, state_matrix: np.ndarray, params: ModelParams, text_vectors: np.ndarray, scores: bool = True
+):
     """(F, D) for an array of (i, j) pairs; rows align with the input.
 
-    F = sum(c) + sum(e) is the link score, D the per-aspect impacts. Each node's
+    F = sum(c) + sum(e) is the link score, D the per-aspect impacts; with
+    scores=False, F is not computed and comes back None. Each node's
     representation is computed once; c and e exist for one block at a time.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     nodes, (src_rows, dst_rows) = distinct_nodes(params.num_nodes, pairs[:, 0], pairs[:, 1])
     reps, _ = representations_for(nodes, text_vectors, params)
-    f, d = np.empty(len(pairs)), np.empty((len(pairs), params.dims.aspects))
+    f, d = np.empty(len(pairs)) if scores else None, np.empty((len(pairs), params.dims.aspects))
     starts = [BLOCK_ROWS * b for b in range(max(len(pairs) // BLOCK_ROWS, 1))]
     for start, stop in zip(starts, starts[1:] + [len(pairs)]):
         block = slice(start, stop)
         c, e, d[block] = impacts_from_representations(
             reps, src_rows[block], dst_rows[block], np.take(state_matrix, pairs[block, 1], axis=0), params)
-        f[block] = c.sum(axis=1) + e.sum(axis=1)
+        if scores:
+            f[block] = c.sum(axis=1) + e.sum(axis=1)
     return f, d
 
 
@@ -228,6 +237,16 @@ def select_aspects(impacts: np.ndarray, rng: np.random.Generator | None = None) 
 def masked_impacts(impacts: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """Y = max(D, 0) at each row's selected aspect, 0 at every other aspect."""
     return np.where(alphas == 1.0, np.maximum(impacts, 0.0), 0.0)
+
+
+def argmax_masked_impacts(impacts: np.ndarray) -> np.ndarray:
+    """masked_impacts(impacts, select_aspects(impacts)), bit for bit, from one
+    argmax: max(D, 0) of each row's argmax aspect written into zeros."""
+    impacts = np.asarray(impacts, dtype=np.float64)
+    rows, chosen = np.arange(len(impacts)), np.argmax(impacts, axis=1)
+    masked = np.zeros_like(impacts)
+    masked[rows, chosen] = np.maximum(impacts[rows, chosen], 0.0)
+    return masked
 
 
 def sample_aspect(d_pair: np.ndarray, mode: str, rng: np.random.Generator | None = None):

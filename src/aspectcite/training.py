@@ -33,9 +33,9 @@ from .graph import CitationGraph
 from .model import (
     Dims,
     ModelParams,
+    argmax_masked_impacts,
     distinct_nodes,
     impacts_from_representations,
-    masked_impacts,
     representations_for,
     select_aspects,
 )
@@ -329,8 +329,8 @@ def train_sd_phase(
         raise ValueError("no train edges available for propagation")
     from .model import impacts_for_pairs  # looked up per call, so a wrapper bound on the model module sees it
 
-    _, impact_rows = impacts_for_pairs(edges, state.matrix, params, text_vectors)
-    masked = masked_impacts(impact_rows, select_aspects(impact_rows))
+    _, impact_rows = impacts_for_pairs(edges, state.matrix, params, text_vectors, scores=False)
+    masked = argmax_masked_impacts(impact_rows)
     tensor = build_transition(edges, masked, params.num_nodes)
     op = build_projection(tensor)
     return propagate(op, state, max_steps=config.propagation_max_steps, epsilon=config.propagation_epsilon)

@@ -1,6 +1,7 @@
 """CLI pipeline: exit codes, artifact schemas, reproducibility."""
 
 import csv
+import io
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import aspectcite
-from aspectcite import codec, corpus
+from aspectcite import cli, codec, corpus
 from aspectcite.cli import _load_manifest, _write_atomically, main
 from aspectcite.explain import explain_target, export_explanation
 from aspectcite.graph import build_graph
@@ -153,6 +154,42 @@ class TestIngest:
         assert manifest["stats"]["text"] == {"nodes_without_features": 2}
         expected = np.array([given.get(n, np.zeros(4)) for n in manifest["nodes"]])
         assert np.load(out / "text_vectors.npy").tobytes() == expected.tobytes()
+
+    def test_text_vectors_equal_the_in_memory_npy_bytes(self, dataset, tmp_path):
+        root, edges, text, vecs = dataset
+        nodes = sorted({n for line in edges.read_text().splitlines()[1:] for n in line.split("\t")})
+        rng = np.random.default_rng(2)
+        given = {n: rng.normal(size=5) for n in nodes[1:]}
+        feat_file = tmp_path / "features.tsv"
+        feat_file.write_text("".join(f"{n}\t{' '.join(map(repr, v.tolist()))}\n" for n, v in given.items()), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--edges", str(edges), "--node-features", str(feat_file), "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        buffer = io.BytesIO()  # the earlier writer saved the matrix into memory, then wrote those bytes
+        np.save(buffer, np.array([given.get(n, np.zeros(5)) for n in manifest["nodes"]]))
+        assert (out / "text_vectors.npy").read_bytes() == buffer.getvalue()
+
+    def test_manifest_is_compact_sorted_json_of_the_indented_payload(self, dataset, tmp_path, monkeypatch):
+        root, edges, text, vecs = dataset
+        written = {}
+
+        def recording(path, payload, **kwargs):
+            written[os.path.basename(path)] = payload
+            return write_json(path, payload, **kwargs)
+
+        write_json = cli._write_json
+        monkeypatch.setattr(cli, "_write_json", recording)
+        out = tmp_path / "out"
+        assert main([
+            "ingest", "--edges", str(edges), "--node-text", str(text),
+            "--word-vectors", str(vecs), "--out-dir", str(out), "--seed", "3",
+        ]) == 0
+        payload = written["manifest.json"]
+        text_out = (out / "manifest.json").read_text(encoding="utf-8")
+        assert text_out == json.dumps(payload, sort_keys=True) + "\n"
+        assert json.loads(text_out) == json.loads(json.dumps(payload, sort_keys=True, indent=1))  # the earlier file
+        assert json.loads(text_out)["format"] == "aspectcite-manifest-v1"
+        assert (out / "ingest_config.json").read_text(encoding="utf-8").startswith("{\n ")  # echoes stay indented
 
     def test_feature_rows_without_components_exit_2(self, dataset, tmp_path, capsys):
         root, edges, text, vecs = dataset
@@ -630,6 +667,33 @@ def test_out_of_range_query_option_is_a_usage_error(dataset, tmp_path, capsys, c
     ]) == 1
     assert "usage error" in capsys.readouterr().err
     assert not query.exists()
+
+
+@pytest.mark.parametrize("command,expected", [("ingest", 1), ("train", 1), ("evaluate", 2), ("predict", 2), ("explain", 2)])
+def test_failed_command_leaves_no_out_dir(dataset, tmp_path, command, expected):
+    """A usage error (ingest without a text source, train with variant=foo in
+    its config file) or a missing checkpoint stops a command before --out-dir exists."""
+    root, edges, text, vecs = dataset
+    data = tmp_path / "data"
+    assert main(["ingest", "--edges", str(edges), "--node-text", str(text), "--word-vectors", str(vecs),
+                 "--out-dir", str(data)]) == 0
+    config = tmp_path / "train.cfg"
+    config.write_text("variant=foo\n", encoding="utf-8")
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("p0\tp1\n", encoding="utf-8")
+    target = json.loads((data / "manifest.json").read_text())["edges"][0][1]
+    artifacts = ["--manifest", str(data / "manifest.json"), "--checkpoint", str(data / "missing.json"),
+                 "--state", str(data / "state.json")]
+    out = tmp_path / "out"
+    argv = {
+        "ingest": ["ingest", "--edges", str(edges)],
+        "train": ["train", "--manifest", str(data / "manifest.json"), "--config", str(config)],
+        "evaluate": ["evaluate", *artifacts],
+        "predict": ["predict", *artifacts, "--pairs", str(pairs)],
+        "explain": ["explain", *artifacts, "--target", target],
+    }[command]
+    assert main([*argv, "--out-dir", str(out)]) == expected
+    assert not out.exists()
 
 
 class TestAtomicWrite:

@@ -1,5 +1,6 @@
 """Scoring-chain operation contracts and invariants."""
 
+import hashlib
 import json
 import os
 
@@ -18,6 +19,7 @@ from aspectcite import (
 from aspectcite import model
 from aspectcite.model import (
     BLOCK_ROWS,
+    argmax_masked_impacts,
     distinct_nodes,
     impacts_for_pairs,
     impacts_from_representations,
@@ -61,6 +63,14 @@ def write_v2_checkpoint(params, path):
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
+
+
+# sha256 of the header and sidecar that the earlier writer, which joined every
+# tensor's bytes into one copy, wrote for TestCheckpoint.test_checkpoint_bytes_are_pinned
+CHECKPOINT_SHA256 = {
+    "checkpoint.bin": "7e7c20e8dd3d903a90b9b93656242e879fc25a78dfa20421fd5f7763b1f5beeb",
+    "checkpoint.json": "7ce8c5850e59bcd27eda97f26bd301f0746a8a2b3ba4680ef1ae414a11305316",
+}
 
 
 def checkpoint_entries(payload):
@@ -303,6 +313,26 @@ class TestMaskedImpact:
     def test_mask_kills_unselected(self):
         assert np.allclose(masked_impacts(np.array([[0.0, 5.0]]), np.array([[1.0, 0.0]])), [[0, 0]])
 
+    @pytest.mark.parametrize("d", [
+        [[0.5, 0.5, 0.1], [0.2, 0.7, 0.7], [1.0, 1.0, 1.0]],  # ties go to the lowest index
+        [[-0.3, -0.1, -0.2], [-1e-300, -0.0, -5.0], [-np.inf, -2.0, -2.0]],  # all-negative rows
+        [[-0.0, 0.0, -0.0], [0.0, -0.0, -1.0], [-0.0, -0.0, -0.0]],  # signed zeros, equal under argmax
+        [[np.nan, 1.0, 2.0], [3.0, np.nan, np.nan], [np.inf, np.inf, 0.0]],
+        np.zeros((0, 3)),
+    ])
+    def test_one_argmax_equals_select_then_mask_bit_for_bit(self, d):
+        d = np.asarray(d, dtype=np.float64).reshape(-1, 3)
+        got, want = argmax_masked_impacts(d), masked_impacts(d, select_aspects(d))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_one_argmax_equals_select_then_mask_on_random_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        d = np.round(rng.normal(size=(int(rng.integers(1, 40)), int(rng.integers(1, 6)))), 1)  # rounding makes ties
+        d[rng.random(d.shape) < 0.1] = -0.0
+        assert argmax_masked_impacts(d).tobytes() == masked_impacts(d, select_aspects(d)).tobytes()
+
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=60, deadline=None)
     def test_bounds_and_pattern(self, seed):
@@ -443,6 +473,12 @@ class TestImpactsForPairs:
     def test_bitwise_equal_to_per_row_reference(self, pairs):
         self.assert_matches_reference(pairs, *self.setup_inputs())
 
+    def test_without_scores_d_is_unchanged_and_f_is_none(self):
+        params, state, texts = self.setup_inputs()
+        pairs = np.random.default_rng(6).integers(40, size=(2 * BLOCK_ROWS + 5, 2))
+        f, d = impacts_for_pairs(pairs, state, params, texts, scores=False)
+        assert f is None and d.tobytes() == impacts_for_pairs(pairs, state, params, texts)[1].tobytes()
+
     def test_blocks_bitwise_equal_at_cora_width(self):
         # L = 1433 + 100: a block of a few rows here would take OpenBLAS's
         # small-matrix path, whose last bits differ from the one-block product
@@ -506,6 +542,20 @@ class TestCheckpoint:
         save_checkpoint(load_checkpoint(tmp_path / "a.json"), tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    def test_checkpoint_bytes_are_pinned(self, tmp_path):
+        params = ModelParams(
+            dims=Dims(aspects=2, text_dim=3, struct_dim=4),
+            state_to_effect=np.arange(4.0).reshape(2, 2) / 3.0,
+            effect_weights=-np.arange(4.0).reshape(2, 2) / 7.0,
+            similarity_weights=(np.arange(14.0).reshape(7, 2) - 6.5) / 3.0,
+            bias=np.array([-0.0, 1e-300]),
+            node_embeddings=np.arange(20.0).reshape(5, 4) * np.pi,
+            seed_lineage="root-seed=7",
+        )
+        save_checkpoint(params, tmp_path / "checkpoint.json")
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert digests == CHECKPOINT_SHA256
 
     def test_sidecar_holds_the_tensors_in_field_order(self, tmp_path):
         params = make_params(num_nodes=6, seed=4)

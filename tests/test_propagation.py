@@ -655,6 +655,22 @@ def write_v2_state(state, path):
         json.dump(payload, fh, sort_keys=True, indent=1)
 
 
+# sha256 of the header and sidecar that joined_copy_artifact's writer wrote
+# for TestStateFile.test_state_bytes_are_pinned
+STATE_SHA256 = {
+    "state.bin": "62a6ab9d028312595af897f93dc3de2e9900bd35d10f2441594ec0e24f2c4aed",
+    "state.json": "1879347a1a751196e4c4823e6e8dbdb8063c6d4849867508845c0ccd04f77ce3",
+}
+
+
+def joined_copy_artifact(fmt, payload, tensors):
+    """The (header, sidecar) bytes of the earlier writer, which joined every
+    tensor's bytes into one copy before writing: the bytes write_artifact keeps."""
+    raw = b"".join(np.asarray(t, dtype="<f8").tobytes(order="C") for t in tensors)
+    header = {"format": fmt, **payload, "sidecar": {"bytes": len(raw), "sha256": hashlib.sha256(raw).hexdigest()}}
+    return (json.dumps(header, sort_keys=True, indent=1) + "\n").encode(), raw
+
+
 class TestStateFile:
     @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (9, 1), (6, 4)])
     def test_round_trip_is_bitwise(self, tmp_path, shape):
@@ -672,6 +688,38 @@ class TestStateFile:
         payload = read_payload(path, "test-v1")
         for got, want in zip(read_tensors(path, payload, payload["tensors"]), arrays, strict=True):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_streamed_bytes_equal_the_joined_copy_writer(self, tmp_path):
+        # strided, Fortran-ordered, float32, int, 0-d and empty tensors all take the wire conversion
+        arrays = [
+            special_values((3, 4)).T, np.asfortranarray(special_values((2, 5), seed=1)), special_values((6, 3))[::2],
+            special_values((4,), seed=2).astype(np.float32), np.arange(6, dtype=np.int32).reshape(2, 3),
+            np.array(-0.0), np.zeros((0, 3)),
+        ]
+        payload = {"tensors": [tensor_entry(a) for a in arrays]}
+        write_artifact(tmp_path / "t.json", "test-v1", payload, arrays)
+        header, raw = joined_copy_artifact("test-v1", payload, arrays)
+        assert (tmp_path / "t.json").read_bytes() == header and (tmp_path / "t.bin").read_bytes() == raw
+
+    def test_state_bytes_are_pinned(self, tmp_path):
+        matrix = (np.arange(15.0).reshape(5, 3) - 7.0) / 11.0
+        matrix[0, 0] = -0.0
+        save_state(AspectState(matrix=matrix, step=12, residual=1.5e-7, converged=False), tmp_path / "state.json")
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert digests == STATE_SHA256
+
+    def test_read_tensors_are_separate_writable_views(self, tmp_path):
+        arrays = [special_values((3, 4)), special_values((5,), seed=1), np.array(2.5), special_values((2, 2), seed=2)]
+        path = tmp_path / "t.json"
+        write_artifact(path, "test-v1", {"tensors": [tensor_entry(a) for a in arrays]}, arrays)
+        got = read_tensors(path, read_payload(path, "test-v1"), [tensor_entry(a) for a in arrays])
+        for tensor in got:
+            assert tensor.flags.writeable and tensor.flags.c_contiguous
+            assert tensor.dtype == np.float64 and tensor.dtype.isnative
+        for k, tensor in enumerate(got):
+            tensor[...] = 7.0
+            for other, want in zip(got[k + 1:], arrays[k + 1:]):
+                assert other.tobytes() == want.tobytes()
 
     def test_save_load_save_gives_same_bytes(self, tmp_path):
         save_state(AspectState(matrix=special_values((5, 3), seed=1), step=7), tmp_path / "a.json")
