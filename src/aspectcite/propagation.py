@@ -9,18 +9,21 @@ where X_k column-normalizes the learned per-aspect edge impacts (mass flows
 from a cited node to its citers) and Z_k spreads the mass of dangling columns
 uniformly. nu = 1 - beta*N is the unique choice that keeps every column of
 P_k summing to 1. The operator is applied without ever materializing the
-dense matrix: the all-ones term is a rank-one update and Z_k a scalar
-correction.
+dense matrix, and without finding the dangling columns: the teleport and
+dangling terms both spread mass uniformly, and together they hand out
+exactly the mass that nu * X_k does not keep. So a step computes
+y = nu * X_k x and adds (sum(x) - sum(y)) / N to every node, as the
+PageRank power step of Kamvar et al. (WWW 2003, Algorithm 1) does.
 
 All aspects step together. build_projection lists the nonzeros of the
-block-diagonal (I*N, I*N) operator diag(X_1, ..., X_I) once, as a row-sorted
-edge list (row k*N + i, column k*N + j, weight); masked impacts are one-hot
-per edge, so it holds at most M entries. A step is then one weighted
-bincount over the aspect-major flat state, plus one dangling-mass sum per
-aspect. bincount adds each row's products one by one in input order,
-starting from 0.0, and each row's entries sit in ascending column order, so
-a step computes exactly the same floating-point sums as a CSR
-matrix-vector product with each X_k on its own.
+block-diagonal (I*N, I*N) operator diag(nu*X_1, ..., nu*X_I) once, as a
+row-sorted edge list (row k*N + i, column k*N + j, weight); masked impacts
+are one-hot per edge, so it holds at most M entries. A step is then one
+weighted bincount over the aspect-major flat state, plus one pass that adds
+each aspect's unkept mass. bincount adds each row's products one by one in
+input order, starting from 0.0, and each row's entries sit in ascending
+column order, so the kept mass is exactly the floating-point sums of a CSR
+matrix-vector product with each nu*X_k on its own.
 
 Between steps the state stays aspect-major: apply_projection returns the
 (N, I) transposed view of its C-ordered (I, N) result, so the next step
@@ -74,10 +77,11 @@ class AspectState:
         return self.matrix.shape[1]
 
     def validate(self, tolerance: float = 1e-9) -> None:
-        if np.any(self.matrix < 0) or np.any(self.matrix > 1):
+        # written so that NaN fails: every comparison with NaN is False
+        if not np.all((self.matrix >= 0) & (self.matrix <= 1)):
             raise ValueError("aspect state entries must lie in [0, 1]")
         sums = self.matrix.sum(axis=0)
-        if np.any(np.abs(sums - 1.0) > tolerance):
+        if not np.all(np.abs(sums - 1.0) <= tolerance):
             raise ValueError(f"aspect state columns must sum to 1, got {sums}")
 
 
@@ -104,12 +108,11 @@ class TransitionTensor:
 
     matrices[k] holds the CSR arrays of X_k, where X_k[i, j] is the share of
     cited node j's aspect-k influence flowing to citer i. Columns with no
-    positive impact (including every never-cited node) are all-zero and
-    recorded in dangling_mask.
+    positive impact (including every never-cited node) are dangling: they
+    hold no entries, and every other column sums to 1.
     """
 
     matrices: tuple  # of CSRArrays, one per aspect
-    dangling_mask: np.ndarray = field(repr=False)  # (N, I) bool: column j is dangling for aspect k
     num_nodes: int
     aspects: int
 
@@ -133,16 +136,14 @@ def build_transition(edges, impacts: np.ndarray, num_nodes: int) -> TransitionTe
 
     aspects = impacts.shape[1]
     matrices = []
-    dangling = np.ones((num_nodes, aspects), dtype=bool)
     for k in range(aspects):
         nz = np.flatnonzero(impacts[:, k] > 0.0)
         weight, rows, cols = impacts[nz, k], edges[nz, 0], edges[nz, 1]
         column_mass = np.bincount(cols, weights=weight, minlength=num_nodes)
-        dangling[:, k] = column_mass == 0.0
         order = np.argsort(rows * num_nodes + cols)  # edges are distinct, so this is (row, column) order
         indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=num_nodes))))
         matrices.append(CSRArrays(indptr=indptr, indices=cols[order], data=(weight / column_mass[cols])[order]))
-    return TransitionTensor(matrices=tuple(matrices), dangling_mask=dangling, num_nodes=num_nodes, aspects=aspects)
+    return TransitionTensor(matrices=tuple(matrices), num_nodes=num_nodes, aspects=aspects)
 
 
 @dataclass(frozen=True)
@@ -150,9 +151,7 @@ class ProjectionOperator:
     """The implicit column-stochastic propagation operator for all aspects.
 
     rows, cols and data list the nonzeros of the block-diagonal operator
-    with X_k as block k, sorted by row and, within a row, by column;
-    dangling[k] lists the flat aspect-major positions k*N + j of aspect k's
-    dangling columns j.
+    with nu*X_k as block k, sorted by row and, within a row, by column.
     """
 
     tensor: TransitionTensor
@@ -161,7 +160,6 @@ class ProjectionOperator:
     rows: np.ndarray = field(repr=False)
     cols: np.ndarray = field(repr=False)
     data: np.ndarray = field(repr=False)
-    dangling: tuple = field(repr=False)
 
     @property
     def num_nodes(self) -> int:
@@ -173,15 +171,14 @@ class ProjectionOperator:
 
 
 def build_projection(tensor: TransitionTensor) -> ProjectionOperator:
-    n, aspects = tensor.num_nodes, tensor.aspects
+    n = tensor.num_nodes
     beta = 0.05 / n
     nu = 1.0 - beta * n
     mats = tensor.matrices
     rows = np.concatenate([np.repeat(np.arange(k * n, (k + 1) * n), np.diff(mat.indptr)) for k, mat in enumerate(mats)])
     cols = np.concatenate([mat.indices + k * n for k, mat in enumerate(mats)])
-    data = np.concatenate([mat.data for mat in mats])
-    dangling = tuple(np.flatnonzero(tensor.dangling_mask[:, k]) + k * n for k in range(aspects))
-    return ProjectionOperator(tensor=tensor, beta=beta, nu=nu, rows=rows, cols=cols, data=data, dangling=dangling)
+    data = nu * np.concatenate([mat.data for mat in mats])
+    return ProjectionOperator(tensor=tensor, beta=beta, nu=nu, rows=rows, cols=cols, data=data)
 
 
 def apply_projection(op: ProjectionOperator, state: AspectState) -> AspectState:
@@ -189,18 +186,17 @@ def apply_projection(op: ProjectionOperator, state: AspectState) -> AspectState:
     matrix = state.matrix
     if matrix.shape != (op.num_nodes, op.aspects):
         raise ValueError(f"state shape {matrix.shape} does not match operator ({op.num_nodes}, {op.aspects})")
-    column_sums = matrix.sum(axis=0)
-    if np.any(np.abs(column_sums - 1.0) > 1e-6):
-        raise ValueError(f"input state columns must sum to 1 (got {column_sums})")
-
     n = op.num_nodes
     flat = matrix.T.ravel()  # aspect-major: element k*N + j is matrix[j, k]; a view for our own outputs
-    dangling_mass = np.array([flat[idx].sum() for idx in op.dangling])
+    # each column summed on its own, pairwise: the step hands on exactly this
+    # mass, and an axis-0 sum of a C-ordered state runs sequentially (2e-12
+    # off for the uniform state at N = 10^5)
+    column_sums = flat.reshape(op.aspects, n).sum(axis=1)
+    if not np.all(np.abs(column_sums - 1.0) <= 1e-6):  # NaN fails too
+        raise ValueError(f"input state columns must sum to 1 (got {column_sums})")
     out = np.bincount(op.rows, weights=op.data * flat.take(op.cols), minlength=op.aspects * n)
     out = out.astype(np.float64, copy=False).reshape(op.aspects, n)  # an empty bincount is int64: no positive impact
-    out += (dangling_mass / n)[:, None]
-    out *= op.nu
-    out += op.beta * column_sums[:, None]
+    out += ((column_sums - out.sum(axis=1)) / n)[:, None]  # teleport and dangling mass: what nu*X_k did not keep
     return AspectState(matrix=out.T, step=state.step + 1, residual=state.residual, converged=state.converged)
 
 
@@ -214,8 +210,10 @@ def propagate(
 
     Stops when the max per-aspect L1 change drops below epsilon; if max_steps
     is exhausted first, the last iterate comes back flagged unconverged.
-    The fixed point is unique (the operator is strictly positive entrywise),
-    so the result does not depend on the starting state beyond epsilon.
+    The fixed point is unique (the operator is strictly positive entrywise)
+    and each step shrinks every column's L1 distance to it by a factor nu,
+    so whatever the starting state, each column of the result lies within
+    nu/(1-nu) * residual of it: 19x the residual at nu = 0.95.
     max_steps=0 returns the initial state, unconverged with an infinite
     residual. The returned matrix is always C-ordered.
     """

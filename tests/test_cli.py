@@ -391,17 +391,21 @@ class TestPredict:
         root, edges, text, vecs = dataset
         out = tmp_path / "out"
         run_pipeline(root, edges, text, vecs, out)
-        state = load_state(out / "state.json")
-        state.matrix[:, 0] *= 1.001
-        save_state(state, out / "state.json")
         manifest = json.loads((out / "manifest.json").read_text())
         pairs = tmp_path / "pairs.tsv"
         pairs.write_text(f"{manifest['nodes'][0]}\t{manifest['nodes'][1]}\n", encoding="utf-8")
-        assert main([
-            "predict", "--manifest", str(out / "manifest.json"), "--checkpoint", str(out / "checkpoint.json"),
-            "--state", str(out / "state.json"), "--pairs", str(pairs), "--out-dir", str(out),
-        ]) == 2
-        assert "sum to 1" in capsys.readouterr().err
+        # NaN compares False both ways: a NaN column once passed validate and was written into predictions.json
+        for name, damage, message in (("scaled", lambda m: m * 1.001, "sum to 1"),
+                                      ("nan", lambda m: np.nan, r"lie in \[0, 1\]")):
+            state = load_state(out / "state.json")
+            state.matrix[:, 0] = damage(state.matrix[:, 0])
+            save_state(state, out / f"{name}.json")
+            assert main([
+                "predict", "--manifest", str(out / "manifest.json"), "--checkpoint", str(out / "checkpoint.json"),
+                "--state", str(out / f"{name}.json"), "--pairs", str(pairs), "--out-dir", str(out),
+            ]) == 2, name
+            assert re.search(message, capsys.readouterr().err), name
+        assert not (out / "predictions.json").exists()
 
     def test_unknown_node_exits_3(self, dataset, tmp_path):
         root, edges, text, vecs = dataset

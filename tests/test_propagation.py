@@ -3,6 +3,7 @@
 import base64
 import hashlib
 import json
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -29,10 +30,15 @@ from aspectcite.propagation import (
 )
 
 
-def csr(tensor, k):
-    """Aspect k's transition matrix as a scipy CSR matrix, for the scipy-backed oracles."""
+def csr(tensor, k, scale=1.0):
+    """Aspect k's transition matrix, times scale, as a scipy CSR matrix, for the scipy-backed oracles."""
     mat = tensor.matrices[k]
-    return sparse.csr_matrix((mat.data, mat.indices, mat.indptr), shape=(tensor.num_nodes, tensor.num_nodes))
+    return sparse.csr_matrix((scale * mat.data, mat.indices, mat.indptr), shape=(tensor.num_nodes, tensor.num_nodes))
+
+
+def dangling_columns(tensor, k):
+    """(N,) bool: the columns of aspect k's transition matrix that hold no entry."""
+    return np.bincount(tensor.matrices[k].indices, minlength=tensor.num_nodes) == 0
 
 
 def dense_projection(edges, impacts, n):
@@ -58,16 +64,35 @@ def dense_projection(edges, impacts, n):
 
 
 def apply_projection_per_aspect(op, state):
-    """Reference step: one strided sparse matvec and one masked gather per aspect."""
+    """Reference step: per aspect, one strided sparse matvec with nu*X_k, then
+    the mass it did not keep spread evenly over the nodes."""
     matrix = state.matrix
-    column_sums = matrix.sum(axis=0)
     n = op.num_nodes
     out = np.empty_like(matrix)
     for k in range(op.aspects):
-        column = matrix[:, k]
-        dangling_mass = column[op.tensor.dangling_mask[:, k]].sum()
-        out[:, k] = op.beta * column_sums[k] + op.nu * (csr(op.tensor, k) @ column + dangling_mass / n)
+        column = np.ascontiguousarray(matrix[:, k])
+        kept = csr(op.tensor, k, scale=op.nu) @ column
+        out[:, k] = kept + (column.sum() - kept.sum()) / n
     return out
+
+
+def apply_projection_gathers(op, state):
+    """The step before the deficit form, kept as an oracle: gather each
+    aspect's dangling columns, then add nu * (X_k x + dangling_mass / N) and
+    beta * column_sum in three passes over the state."""
+    matrix = state.matrix
+    column_sums = matrix.sum(axis=0)
+    n = op.num_nodes
+    flat = matrix.T.ravel()
+    data = np.concatenate([mat.data for mat in op.tensor.matrices])
+    dangling = [np.flatnonzero(dangling_columns(op.tensor, k)) + k * n for k in range(op.aspects)]
+    dangling_mass = np.array([flat[idx].sum() for idx in dangling])
+    out = np.bincount(op.rows, weights=data * flat.take(op.cols), minlength=op.aspects * n)
+    out = out.astype(np.float64, copy=False).reshape(op.aspects, n)
+    out += (dangling_mass / n)[:, None]
+    out *= op.nu
+    out += op.beta * column_sums[:, None]
+    return AspectState(matrix=out.T, step=state.step + 1, residual=state.residual, converged=state.converged)
 
 
 def build_transition_coo(edges, impacts, num_nodes):
@@ -77,30 +102,23 @@ def build_transition_coo(edges, impacts, num_nodes):
     impacts = np.atleast_2d(np.asarray(impacts, dtype=np.float64))
     rows, cols = edges[:, 0], edges[:, 1]
     matrices = []
-    dangling = np.ones((num_nodes, impacts.shape[1]), dtype=bool)
     for k in range(impacts.shape[1]):
         weight = impacts[:, k]
         column_mass = np.bincount(cols, weights=weight, minlength=num_nodes)
         fed = column_mass > 0.0
-        dangling[:, k] = ~fed
         keep = fed[cols] & (weight > 0.0)
         data = weight[keep] / column_mass[cols[keep]]
         mat = sparse.csr_matrix((data, (rows[keep], cols[keep])), shape=(num_nodes, num_nodes))
         matrices.append(CSRArrays(mat.indptr.astype(np.int64), mat.indices[: mat.nnz].astype(np.int64), mat.data[: mat.nnz]))
-    return TransitionTensor(
-        matrices=tuple(matrices), dangling_mask=dangling, num_nodes=num_nodes, aspects=impacts.shape[1]
-    )
+    return TransitionTensor(matrices=tuple(matrices), num_nodes=num_nodes, aspects=impacts.shape[1])
 
 
 @dataclass(frozen=True)
 class StackedOperator:
-    """Reference operator: the per-aspect matrices stacked into one block-diagonal CSR matrix."""
+    """Reference operator: the per-aspect matrices, times nu, stacked into one block-diagonal CSR matrix."""
 
     tensor: TransitionTensor
-    beta: float
-    nu: float
     stacked: sparse.csr_matrix
-    dangling: tuple
 
     @property
     def num_nodes(self):
@@ -114,6 +132,7 @@ class StackedOperator:
 def build_stacked_projection(tensor):
     n = tensor.num_nodes
     beta = 0.05 / n
+    nu = 1.0 - beta * n
     indptr = [np.zeros(1, dtype=np.int64)]
     offset = 0
     for mat in tensor.matrices:
@@ -121,33 +140,27 @@ def build_stacked_projection(tensor):
         offset += len(mat.data)
     stacked = sparse.csr_matrix(
         (
-            np.concatenate([mat.data for mat in tensor.matrices]),
+            nu * np.concatenate([mat.data for mat in tensor.matrices]),
             np.concatenate([mat.indices + k * n for k, mat in enumerate(tensor.matrices)]),
             np.concatenate(indptr),
         ),
         shape=(tensor.aspects * n, tensor.aspects * n),
     )
-    dangling = tuple(np.flatnonzero(tensor.dangling_mask[:, k]) + k * n for k in range(tensor.aspects))
-    return StackedOperator(tensor=tensor, beta=beta, nu=1.0 - beta * n, stacked=stacked, dangling=dangling)
+    return StackedOperator(tensor=tensor, stacked=stacked)
 
 
 def apply_stacked_projection(op, state):
     """Reference step: one scipy SpMV with the stacked matrix on the aspect-major flat state."""
     matrix = state.matrix
-    column_sums = matrix.sum(axis=0)
     n = op.num_nodes
     flat = matrix.T.ravel()
-    dangling_mass = np.array([flat[idx].sum() for idx in op.dangling])
     out = (op.stacked @ flat).reshape(op.aspects, n)
-    out += (dangling_mass / n)[:, None]
-    out *= op.nu
-    out += op.beta * column_sums[:, None]
+    out += ((flat.reshape(op.aspects, n).sum(axis=1) - out.sum(axis=1)) / n)[:, None]
     return AspectState(matrix=out.T, step=state.step + 1, residual=state.residual, converged=state.converged)
 
 
 def assert_same_tensor(tensor, reference):
     assert tensor.aspects == reference.aspects and tensor.num_nodes == reference.num_nodes
-    assert tensor.dangling_mask.dtype == bool and np.array_equal(tensor.dangling_mask, reference.dangling_mask)
     for mat, ref in zip(tensor.matrices, reference.matrices, strict=True):
         assert isinstance(mat, CSRArrays)
         for name in ("indptr", "indices", "data"):
@@ -223,7 +236,6 @@ class TestBuildTransition:
 
     def test_zero_mass_column_marked_dangling(self):
         tensor = build_transition([(0, 1)], np.array([[0.0]]), 3)
-        assert tensor.dangling_mask[:, 0].all()
         assert csr(tensor, 0).nnz == 0
 
     @settings(max_examples=300, deadline=None)
@@ -274,7 +286,10 @@ class TestBuildTransition:
             tensor = build_transition(edges, impacts, n)
             for k in range(aspects):
                 sums = np.asarray(csr(tensor, k).sum(axis=0)).ravel()
-                dangling = tensor.dangling_mask[:, k]
+                dangling = dangling_columns(tensor, k)
+                fed = np.zeros(n, dtype=bool)
+                fed[[j for (_, j), y in zip(edges, impacts[:, k]) if y > 0]] = True
+                assert np.array_equal(dangling, ~fed)
                 assert np.allclose(sums[~dangling], 1.0, atol=1e-9)
                 assert np.allclose(sums[dangling], 0.0)
 
@@ -310,12 +325,41 @@ class TestApplyProjection:
         with pytest.raises(ValueError, match="sum to 1"):
             apply_projection(op, AspectState(matrix=np.array([[0.9], [0.9]])))
 
+    def test_nan_column_rejected(self):
+        # a NaN column sum compares False against any tolerance
+        op = build_projection(build_transition([(0, 1), (1, 0)], np.array([[1.0, 1.0], [1.0, 1.0]]), 2))
+        with pytest.raises(ValueError, match="sum to 1"):
+            apply_projection(op, AspectState(matrix=np.array([[0.5, np.nan], [0.5, 0.5]])))
+
+    @pytest.mark.parametrize("dangling", ["all", "none", "mixed"])
+    def test_one_step_conserves_column_sums(self, dangling):
+        # a sequential sum down the uniform C-ordered start's columns is off by
+        # ~2e-12 at 10^5 nodes, so the exact sums also check how the step sums them
+        rng = np.random.default_rng(11)
+        n, aspects = 100_000, 3
+        if dangling == "mixed":
+            op = one_hot_operator(rng, aspects, n=n, m=3 * n)
+        else:
+            # a ring feeds every column; extra random edges skew the in-degrees
+            ring = np.stack([(np.arange(n) + 1) % n, np.arange(n)], axis=1)
+            extra = rng.integers(n, size=(4 * n, 2))
+            edges = np.unique(np.concatenate([ring, extra[extra[:, 0] != extra[:, 1]]]), axis=0)
+            impacts = rng.random((len(edges), aspects)) + 0.1
+            op = build_projection(build_transition(edges, impacts * (dangling == "none"), n))
+        flags = [dangling_columns(op.tensor, k) for k in range(aspects)]
+        assert {"all": all(f.all() for f in flags), "none": not any(f.any() for f in flags),
+                "mixed": all(f.any() and not f.all() for f in flags)}[dangling]
+        start = initialize_state(n, aspects).matrix
+        out = apply_projection(op, AspectState(matrix=start))
+        for k in range(aspects):
+            assert abs(math.fsum(out.matrix[:, k]) - math.fsum(start[:, k])) <= 1e-13
+
     @pytest.mark.parametrize("aspects", [1, 2, 3, 4, 5])
     def test_bitwise_equal_to_per_aspect_loop(self, aspects):
         # a graph large enough for the pairwise sums to take several blocks
         rng = np.random.default_rng(40 + aspects)
         op = one_hot_operator(rng, aspects)
-        assert op.tensor.dangling_mask.any(axis=0).all()
+        assert all(dangling_columns(op.tensor, k).any() for k in range(aspects))
         state = random_distribution(rng, op.num_nodes, aspects)
         for matrix in (state, np.asfortranarray(state)):
             current = AspectState(matrix=matrix)
@@ -339,7 +383,7 @@ class TestApplyProjection:
         # every column is dangling, so the step is the uniform distribution;
         # np.bincount of an empty input is int64 and once broke the step
         op = build_projection(build_transition([[0, 1], [1, 2]], np.zeros((2, 2)), 3))
-        assert op.tensor.dangling_mask.all() and len(op.rows) == 0
+        assert all(dangling_columns(op.tensor, k).all() for k in range(2)) and len(op.rows) == 0
         state = AspectState(matrix=np.array([[0.5, 0.2], [0.3, 0.2], [0.2, 0.6]]))
         out = propagate(op, state)
         assert out.matrix.dtype == np.float64 and np.allclose(out.matrix, 1.0 / 3.0, atol=1e-15)
@@ -431,6 +475,38 @@ class TestPropagate:
         assert np.all(np.abs(out.matrix.sum(axis=0) - 1.0) < 1e-9)
 
 
+class TestAgainstGatheringStep:
+    """The deficit step against the earlier step that gathered dangling
+    columns: the two differ only by rounding, so whole runs must agree."""
+
+    def run_both(self, monkeypatch, op, start, max_steps, epsilon):
+        out = propagate(op, start, max_steps=max_steps, epsilon=epsilon)
+        with monkeypatch.context() as patch:
+            patch.setattr(propagation, "apply_projection", apply_projection_gathers)
+            reference = propagate(op, start, max_steps=max_steps, epsilon=epsilon)
+        assert (out.step, out.converged) == (reference.step, reference.converged)
+        assert np.abs(out.matrix - reference.matrix).sum(axis=0).max() <= 1e-11
+        return out
+
+    @pytest.mark.parametrize("aspects", [1, 3, 5])
+    def test_one_hot_operator(self, monkeypatch, aspects):
+        rng = np.random.default_rng(90 + aspects)
+        op = one_hot_operator(rng, aspects)
+        start = AspectState(matrix=random_distribution(rng, op.num_nodes, aspects))
+        assert not self.run_both(monkeypatch, op, start, max_steps=10, epsilon=1e-12).converged
+        assert self.run_both(monkeypatch, op, start, max_steps=100, epsilon=1e-12).converged
+
+    def test_random_instances(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        converged = set()
+        for _ in range(20):
+            n, aspects, edges, impacts = random_instance(rng, max_aspects=5)
+            op = build_projection(build_transition(edges, impacts, n))
+            start = AspectState(matrix=random_distribution(rng, n, aspects))
+            converged.add(self.run_both(monkeypatch, op, start, max_steps=100, epsilon=1e-8).converged)
+        assert converged == {True, False}
+
+
 class TestPhaseAgainstStackedReference:
     def test_train_sd_phase_byte_identical(self, monkeypatch):
         # ~2k nodes, skewed in-degree, never-cited nodes, edges in shuffled order
@@ -515,6 +591,16 @@ class TestPropagateLayout:
             propagate(op, AspectState(matrix=matrix), max_steps=max_steps)
             assert np.array_equal(matrix, snapshot)
             assert matrix.flags.c_contiguous == (order == "C")
+
+
+class TestValidate:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        # NaN compares False both ways, so "x < 0 or x > 1" lets it through
+        matrix = np.full((4, 2), 0.25)
+        matrix[1, 1] = bad
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            AspectState(matrix=matrix).validate()
 
 
 class TestInitializeState:
