@@ -6,7 +6,7 @@ For a candidate citation i -> j the model computes
   c_ij         citation effect of the cited node from its influence state
   e_ij         elementwise similarity of the two representations
   D_ij         per-aspect impact vector
-  alpha        one aspect, sampled (train) or argmax (infer)
+  alpha        the chosen aspect's index, sampled (train) or argmax (infer)
   Y_ij         nonnegative impact masked to the chosen aspect
   F_ij         scalar link score
 
@@ -51,8 +51,9 @@ rng = substream(7, "gumbel")
 draws = [int(sample_aspect(d[0], mode="train", rng=rng)[0].argmax()) for _ in range(12)]
 print(f"train-mode Gumbel draws (12x): {draws}")
 
-alphas = select_aspects(d)  # the batched infer-mode choice: argmax per row
-print(f"Y_ij (masked nonnegative impact) = {np.round(masked_impacts(d, alphas)[0], 4)}")
+chosen = select_aspects(d)  # the batched infer-mode choice: one argmax index per row
+print(f"chosen aspect (batched, infer) = {chosen[0]}")
+print(f"Y_ij (masked nonnegative impact) = {np.round(masked_impacts(d, chosen)[0], 4)}")
 f, d_batched = impacts_for_pairs(np.array([(i, j)]), state.matrix, params, texts)
 print(f"F_ij (link score) = sum(c) + sum(e) = {c.sum() + e.sum():.6f}; impacts_for_pairs gives {f[0]:.6f}")
 assert np.array_equal(d_batched, d)

@@ -222,6 +222,8 @@ def _save_npy(tmp: str, array: np.ndarray) -> None:
 def _load_manifest(path: str):
     with open(_require_file(path, "manifest"), encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: malformed manifest: the top level is a {type(payload).__name__}, not an object")
     if payload.get("format") != "aspectcite-manifest-v1":
         raise DataError(f"{path}: not a recognized manifest (format={payload.get('format')!r})")
     try:
@@ -230,14 +232,16 @@ def _load_manifest(path: str):
         vectors_path = os.path.join(os.path.dirname(os.path.abspath(path)), payload["text_vectors_file"])
         text_shape = (graph.num_nodes, payload["text_dim"])
         split.validate(graph)
+        if list(graph.node_ids) != payload["nodes"]:
+            raise ValueError("node order does not match its edge list")
+        if type(payload["seed"]) is not int:
+            raise ValueError(f"seed must be an integer, got {payload['seed']!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed manifest: {exc}") from exc
     try:  # mapped read-only: a query gathers a few rows, so it need not read the whole file
         text_vectors = np.asarray(np.load(_require_file(vectors_path, "text vector matrix"), mmap_mode="r"))
     except ValueError as exc:
         raise DataError(f"{vectors_path}: unreadable text vector matrix: {exc}") from exc
-    if list(graph.node_ids) != payload["nodes"]:
-        raise DataError(f"{path}: node order does not match its edge list")
     if text_vectors.dtype != np.float64 or text_vectors.shape != text_shape:
         raise DataError(
             f"{vectors_path}: text vector matrix is {text_vectors.dtype} {text_vectors.shape}, "
@@ -340,7 +344,6 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     res = _Resolver(args)
     _, graph, _, text_vectors, params, state = _load_artifacts(args)
-    res.seed()
 
     pairs_file = _require_file(args.pairs, "pair list")
     pairs_ids: list[list[str]] = []
@@ -376,7 +379,6 @@ def cmd_explain(args) -> int:
         raise UsageError(f"--top-n must be >= 1 and --top-m >= 0, got {top_n} and {top_m}")
     fmt = res.get("format", "json", choices=FORMATS)
     manifest, graph, _, text_vectors, params, state = _load_artifacts(args)
-    res.seed(default=manifest["seed"])
 
     docs = None
     if args.node_text:  # parsed and validated whole, so a malformed line anywhere exits 2
@@ -414,10 +416,11 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="aspectcite", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seeded=True):
         p.add_argument("--out-dir", required=True, help="directory for all output artifacts")
         p.add_argument("--config", help="flat key=value config file (flags override it)")
-        p.add_argument("--seed", type=int, help=f"root seed (also ${SEED_ENV_VAR})")
+        if seeded:  # predict and explain draw no random number
+            p.add_argument("--seed", type=int, help=f"root seed (also ${SEED_ENV_VAR})")
 
     p = sub.add_parser("ingest", help="build graph, text embeddings, and split; write a dataset manifest")
     common(p)
@@ -453,7 +456,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="score arbitrary node pairs from a TSV")
-    common(p)
+    common(p, seeded=False)
     p.add_argument("--manifest", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--state", required=True)
@@ -461,7 +464,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("explain", help="per-aspect citer ranking and term summary for a target node")
-    common(p)
+    common(p, seeded=False)
     p.add_argument("--manifest", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--state", required=True)

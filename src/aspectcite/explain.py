@@ -109,13 +109,13 @@ def explain_target(
 
     pairs = np.asarray([(int(i), t) for i in citers])
     _, impact_rows = impacts_for_pairs(pairs, state.matrix, params, text_vectors, scores=False)
-    alphas = select_aspects(impact_rows)
-    scores = impact_rows[alphas == 1.0]  # one selected-aspect impact per citer, in citer order
+    chosen = select_aspects(impact_rows)
+    scores = impact_rows[np.arange(len(chosen)), chosen]  # one chosen-aspect impact per citer, in citer order
 
     groups: list[tuple[RankedCiter, ...]] = []
     terms: list[tuple[str, ...]] = []
     for k in range(aspects):
-        members = [(float(scores[m]), int(citers[m])) for m in np.flatnonzero(alphas[:, k])]
+        members = [(float(scores[m]), int(citers[m])) for m in np.flatnonzero(chosen == k)]
         members.sort(key=lambda sc: (-sc[0], sc[1]))
         top = members[:top_n]
         groups.append(

@@ -140,7 +140,7 @@ def build_graph(edges) -> CitationGraph:
 def dangling_nodes(graph: CitationGraph) -> np.ndarray:
     """Nodes that are never cited (in-degree zero), sorted ascending.
 
-    These are exactly the nodes whose transition column carries no citation
-    mass and must be repaired by the uniform teleport correction.
+    Their transition column is empty in every aspect; the propagation step
+    needs no list of them, as it spreads every column's unkept mass uniformly.
     """
     return np.flatnonzero(graph.in_degrees() == 0)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codec import write_atomically
 from .corpus import DatasetSplit
 from .graph import CitationGraph
 from .model import ModelParams, scores_for_pairs
@@ -175,7 +176,7 @@ def evaluate(
     Pairs are scored by the trained model's F score (`scores_for_pairs`);
     `score_fn(pairs) -> scores` replaces it (tests pass oracle scores this
     way). `per_source_csv`, when given, receives one row per ranked source for
-    plotting.
+    plotting, written atomically once the report validates.
     """
     positives = split.edges_of(split_name)
     negatives = split.negatives[split_name]
@@ -225,12 +226,6 @@ def evaluate(
     if ranked_sources == 0:
         raise ValueError("no source had both positives and candidate negatives to rank")
 
-    if per_source_csv is not None:
-        with open(per_source_csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(per_source_rows[0]))
-            writer.writeheader()
-            writer.writerows(per_source_rows)
-
     report = MetricsReport(
         auc=auc(pos_scores, neg_scores),
         ap_at_k={k: ap_totals[k] / ranked_sources for k in ks},
@@ -247,4 +242,12 @@ def evaluate(
         },
     )
     report.validate()
+    if per_source_csv is not None:
+        def write(tmp: str) -> None:
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(per_source_rows[0]))
+                writer.writeheader()
+                writer.writerows(per_source_rows)
+
+        write_atomically(per_source_csv, write)
     return report

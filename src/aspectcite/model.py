@@ -7,15 +7,14 @@ For candidate citations (i cites j), one row per pair, the chain is:
   e_ij  similarity: elementwise product r_i * r_j
   D_ij  per-aspect impact: effect_weights^T c + similarity_weights^T e + bias
                                                    (impacts_from_representations)
-  alpha one-hot aspect choice: Gumbel-max draw in train mode, argmax in infer
-                                                   (select_aspects)
-  Y_ij  masked nonnegative impact: max(D_ij, 0) at the selected aspect, 0
-        elsewhere         (masked_impacts; argmax_masked_impacts in infer mode)
+  alpha chosen aspect, one index per pair: Gumbel-max draw in train mode,
+        argmax in infer                            (select_aspects)
+  Y_ij  masked nonnegative impact: max(D_ij, 0) at the chosen aspect, 0
+        elsewhere                                  (masked_impacts)
   F_ij  scalar link score: sum(c_ij) + sum(e_ij)  (impacts_for_pairs)
 
 `impacts_for_pairs` runs the chain (`impacts_from_representations`) in blocks
-of pairs and keeps F and D; every aspect choice goes through `select_aspects`,
-or through the one argmax of `argmax_masked_impacts`, which gives the same Y.
+of pairs and keeps F and D; every aspect choice goes through `select_aspects`.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ __all__ = [
     "impacts_for_pairs",
     "select_aspects",
     "masked_impacts",
-    "argmax_masked_impacts",
     "sample_aspect",
     "scores_for_pairs",
     "save_checkpoint",
@@ -219,7 +217,7 @@ def impacts_for_pairs(
 
 
 def select_aspects(impacts: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
-    """One-hot aspect choice for each row of a (rows, I) impact matrix.
+    """The chosen aspect of each row of a (rows, I) impact matrix, a (rows,) int64 index.
 
     Without a generator: the argmax of each row, ties to the lowest index.
     With one: a Gumbel-max draw, the argmax of g + log softmax(d) with
@@ -229,21 +227,13 @@ def select_aspects(impacts: np.ndarray, rng: np.random.Generator | None = None) 
     scores = np.asarray(impacts, dtype=np.float64)
     if rng is not None:
         scores = -np.log(-np.log(rng.random(scores.shape))) + np.log(softmax(scores))
-    alphas = np.zeros_like(scores)
-    alphas[np.arange(len(scores)), np.argmax(scores, axis=1)] = 1.0
-    return alphas
+    return np.argmax(scores, axis=1)
 
 
-def masked_impacts(impacts: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """Y = max(D, 0) at each row's selected aspect, 0 at every other aspect."""
-    return np.where(alphas == 1.0, np.maximum(impacts, 0.0), 0.0)
-
-
-def argmax_masked_impacts(impacts: np.ndarray) -> np.ndarray:
-    """masked_impacts(impacts, select_aspects(impacts)), bit for bit, from one
-    argmax: max(D, 0) of each row's argmax aspect written into zeros."""
+def masked_impacts(impacts: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+    """Y = max(D, 0) at each row's `chosen` aspect index, 0 at every other aspect."""
     impacts = np.asarray(impacts, dtype=np.float64)
-    rows, chosen = np.arange(len(impacts)), np.argmax(impacts, axis=1)
+    rows = np.arange(len(impacts))
     masked = np.zeros_like(impacts)
     masked[rows, chosen] = np.maximum(impacts[rows, chosen], 0.0)
     return masked
@@ -264,7 +254,7 @@ def sample_aspect(d_pair: np.ndarray, mode: str, rng: np.random.Generator | None
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
     if mode == "train" and rng is None:
         raise ValueError("train-mode sampling needs a random generator")
-    hard = select_aspects(d_pair[None, :], rng if mode == "train" else None)[0]
+    hard = np.eye(len(d_pair))[select_aspects(d_pair[None, :], rng if mode == "train" else None)[0]]
     return hard, softmax(d_pair)
 
 

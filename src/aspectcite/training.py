@@ -33,13 +33,15 @@ from .graph import CitationGraph
 from .model import (
     Dims,
     ModelParams,
-    argmax_masked_impacts,
     distinct_nodes,
     impacts_from_representations,
+    masked_impacts,
     representations_for,
     select_aspects,
 )
 from .propagation import (
+    DEFAULT_EPSILON,
+    DEFAULT_MAX_STEPS,
     AspectState,
     build_projection,
     build_transition,
@@ -81,8 +83,8 @@ class TrainConfig:
     batch_size: int = 512
     aspect_loss_weight: float = 1.0
     dynamic_propagation: bool = True
-    propagation_epsilon: float = 1e-8
-    propagation_max_steps: int = 100
+    propagation_epsilon: float = DEFAULT_EPSILON
+    propagation_max_steps: int = DEFAULT_MAX_STEPS
     seed: int = 0
 
     def validate(self) -> None:
@@ -176,38 +178,39 @@ def _forward(params: ModelParams, state_matrix, text_vectors, triplets):
 
 
 def sample_batch_alphas(impacts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Train-mode aspect selection: one Gumbel-max one-hot row per impact row."""
+    """Train-mode aspect selection: one Gumbel-max aspect index per impact row."""
     return select_aspects(impacts, rng)
 
 
-def _hinge(fw: dict, alphas: np.ndarray, config: TrainConfig):
+def _hinge(fw: dict, chosen: np.ndarray, config: TrainConfig):
     """Summed margin loss of a forward and each triplet's hinge arguments.
 
     Per triplet: max(0, z_e) + weight * max(0, z_t), where z_e is the edge
     margin minus the link-score gap f_j - f_k and z_t the aspect margin minus
-    the impact gap on the aspect `alphas` selects (from the positive pair).
+    the impact gap on the triplet's `chosen` aspect (drawn from the positive pair).
     """
     z_e = config.margin_edge - (fw["f_j"] - fw["f_k"])
-    gap = (alphas * fw["imp_j"]).sum(axis=1) - (alphas * fw["imp_k"]).sum(axis=1)
+    gap = (fw["imp_j"] - fw["imp_k"])[np.arange(len(chosen)), chosen]
     z_t = config.margin_aspect - gap
     loss = float((np.maximum(z_e, 0.0) + config.aspect_loss_weight * np.maximum(z_t, 0.0)).sum())
     return loss, z_e, z_t
 
 
-def batch_loss(params, state_matrix, text_vectors, triplets, alphas, config: TrainConfig) -> float:
+def batch_loss(params, state_matrix, text_vectors, triplets, chosen, config: TrainConfig) -> float:
     """Summed triplet loss with the aspect selection held fixed (forward only)."""
-    return _hinge(_forward(params, state_matrix, text_vectors, triplets), alphas, config)[0]
+    return _hinge(_forward(params, state_matrix, text_vectors, triplets), chosen, config)[0]
 
 
-def batch_loss_and_grads(params, fw: dict, alphas, config: TrainConfig):
+def batch_loss_and_grads(params, fw: dict, chosen, config: TrainConfig):
     """Summed triplet loss of the forward `fw` and its hand-derived gradients.
 
     Summing (rather than averaging) over the batch makes one update
     equivalent to per-triplet SGD at the configured learning rate; batching
-    is purely a vectorization detail. The aspect selection `alphas` (one row
-    per triplet, from the positive pair) is a constant of the backward pass.
+    is purely a vectorization detail. The aspect selection `chosen` (one
+    index per triplet, from the positive pair) is a constant of the backward pass.
     """
-    loss, z_e, z_t = _hinge(fw, alphas, config)
+    loss, z_e, z_t = _hinge(fw, chosen, config)
+    alphas = np.eye(fw["imp_j"].shape[1])[chosen]  # the one-hot of `chosen`, for the gradient matmuls
 
     active_e = (z_e > 0).astype(np.float64)
     active_t = (z_t > 0).astype(np.float64) * config.aspect_loss_weight
@@ -284,7 +287,7 @@ def train_sy_phase(
 
     eval_rng = substream(config.seed, "eval-batch")
     eval_batch = sample_triplets(edges, min(config.batch_size, 4 * len(edges)), eval_rng, graph)
-    eval_alphas = select_aspects(_forward(params, state_matrix, text_vectors, eval_batch)["imp_j"])
+    eval_chosen = select_aspects(_forward(params, state_matrix, text_vectors, eval_batch)["imp_j"])
 
     batches_per_epoch = max(1, int(np.ceil(len(edges) / config.batch_size)))
     trace = {"train_loss": [], "eval_loss": [], "skipped_sources": 0}
@@ -296,8 +299,8 @@ def train_sy_phase(
             if not triplets:
                 continue
             fw = _forward(params, state_matrix, text_vectors, triplets)
-            alphas = sample_batch_alphas(fw["imp_j"], rng_gumbel)
-            loss, grads = batch_loss_and_grads(params, fw, alphas, config)
+            chosen = sample_batch_alphas(fw["imp_j"], rng_gumbel)
+            loss, grads = batch_loss_and_grads(params, fw, chosen, config)
             if not np.isfinite(loss):
                 norms = {name: float(np.linalg.norm(getattr(params, name))) for name in ModelParams.TENSOR_FIELDS}
                 raise TrainingAbort(f"non-finite loss {loss}; parameter norms {norms}; first triplet {triplets[0]}")
@@ -306,7 +309,7 @@ def train_sy_phase(
             epoch_losses.append(loss / len(triplets))
         trace["train_loss"].append(float(np.mean(epoch_losses)) if epoch_losses else 0.0)
         trace["eval_loss"].append(
-            batch_loss(params, state_matrix, text_vectors, eval_batch, eval_alphas, config) / max(1, len(eval_batch))
+            batch_loss(params, state_matrix, text_vectors, eval_batch, eval_chosen, config) / max(1, len(eval_batch))
         )
     return params, trace
 
@@ -330,7 +333,7 @@ def train_sd_phase(
     from .model import impacts_for_pairs  # looked up per call, so a wrapper bound on the model module sees it
 
     _, impact_rows = impacts_for_pairs(edges, state.matrix, params, text_vectors, scores=False)
-    masked = argmax_masked_impacts(impact_rows)
+    masked = masked_impacts(impact_rows, select_aspects(impact_rows))
     tensor = build_transition(edges, masked, params.num_nodes)
     op = build_projection(tensor)
     return propagate(op, state, max_steps=config.propagation_max_steps, epsilon=config.propagation_epsilon)

@@ -392,7 +392,7 @@ def test_criterion_8_pipeline_determinism(tmp_path):
         assert main([
             "explain", "--manifest", str(out / "manifest.json"), "--checkpoint", str(out / "checkpoint.json"),
             "--state", str(out / "state.json"), "--target", target, "--node-text", str(tmp_path / "text.tsv"),
-            "--out-dir", str(out), "--seed", "11",
+            "--out-dir", str(out),
         ]) == 0
         artifacts = {}
         for name in ("manifest.json", "text_vectors.npy", "checkpoint.json", "checkpoint.bin", "state.json",

@@ -268,16 +268,20 @@ class TestTrain:
         ("train", "--snapshot-cutoffs", "1,2"),
         ("evaluate", "--scorer", "total_impact"),
         ("predict", "--scorer", "total_impact"),
+        ("predict", "--seed", "1"),
+        ("explain", "--seed", "1"),
     ])
     def test_removed_option_is_a_usage_error(self, dataset, tmp_path, capsys, command, flag, value):
-        """The snapshot schedule and the scorer choice are gone; their flags exit 1 and write nothing."""
+        """The snapshot schedule, the scorer choice and the seed of the commands
+        that draw no random number are gone; their flags exit 1 and write nothing."""
         root, edges, text, vecs = dataset
         out = tmp_path / "out"
         run_pipeline(root, edges, text, vecs, out)
         pairs = tmp_path / "pairs.tsv"
         pairs.write_text("p0\tp1\n", encoding="utf-8")
         artifacts = ["--checkpoint", str(out / "checkpoint.json"), "--state", str(out / "state.json")]
-        inputs = {"train": [], "evaluate": artifacts, "predict": [*artifacts, "--pairs", str(pairs)]}[command]
+        inputs = {"train": [], "evaluate": artifacts, "predict": [*artifacts, "--pairs", str(pairs)],
+                  "explain": [*artifacts, "--target", "p0"]}[command]
         query = tmp_path / "query"
         capsys.readouterr()
         assert main([command, "--manifest", str(out / "manifest.json"), "--out-dir", str(query), *inputs, flag, value]) == 1
@@ -347,6 +351,25 @@ class TestEvaluate:
             for column, key in ((f"ap@{k}", "ap_at_k"), (f"ndcg@{k}", "ndcg_at_k")):
                 mean = sum(float(row[column]) for row in rows) / len(rows)
                 assert mean == pytest.approx(metrics[key][k], rel=1e-12, abs=1e-15)
+
+    def test_failed_per_source_csv_write_leaves_no_file(self, dataset, tmp_path, monkeypatch):
+        root, edges, text, vecs = dataset
+        out = tmp_path / "out"
+        run_pipeline(root, edges, text, vecs, out)
+
+        def failing(writer, rows):
+            writer.writerow(rows[0])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(csv.DictWriter, "writerows", failing)
+        query = tmp_path / "query"
+        with pytest.raises(OSError, match="disk full"):
+            main([
+                "evaluate", "--manifest", str(out / "manifest.json"), "--checkpoint", str(out / "checkpoint.json"),
+                "--state", str(out / "state.json"), "--out-dir", str(query), "--rank-negatives", "5",
+                "--per-source-csv",
+            ])
+        assert list(query.iterdir()) == []  # no partial per_source.csv, no temp file, no metrics.json
 
     def test_malformed_checkpoint_exits_2(self, dataset, tmp_path, capsys):
         root, edges, text, vecs = dataset
@@ -540,6 +563,26 @@ class TestManifestChecks:
         capsys.readouterr()
         assert query_exit_codes(out, pairs) == (2, 2)
         assert "malformed manifest" in capsys.readouterr().err
+
+    MANIFEST_DAMAGE = {
+        "not_an_object": lambda m: [],
+        "no_nodes": lambda m: {k: v for k, v in m.items() if k != "nodes"},
+        "no_seed": lambda m: {k: v for k, v in m.items() if k != "seed"},
+        "string_seed": lambda m: {**m, "seed": "7"},
+    }
+
+    @pytest.mark.parametrize("damage", list(MANIFEST_DAMAGE))
+    def test_malformed_manifest_exits_2(self, dataset, tmp_path, capsys, damage):
+        root, edges, text, vecs = dataset
+        out = tmp_path / "out"
+        run_pipeline(root, edges, text, vecs, out)
+        pairs = last_node_pairs(out, tmp_path)
+        manifest = json.loads((out / "manifest.json").read_text())
+        (out / "manifest.json").write_text(json.dumps(self.MANIFEST_DAMAGE[damage](manifest)), encoding="utf-8")
+        capsys.readouterr()
+        assert query_exit_codes(out, pairs) == (2, 2)
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 2 and all("malformed manifest" in e for e in errors)
 
     @pytest.mark.parametrize("damage", ["drop_last_row", "extra_column", "float32", "one_dimensional"])
     def test_mismatched_text_matrix_exits_2(self, dataset, tmp_path, capsys, damage):
@@ -763,6 +806,24 @@ class TestConfigResolution:
             "--out-dir", str(out),
         ]) == 0
         assert json.loads((out / "manifest.json").read_text())["seed"] == 33
+
+    def test_queries_take_no_seed(self, dataset, tmp_path, monkeypatch):
+        """predict and explain draw no random number, so neither the seed= key
+        nor $ASPECTCITE_SEED reaches their config echoes."""
+        root, edges, text, vecs = dataset
+        out = tmp_path / "out"
+        run_pipeline(root, edges, text, vecs, out)
+        monkeypatch.setenv("ASPECTCITE_SEED", "33")
+        cfg = tmp_path / "query.cfg"
+        cfg.write_text("seed=5\n", encoding="utf-8")
+        pairs = last_node_pairs(out, tmp_path)
+        artifacts = ["--manifest", str(out / "manifest.json"), "--checkpoint", str(out / "checkpoint.json"),
+                     "--state", str(out / "state.json"), "--out-dir", str(out), "--config", str(cfg)]
+        target = json.loads((out / "manifest.json").read_text())["edges"][0][1]
+        assert main(["predict", *artifacts, "--pairs", str(pairs)]) == 0
+        assert main(["explain", *artifacts, "--target", target]) == 0
+        for command in ("predict", "explain"):
+            assert "seed" not in json.loads((out / f"{command}_config.json").read_text())
 
     def test_usage_error_exit_1(self):
         assert main(["train"]) == 1

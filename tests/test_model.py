@@ -19,7 +19,6 @@ from aspectcite import (
 from aspectcite import model
 from aspectcite.model import (
     BLOCK_ROWS,
-    argmax_masked_impacts,
     distinct_nodes,
     impacts_for_pairs,
     impacts_from_representations,
@@ -29,6 +28,7 @@ from aspectcite.model import (
     select_aspects,
     softmax,
 )
+from aspectcite.seeding import substream
 from test_propagation import ARTIFACT_CORRUPTIONS, corrupt_artifact, special_values, v2_entry
 
 
@@ -249,6 +249,36 @@ def sample_aspect_reference(d_pair, mode, rng=None):
     return hard
 
 
+def select_aspects_reference(impacts, rng=None):
+    """The pre-change batched selection, which returned one one-hot row per
+    impact row: the argmax of d, or of a Gumbel-max perturbation of log softmax(d)."""
+    scores = np.asarray(impacts, dtype=np.float64)
+    if rng is not None:
+        scores = -np.log(-np.log(rng.random(scores.shape))) + np.log(softmax(scores))
+    onehot = np.zeros_like(scores)
+    onehot[np.arange(len(scores)), np.argmax(scores, axis=1)] = 1.0
+    return onehot
+
+
+def masked_impacts_reference(impacts, onehot):
+    """The pre-change mask, which tested a one-hot selection entry for 1.0."""
+    return np.where(onehot == 1.0, np.maximum(impacts, 0.0), 0.0)
+
+
+class TestSelectAspects:
+    @pytest.mark.parametrize("rows,aspects", [(1, 1), (33, 1), (1, 2), (7, 3), (512, 5), (0, 4)])
+    def test_index_is_argmax_of_pre_change_onehot(self, rows, aspects):
+        gen = np.random.default_rng(rows * 10 + aspects)
+        d = np.round(gen.normal(scale=2.0, size=(rows, aspects)), 1)  # rounding makes ties
+        d[:2] = 0.5  # all-tied rows
+        rng, ref_rng = substream(11, "gumbel"), substream(11, "gumbel")
+        for generator, reference in ((None, None), (rng, ref_rng)):
+            chosen = select_aspects(d, generator)
+            assert chosen.dtype == np.int64 and chosen.shape == (rows,)
+            assert np.array_equal(chosen, np.argmax(select_aspects_reference(d, reference), axis=1))
+        assert rng.random() == ref_rng.random()  # both generators consumed the same draws
+
+
 class TestSampleAspect:
     def test_infer_argmax(self):
         hard, _ = sample_aspect(np.array([0.2, 0.8]), mode="infer")
@@ -261,7 +291,7 @@ class TestSampleAspect:
     def test_infer_tie_breaks_to_lowest_index(self):
         hard, _ = sample_aspect(np.array([0.5, 0.5]), mode="infer")
         assert np.array_equal(hard, [1, 0])
-        assert np.array_equal(select_aspects(np.array([[0.5, 0.5, 0.1], [0.2, 0.7, 0.7]])), [[1, 0, 0], [0, 1, 0]])
+        assert np.array_equal(select_aspects(np.array([[0.5, 0.5, 0.1], [0.2, 0.7, 0.7]])), [0, 1])
 
     def test_shift_invariance(self):
         d = np.array([0.3, -1.2, 0.9])
@@ -303,15 +333,15 @@ class TestSampleAspect:
 
 class TestMaskedImpact:
     def test_negative_clipped(self):
-        assert np.allclose(masked_impacts(np.array([[0.3, -0.4]]), np.array([[0.0, 1.0]])), [[0, 0]])
+        assert np.allclose(masked_impacts(np.array([[0.3, -0.4]]), np.array([1])), [[0, 0]])
 
     def test_selected_positive_passes(self):
-        assert np.allclose(masked_impacts(np.array([[0.3, -0.4]]), np.array([[1.0, 0.0]])), [[0.3, 0]])
+        assert np.allclose(masked_impacts(np.array([[0.3, -0.4]]), np.array([0])), [[0.3, 0]])
         d = np.array([[0.3, -0.4], [-0.1, 0.2], [-0.5, -0.6]])
         assert np.allclose(masked_impacts(d, select_aspects(d)), [[0.3, 0], [0, 0.2], [0, 0]])
 
     def test_mask_kills_unselected(self):
-        assert np.allclose(masked_impacts(np.array([[0.0, 5.0]]), np.array([[1.0, 0.0]])), [[0, 0]])
+        assert np.allclose(masked_impacts(np.array([[0.0, 5.0]]), np.array([0])), [[0, 0]])
 
     @pytest.mark.parametrize("d", [
         [[0.5, 0.5, 0.1], [0.2, 0.7, 0.7], [1.0, 1.0, 1.0]],  # ties go to the lowest index
@@ -322,7 +352,7 @@ class TestMaskedImpact:
     ])
     def test_one_argmax_equals_select_then_mask_bit_for_bit(self, d):
         d = np.asarray(d, dtype=np.float64).reshape(-1, 3)
-        got, want = argmax_masked_impacts(d), masked_impacts(d, select_aspects(d))
+        got, want = masked_impacts(d, select_aspects(d)), masked_impacts_reference(d, select_aspects_reference(d))
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @given(st.integers(0, 2**31 - 1))
@@ -331,16 +361,15 @@ class TestMaskedImpact:
         rng = np.random.default_rng(seed)
         d = np.round(rng.normal(size=(int(rng.integers(1, 40)), int(rng.integers(1, 6)))), 1)  # rounding makes ties
         d[rng.random(d.shape) < 0.1] = -0.0
-        assert argmax_masked_impacts(d).tobytes() == masked_impacts(d, select_aspects(d)).tobytes()
+        want = masked_impacts_reference(d, select_aspects_reference(d))
+        assert masked_impacts(d, select_aspects(d)).tobytes() == want.tobytes()
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=60, deadline=None)
     def test_bounds_and_pattern(self, seed):
         rng = np.random.default_rng(seed)
         d = rng.normal(size=(int(rng.integers(1, 5)), 4))
-        alphas = np.zeros_like(d)
-        alphas[np.arange(len(d)), rng.integers(4, size=len(d))] = 1.0
-        for chosen in (alphas, select_aspects(d), select_aspects(d, rng)):
+        for chosen in (rng.integers(4, size=len(d)), select_aspects(d), select_aspects(d, rng)):
             y = masked_impacts(d, chosen)
             assert np.all(y >= 0)
             assert np.all(y <= np.maximum(d, 0.0) + 1e-15)
@@ -399,9 +428,9 @@ class TestScorePair:
             assert np.array_equal(c[0], state[j] @ params.state_to_effect.T)
             assert np.array_equal(e[0], reps[0] * reps[1])
             assert np.allclose(d[0], c[0] @ params.effect_weights + e[0] @ params.similarity_weights + params.bias)
-            alphas = select_aspects(d)
-            assert alphas[0, np.argmax(d[0])] == 1.0 and alphas.sum() == 1.0
-            assert masked_impacts(d, alphas).sum() == max(d.max(), 0.0)
+            chosen = select_aspects(d)
+            assert np.array_equal(chosen, [np.argmax(d[0])])
+            assert masked_impacts(d, chosen).sum() == max(d.max(), 0.0)
             assert scores_for_pairs(np.array([(i, j)]), state, params, texts)[0] == c.sum() + e.sum()
 
     @given(st.integers(0, 2**31 - 1))
@@ -413,9 +442,9 @@ class TestScorePair:
         state /= state.sum(axis=0)
         texts = rng.normal(size=(6, 3))
         _, _, d = impacts(params, state, [(0, 1)], texts)
-        alphas = select_aspects(d, rng if seed % 2 else None)
-        y = masked_impacts(d, alphas)
-        assert np.isin(alphas, (0.0, 1.0)).all() and alphas.sum() == 1.0
+        chosen = select_aspects(d, rng if seed % 2 else None)
+        y = masked_impacts(d, chosen)
+        assert chosen.shape == (1,) and 0 <= chosen[0] < 3
         assert np.all(y >= 0) and np.count_nonzero(y) <= 1
 
     def test_batch_scores_match_scalar_path(self):

@@ -16,7 +16,7 @@ from aspectcite import (
     train_sy_phase,
 )
 from aspectcite import training
-from aspectcite.model import save_checkpoint, select_aspects, softmax
+from aspectcite.model import save_checkpoint, select_aspects
 from aspectcite.seeding import substream
 from aspectcite.training import (
     TrainingAbort,
@@ -27,13 +27,14 @@ from aspectcite.training import (
 )
 
 from conftest import community_dataset
+from test_model import select_aspects_reference
 
 
-def hinge_loss(f_j=9.0, f_k=0.0, imp_j=(9.0,), imp_k=(0.0,), alpha=(1.0,), margin_edge=1.0, margin_aspect=1.0):
+def hinge_loss(f_j=9.0, f_k=0.0, imp_j=(9.0,), imp_k=(0.0,), aspect=0, margin_edge=1.0, margin_aspect=1.0):
     """Summed loss of a hand-built one-triplet forward; the defaults satisfy both margins."""
     fw = {"f_j": np.array([f_j]), "f_k": np.array([f_k]), "imp_j": np.array([imp_j]), "imp_k": np.array([imp_k])}
     config = TrainConfig(margin_edge=margin_edge, margin_aspect=margin_aspect)
-    return training._hinge(fw, np.array([alpha]), config)[0]
+    return training._hinge(fw, np.array([aspect]), config)[0]
 
 
 class TestLossEdge:
@@ -58,14 +59,14 @@ class TestLossEdge:
 
 class TestLossAspect:
     def test_selected_gap_satisfied(self):
-        assert hinge_loss(imp_j=[2.0, 9.0], imp_k=[0.0, 9.0], alpha=[1.0, 0.0]) == 0.0
+        assert hinge_loss(imp_j=[2.0, 9.0], imp_k=[0.0, 9.0], aspect=0) == 0.0
 
     def test_selected_gap_violated(self):
-        assert hinge_loss(imp_j=[0.0, 9.0], imp_k=[2.0, 0.0], alpha=[1.0, 0.0]) == 3.0
+        assert hinge_loss(imp_j=[0.0, 9.0], imp_k=[2.0, 0.0], aspect=0) == 3.0
 
     def test_equal_impacts_cost_margin(self):
         d = [0.4, -0.2]
-        assert hinge_loss(imp_j=d, imp_k=d, alpha=[0.0, 1.0]) == 1.0
+        assert hinge_loss(imp_j=d, imp_k=d, aspect=1) == 1.0
 
 
 class TestSampleTriplets:
@@ -184,16 +185,6 @@ def forward_reference(params, state_matrix, text_vectors, triplets):
     }
 
 
-def sample_batch_alphas_reference(impacts, rng):
-    """The pre-change batched Gumbel-max draw (hard rows only)."""
-    pi = softmax(impacts)
-    u = rng.random(impacts.shape)
-    perturbed = -np.log(-np.log(u)) + np.log(pi)
-    hard = np.zeros_like(pi)
-    hard[np.arange(len(pi)), np.argmax(perturbed, axis=1)] = 1.0
-    return hard
-
-
 class TestForward:
     @pytest.mark.parametrize("seed,n,aspects,text_dim,struct_dim,batch", [
         (0, 6, 2, 3, 2, 1),
@@ -225,7 +216,9 @@ class TestForward:
         for rows, aspects in ((1, 2), (7, 3), (512, 5), (33, 1)):
             impacts = gen.normal(scale=2.0, size=(rows, aspects))
             impacts[0] = 0.5  # an all-tied row
-            assert np.array_equal(sample_batch_alphas(impacts, rng), sample_batch_alphas_reference(impacts, ref_rng))
+            chosen = sample_batch_alphas(impacts, rng)
+            assert chosen.dtype == np.int64
+            assert np.array_equal(chosen, np.argmax(select_aspects_reference(impacts, ref_rng), axis=1))
         assert rng.random() == ref_rng.random()  # both streams consumed the same draws
 
 
@@ -256,18 +249,18 @@ class TestTrainSyPhase:
         rng = substream(0, "gumbel")
         for _ in range(500):
             fw = _forward(params, state.matrix, texts, triplet)
-            alphas = sample_batch_alphas(fw["imp_j"], rng)
-            loss, grads = batch_loss_and_grads(params, fw, alphas, config)
+            chosen = sample_batch_alphas(fw["imp_j"], rng)
+            loss, grads = batch_loss_and_grads(params, fw, chosen, config)
             for name, grad in grads.items():
                 tensor = getattr(params, name)
                 tensor -= config.learning_rate * grad
-        final_alphas = select_aspects(_forward(params, state.matrix, texts, triplet)["imp_j"])
-        final = batch_loss(params, state.matrix, texts, triplet, final_alphas, config)
+        final_chosen = select_aspects(_forward(params, state.matrix, texts, triplet)["imp_j"])
+        final = batch_loss(params, state.matrix, texts, triplet, final_chosen, config)
         assert final == 0.0
 
     def test_one_forward_per_batch(self, small_graph, small_split, small_text, monkeypatch):
         # per batch one forward feeds both the Gumbel draw and the backward;
-        # the eval batch adds one forward for its alphas and one per epoch
+        # the eval batch adds one forward for its aspect choice and one per epoch
         calls = []
 
         def counting(*args):
