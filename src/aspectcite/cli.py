@@ -2,8 +2,9 @@
 
 Every command resolves its configuration before any compute starts
 (defaults < `--config key=value file` < explicit flags; the root seed may
-also come from $ASPECTCITE_SEED), echoes the resolved configuration next to
-its outputs, and writes all artifacts atomically (temp file + rename) under
+also come from $ASPECTCITE_SEED; a config-file key the command does not
+take is a usage error), echoes the resolved configuration next to its
+outputs, and writes all artifacts atomically (temp file + rename) under
 `--out-dir`, which it creates only once its options and inputs have been
 checked, just before the first write. Outputs are byte-reproducible for a
 fixed seed; wall-clock readings live only under the report's `timing` key.
@@ -111,6 +112,14 @@ class _Resolver:
         self.resolved[key] = value
         return value
 
+    def check_unread(self) -> None:
+        """Reject config-file keys the command never read; called once its options are resolved."""
+        # a seeded command may resolve its seed only after loading the manifest, which holds the default
+        read = self.resolved.keys() | ({"seed"} if hasattr(self.args, "seed") else set())
+        unread = sorted(self.file_values.keys() - read)
+        if unread:
+            raise UsageError(f"{self.args.command} does not take config key(s): {', '.join(unread)}")
+
     def seed(self, default: int = 0) -> int:
         if getattr(self.args, "seed", None) is not None:
             value = self.args.seed
@@ -155,6 +164,7 @@ def cmd_ingest(args) -> int:
     ratios = res.get("ratios", (0.8, 0.1, 0.1), parse=_parse_float_list)
     negatives = res.get("negatives_per_positive", 1, parse=int)
     channels = res.get("channels", ("title",), parse=lambda s: tuple(v for v in s.split(",") if v))
+    res.check_unread()
 
     edge_file = _require_file(args.edges, "edge list")
     try:
@@ -220,6 +230,12 @@ def _save_npy(tmp: str, array: np.ndarray) -> None:
 
 
 def _load_manifest(path: str):
+    """Read and check a manifest; return (payload, graph, text_vectors).
+
+    The format, node order, seed, edges and text matrix are checked here. The
+    split stays as parsed JSON in `payload` until `_load_split` builds and
+    checks it, so `predict` and `explain`, which never read it, skip both.
+    """
     with open(_require_file(path, "manifest"), encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
@@ -228,10 +244,8 @@ def _load_manifest(path: str):
         raise DataError(f"{path}: not a recognized manifest (format={payload.get('format')!r})")
     try:
         graph = build_graph(payload["edges"])
-        split = corpus.DatasetSplit.from_dict(payload["split"], graph)
         vectors_path = os.path.join(os.path.dirname(os.path.abspath(path)), payload["text_vectors_file"])
         text_shape = (graph.num_nodes, payload["text_dim"])
-        split.validate(graph)
         if list(graph.node_ids) != payload["nodes"]:
             raise ValueError("node order does not match its edge list")
         if type(payload["seed"]) is not int:
@@ -247,7 +261,17 @@ def _load_manifest(path: str):
             f"{vectors_path}: text vector matrix is {text_vectors.dtype} {text_vectors.shape}, "
             f"expected float64 {text_shape} (nodes x text_dim)"
         )
-    return payload, graph, split, text_vectors
+    return payload, graph, text_vectors
+
+
+def _load_split(path: str, payload: dict, graph):
+    """The manifest's split, checked to be disjoint with non-edge negatives."""
+    try:
+        split = corpus.DatasetSplit.from_dict(payload["split"], graph)
+        split.validate(graph)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed manifest: {exc}") from exc
+    return split
 
 
 # ------------------------------------------------------------------ train
@@ -264,19 +288,20 @@ _TRAIN_OPTIONS = {
 
 def cmd_train(args) -> int:
     res = _Resolver(args)
-    manifest, graph, split, text_vectors = _load_manifest(args.manifest)
-
     variant = res.get("variant", "dp", choices=VARIANTS)
     config = TrainConfig(
         **{name: res.get(name, default, parse=parse) for name, (default, parse) in _TRAIN_OPTIONS.items()},
         dynamic_propagation=variant == "dp",
-        seed=res.seed(default=manifest["seed"]),
     )
+    res.check_unread()
     try:
         config.validate()
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
+    manifest, graph, text_vectors = _load_manifest(args.manifest)
+    split = _load_split(args.manifest, manifest, graph)
+    config = dataclasses.replace(config, seed=res.seed(default=manifest["seed"]))
     result = fit(graph, split, config, text_vectors)
     out_dir = _out_dir(args)
     save_checkpoint(result.params, os.path.join(out_dir, "checkpoint.json"))
@@ -297,7 +322,7 @@ def cmd_train(args) -> int:
 
 
 def _load_artifacts(args):
-    manifest, graph, split, text_vectors = _load_manifest(args.manifest)
+    manifest, graph, text_vectors = _load_manifest(args.manifest)
     try:
         params = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
         state = load_state(_require_file(args.state, "state"))
@@ -308,7 +333,7 @@ def _load_artifacts(args):
         raise DataError("checkpoint/state node count does not match the manifest graph")
     if params.dims.text_dim != text_vectors.shape[1]:
         raise DataError("checkpoint text dimension does not match the manifest's text vectors")
-    return manifest, graph, split, text_vectors, params, state
+    return manifest, graph, text_vectors, params, state
 
 
 # --------------------------------------------------------------- evaluate
@@ -320,7 +345,9 @@ def cmd_evaluate(args) -> int:
     if any(k < 1 for k in ks) or rank_negatives < 1:
         raise UsageError(f"--ks values and --rank-negatives must be >= 1, got ks={ks} rank-negatives={rank_negatives}")
     split_name = res.get("split", "test", flag="split_name", choices=SPLITS)
-    manifest, graph, split, text_vectors, params, state = _load_artifacts(args)
+    res.check_unread()
+    manifest, graph, text_vectors, params, state = _load_artifacts(args)
+    split = _load_split(args.manifest, manifest, graph)
     seed = res.seed(default=manifest["seed"])
     out_dir = _out_dir(args)  # evaluate writes the per-source CSV itself
     per_source = os.path.join(out_dir, "per_source.csv") if args.per_source_csv else None
@@ -343,7 +370,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     res = _Resolver(args)
-    _, graph, _, text_vectors, params, state = _load_artifacts(args)
+    res.check_unread()
+    _, graph, text_vectors, params, state = _load_artifacts(args)
 
     pairs_file = _require_file(args.pairs, "pair list")
     pairs_ids: list[list[str]] = []
@@ -378,26 +406,22 @@ def cmd_explain(args) -> int:
     if top_n < 1 or top_m < 0:
         raise UsageError(f"--top-n must be >= 1 and --top-m >= 0, got {top_n} and {top_m}")
     fmt = res.get("format", "json", choices=FORMATS)
-    manifest, graph, _, text_vectors, params, state = _load_artifacts(args)
-
-    docs = None
-    if args.node_text:  # parsed and validated whole, so a malformed line anywhere exits 2
-        try:
-            docs = corpus.load_node_text(_require_file(args.node_text, "node text"))
-        except corpus.CorpusFormatError as exc:
-            raise DataError(str(exc)) from exc
+    res.check_unread()
+    manifest, graph, text_vectors, params, state = _load_artifacts(args)
 
     try:
         target = graph.index_of(args.target)
     except KeyError as exc:
         raise DomainError(f"unknown target node: {args.target!r}") from exc
     texts = None
-    if docs is not None:  # explain_target reads tokens of the target's citers only
+    if args.node_text:  # every line is checked, so a malformed one anywhere exits 2; explain_target reads citers only
+        citers = [graph.node_ids[i] for i in graph.in_neighbors(target)]
+        try:
+            docs = corpus.load_node_text(_require_file(args.node_text, "node text"), nodes=citers)
+        except corpus.CorpusFormatError as exc:
+            raise DataError(str(exc)) from exc
         channels = manifest.get("channels", list(corpus.ALLOWED_CHANNELS))
-        citers = (graph.node_ids[i] for i in graph.in_neighbors(target))
-        texts = {
-            nid: docs[nid].tokens([c for c in channels if c in docs[nid].channels]) for nid in citers if nid in docs
-        }
+        texts = {nid: doc.tokens([c for c in channels if c in doc.channels]) for nid, doc in docs.items()}
     explanation = explain_target(
         args.target, params, state, graph, text_vectors, texts=texts, top_n=top_n, top_m=top_m
     )

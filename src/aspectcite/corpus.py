@@ -142,20 +142,32 @@ def load_edge_list(path) -> EdgeList:
     return EdgeList(edges=edges, duplicate_count=duplicates, self_loop_count=self_loops)
 
 
-def load_node_text(path) -> dict[str, TokenizedDocument]:
-    """Parse the node-text TSV into one TokenizedDocument per node."""
-    channels_by_node: dict[str, dict[str, tuple[str, ...]]] = {}
+def load_node_text(path, nodes=None) -> dict[str, TokenizedDocument]:
+    """Parse the node-text TSV into one TokenizedDocument per node, in file order.
+
+    Every line is checked (field count, node id, channel, duplicate channel),
+    so a malformed line anywhere raises. Given `nodes`, only those nodes'
+    documents are tokenized and returned: the full load restricted to them.
+    """
+    texts_by_node: dict[str, dict[str, str]] = {}
     for lineno, fields in tab_rows(path):
         if len(fields) != 3:
             raise CorpusFormatError(f"{path}: line {lineno}: expected 3 tab-separated fields, got {len(fields)}")
         node_id, channel, text = fields
+        if not node_id:
+            raise CorpusFormatError(f"{path}: line {lineno}: empty node id")
         if channel not in ALLOWED_CHANNELS:
             raise CorpusFormatError(f"{path}: line {lineno}: unknown channel {channel!r}; allowed: {ALLOWED_CHANNELS}")
-        per_node = channels_by_node.setdefault(node_id, {})
+        per_node = texts_by_node.setdefault(node_id, {})
         if channel in per_node:
             raise CorpusFormatError(f"{path}: line {lineno}: duplicate channel {channel!r} for node {node_id!r}")
-        per_node[channel] = tuple(text.split())
-    return {nid: TokenizedDocument(node_id=nid, channels=chans) for nid, chans in channels_by_node.items()}
+        per_node[channel] = text
+    wanted = texts_by_node.keys() if nodes is None else set(nodes)
+    return {
+        nid: TokenizedDocument(node_id=nid, channels={c: tuple(text.split()) for c, text in chans.items()})
+        for nid, chans in texts_by_node.items()
+        if nid in wanted
+    }
 
 
 def load_word_vectors(path) -> WordVectorTable:

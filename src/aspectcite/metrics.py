@@ -12,7 +12,6 @@ Conventions pinned here so numbers are comparable across runs:
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,9 +133,6 @@ class MetricsReport:
             "num_ranked_sources": self.num_ranked_sources,
             "config": self.config,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n"
 
 
 def _sample_source_negatives(source, graph, count, rng):

@@ -468,6 +468,18 @@ def query_exit_codes(out, pairs_file):
     )
 
 
+def query_outputs(out, query_dir, pairs_file, text_file):
+    """The bytes predict and explain write on the artifacts in out; both must exit 0."""
+    artifacts = [
+        "--manifest", str(out / "manifest.json"), "--checkpoint", str(out / "checkpoint.json"),
+        "--state", str(out / "state.json"), "--out-dir", str(query_dir),
+    ]
+    target = json.loads((out / "manifest.json").read_text())["edges"][0][1]
+    assert main(["predict", *artifacts, "--pairs", str(pairs_file)]) == 0
+    assert main(["explain", *artifacts, "--target", target, "--node-text", str(text_file)]) == 0
+    return [(query_dir / name).read_bytes() for name in ("predictions.json", "explanation.json")]
+
+
 def last_node_pairs(out, tmp_path):
     """A pair file scoring the last node of the manifest, so every text row is in play."""
     nodes = json.loads((out / "manifest.json").read_text())["nodes"]
@@ -555,14 +567,23 @@ class TestManifestChecks:
 
     @pytest.mark.parametrize("damage", list(SPLIT_DAMAGE))
     def test_inconsistent_split_exits_2(self, dataset, tmp_path, capsys, damage):
+        """train and evaluate, which read the split, exit 2 on it; predict and
+        explain never read it, so they answer exactly as on the undamaged manifest."""
         root, edges, text, vecs = dataset
         out = tmp_path / "out"
         run_pipeline(root, edges, text, vecs, out)
-        self.edit_manifest(out, self.SPLIT_DAMAGE[damage])
         pairs = last_node_pairs(out, tmp_path)
+        undamaged = query_outputs(out, tmp_path / "undamaged", pairs, text)
+        self.edit_manifest(out, self.SPLIT_DAMAGE[damage])
         capsys.readouterr()
-        assert query_exit_codes(out, pairs) == (2, 2)
-        assert "malformed manifest" in capsys.readouterr().err
+        manifest = ["--manifest", str(out / "manifest.json"), "--out-dir", str(tmp_path / "rerun")]
+        assert main(["train", *manifest]) == 2
+        assert main(["evaluate", *manifest, "--checkpoint", str(out / "checkpoint.json"),
+                     "--state", str(out / "state.json"), "--rank-negatives", "5"]) == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 2 and all("malformed manifest" in e for e in errors)
+        assert not (tmp_path / "rerun").exists()
+        assert query_outputs(out, tmp_path / "damaged", pairs, text) == undamaged
 
     MANIFEST_DAMAGE = {
         "not_an_object": lambda m: [],
@@ -606,7 +627,7 @@ class TestManifestChecks:
         root, edges, text, vecs = dataset
         out = tmp_path / "out"
         run_pipeline(root, edges, text, vecs, out)  # train ran on the mapped matrix, so it wrote nothing into it
-        text_vectors = _load_manifest(str(out / "manifest.json"))[3]
+        text_vectors = _load_manifest(str(out / "manifest.json"))[2]
         assert type(text_vectors) is np.ndarray and not text_vectors.flags.writeable
         assert text_vectors.tobytes() == np.load(out / "text_vectors.npy").tobytes()
 
@@ -663,19 +684,28 @@ class TestExplain:
             assert any(entry["top_terms"] for entry in json.loads((out / "explanation.json").read_text())["aspects"])
 
     def test_malformed_text_line_of_a_non_citer_exits_2(self, dataset, tmp_path, capsys):
+        """explain tokenizes only the target's citers but still checks every line."""
         root, edges, text, vecs = dataset
         out = tmp_path / "out"
         run_pipeline(root, edges, text, vecs, out)
         manifest = json.loads((out / "manifest.json").read_text())
         target = manifest["edges"][0][1]
+        citers = {src for src, dst in manifest["edges"] if dst == target}
+        node = next(n for n in manifest["nodes"] if n != target and n not in citers)
         bad = tmp_path / "bad_text.tsv"
-        bad.write_text(text.read_text(encoding="utf-8") + "nobody\tsummary\tw1 w2\n", encoding="utf-8")
-        capsys.readouterr()
-        assert main([
-            "explain", "--manifest", str(out / "manifest.json"), "--checkpoint", str(out / "checkpoint.json"),
-            "--state", str(out / "state.json"), "--target", target, "--node-text", str(bad), "--out-dir", str(out),
-        ]) == 2
-        assert "summary" in capsys.readouterr().err
+        for line, message in ((f"{node}\tsummary\tw1 w2", "unknown channel 'summary'"),
+                              (f"{node}\ttitle", "expected 3 tab-separated fields"),
+                              (f"{node}\ttitle\tw1 w2", "duplicate channel 'title'"),
+                              ("\ttitle\tw1 w2", "empty node id")):
+            bad.write_text(text.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+            capsys.readouterr()
+            assert main([
+                "explain", "--manifest", str(out / "manifest.json"), "--checkpoint", str(out / "checkpoint.json"),
+                "--state", str(out / "state.json"), "--target", target, "--node-text", str(bad),
+                "--out-dir", str(tmp_path / "query"),
+            ]) == 2, line
+            assert message in capsys.readouterr().err, line
+            assert not (tmp_path / "query").exists()
 
     def test_unknown_target_exits_3(self, dataset, tmp_path):
         root, edges, text, vecs = dataset
@@ -808,8 +838,8 @@ class TestConfigResolution:
         assert json.loads((out / "manifest.json").read_text())["seed"] == 33
 
     def test_queries_take_no_seed(self, dataset, tmp_path, monkeypatch):
-        """predict and explain draw no random number, so neither the seed= key
-        nor $ASPECTCITE_SEED reaches their config echoes."""
+        """predict and explain draw no random number: $ASPECTCITE_SEED does not
+        reach their config echoes, and a seed= config key exits 1, as --seed does."""
         root, edges, text, vecs = dataset
         out = tmp_path / "out"
         run_pipeline(root, edges, text, vecs, out)
@@ -818,12 +848,36 @@ class TestConfigResolution:
         cfg.write_text("seed=5\n", encoding="utf-8")
         pairs = last_node_pairs(out, tmp_path)
         artifacts = ["--manifest", str(out / "manifest.json"), "--checkpoint", str(out / "checkpoint.json"),
-                     "--state", str(out / "state.json"), "--out-dir", str(out), "--config", str(cfg)]
-        target = json.loads((out / "manifest.json").read_text())["edges"][0][1]
-        assert main(["predict", *artifacts, "--pairs", str(pairs)]) == 0
-        assert main(["explain", *artifacts, "--target", target]) == 0
-        for command in ("predict", "explain"):
+                     "--state", str(out / "state.json"), "--out-dir", str(out)]
+        query = {"predict": ["--pairs", str(pairs)],
+                 "explain": ["--target", json.loads((out / "manifest.json").read_text())["edges"][0][1]]}
+        for command, flags in query.items():
+            assert main([command, *artifacts, *flags, "--config", str(cfg)]) == 1
+            assert not (out / f"{command}_config.json").exists()
+            assert main([command, *artifacts, *flags]) == 0
             assert "seed" not in json.loads((out / f"{command}_config.json").read_text())
+
+    @pytest.mark.parametrize("command", ["ingest", "train", "evaluate", "predict", "explain"])
+    def test_unread_config_key_exits_1_before_any_load(self, tmp_path, capsys, command):
+        """A misspelt key (learning_rat for learning_rate) is named and stops the
+        command before it reads an input, so missing inputs do not mask it."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# misspelt\nlearning_rat=0.1\naspects=2\n", encoding="utf-8")
+        missing = str(tmp_path / "missing.json")
+        artifacts = ["--manifest", missing, "--checkpoint", missing, "--state", missing]
+        argv = {
+            "ingest": ["ingest", "--edges", missing],
+            "train": ["train", "--manifest", missing],
+            "evaluate": ["evaluate", *artifacts],
+            "predict": ["predict", *artifacts, "--pairs", missing],
+            "explain": ["explain", *artifacts, "--target", "p0"],
+        }[command]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([*argv, "--config", str(cfg), "--out-dir", str(out)]) == 1
+        unread = "learning_rat" if command == "train" else "aspects, learning_rat"
+        assert f"does not take config key(s): {unread}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_usage_error_exit_1(self):
         assert main(["train"]) == 1
@@ -842,7 +896,8 @@ def test_cli_import_leaves_scipy_unloaded(dataset, tmp_path):
         from aspectcite import cli
         edges, text, vecs, out = sys.argv[1:]
         assert cli.main(["ingest", "--edges", edges, "--node-text", text, "--word-vectors", vecs, "--out-dir", out]) == 0
-        _, graph, split, text_vectors = cli._load_manifest(out + "/manifest.json")
+        payload, graph, text_vectors = cli._load_manifest(out + "/manifest.json")
+        split = cli._load_split(out + "/manifest.json", payload, graph)
         config = ac.TrainConfig(aspects=2, struct_dim=3, epochs_per_phase=1, alternations=2, batch_size=16)
         result = ac.fit(graph, split, config, text_vectors)
         assert [len(stage["sd_phases"]) for stage in result.report["stages"]] == [2]

@@ -122,6 +122,23 @@ class TestLoadNodeText:
         with pytest.raises(CorpusFormatError, match="duplicate channel"):
             load_node_text(write(tmp_path, "t.tsv", "p1\ttitle\ta\np1\ttitle\tb\n"))
 
+    def test_node_subset_is_the_full_load_restricted(self, tmp_path):
+        path = write(tmp_path, "t.tsv", "p1\ttitle\ta b\np2\ttitle\tc\np3\tclaim\t\np1\tabstract\td  e\np2\tclaim\tf\n")
+        full = load_node_text(path)
+        for nodes in ([], ["p1"], ["p3", "p1"], ["p2", "ghost"], ["p1", "p2", "p3"]):
+            assert load_node_text(path, nodes=nodes) == {n: doc for n, doc in full.items() if n in nodes}
+
+    @pytest.mark.parametrize("line,message", [
+        ("p9\ttitle", "expected 3 tab-separated fields"),
+        ("p9\tbody\twords", "unknown channel"),
+        ("p2\ttitle\tagain", "duplicate channel"),
+        ("\ttitle\twords", "empty node id"),
+    ])
+    def test_node_subset_still_checks_every_line(self, tmp_path, line, message):
+        path = write(tmp_path, "t.tsv", f"p1\ttitle\ta\np2\ttitle\tb\n{line}\n")
+        with pytest.raises(CorpusFormatError, match=f"line 3: {message}"):
+            load_node_text(path, nodes=["p1"])
+
 
 class TestLoadNodeFeatures:
     def test_parse(self, tmp_path):

@@ -243,7 +243,7 @@ class TestEvaluateHarness:
         a = evaluate(params, state, small_split, small_graph, small_text, rank_negatives_per_source=4)
         b = evaluate(params, state, small_split, small_graph, small_text, rank_negatives_per_source=4)
         a.validate()
-        assert a.to_json() == b.to_json()
+        assert a.to_dict() == b.to_dict()
 
     def test_empty_split_rejected(self, small_graph, small_text):
         from aspectcite import ModelParams, Dims, initialize_state
