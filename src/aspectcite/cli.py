@@ -12,7 +12,10 @@ fixed seed; wall-clock readings live only under the report's `timing` key.
 `ingest` writes the dataset manifest as compact JSON with sorted keys, the
 one output a program reads back on every query; the reports and echoes meant
 for people are indented. Each artifact goes to disk in one pass, with no
-in-memory copy of its bytes.
+in-memory copy of its bytes. The manifest (`aspectcite-manifest-v2`) packs
+each part of the split into one base64 string of int64 index pairs, so a
+query that never reads the split parses little of it; a v1 manifest exits 2
+and needs a re-run of `ingest`.
 
 Exit codes: 0 success, 1 usage, 2 data/schema, 3 domain (e.g. unknown node),
 4 numeric abort.
@@ -44,6 +47,7 @@ SEED_ENV_VAR = "ASPECTCITE_SEED"
 VARIANTS = ("dp", "ndp")
 SPLITS = ("train", "validation", "test")
 FORMATS = ("json", "csv")
+MANIFEST_FORMAT = "aspectcite-manifest-v2"
 
 
 class UsageError(Exception):
@@ -195,7 +199,7 @@ def cmd_ingest(args) -> int:
     _write_atomically(os.path.join(out_dir, vectors_file), lambda tmp: _save_npy(tmp, text_vectors))
 
     manifest = {
-        "format": "aspectcite-manifest-v1",
+        "format": MANIFEST_FORMAT,
         "seed": seed,
         "channels": list(channels),
         "text_source": text_source,
@@ -232,16 +236,20 @@ def _save_npy(tmp: str, array: np.ndarray) -> None:
 def _load_manifest(path: str):
     """Read and check a manifest; return (payload, graph, text_vectors).
 
-    The format, node order, seed, edges and text matrix are checked here. The
-    split stays as parsed JSON in `payload` until `_load_split` builds and
+    Only the v2 format is read; a v1 manifest (the split as lists of id
+    pairs) exits 2 and asks for a re-run of `ingest`. The format, node
+    order, seed, edges and text matrix are checked here. The split stays in
+    `payload`, one packed string per part, until `_load_split` decodes and
     checks it, so `predict` and `explain`, which never read it, skip both.
     """
     with open(_require_file(path, "manifest"), encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise DataError(f"{path}: malformed manifest: the top level is a {type(payload).__name__}, not an object")
-    if payload.get("format") != "aspectcite-manifest-v1":
-        raise DataError(f"{path}: not a recognized manifest (format={payload.get('format')!r})")
+    if payload.get("format") != MANIFEST_FORMAT:
+        raise DataError(
+            f"{path}: manifest format {payload.get('format')!r}, expected {MANIFEST_FORMAT!r}; re-run ingest to write one"
+        )
     try:
         graph = build_graph(payload["edges"])
         vectors_path = os.path.join(os.path.dirname(os.path.abspath(path)), payload["text_vectors_file"])
@@ -436,18 +444,7 @@ def cmd_explain(args) -> int:
 
 # ------------------------------------------------------------------ wiring
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="aspectcite", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, seeded=True):
-        p.add_argument("--out-dir", required=True, help="directory for all output artifacts")
-        p.add_argument("--config", help="flat key=value config file (flags override it)")
-        if seeded:  # predict and explain draw no random number
-            p.add_argument("--seed", type=int, help=f"root seed (also ${SEED_ENV_VAR})")
-
-    p = sub.add_parser("ingest", help="build graph, text embeddings, and split; write a dataset manifest")
-    common(p)
+def _ingest_arguments(p) -> None:
     p.add_argument("--edges", required=True, help="TSV edge list: source<TAB>target[<TAB>timestamp]")
     p.add_argument("--node-text", help="TSV node text: node_id<TAB>channel<TAB>tokens")
     p.add_argument("--word-vectors", help="pretrained word vector text file")
@@ -458,52 +455,74 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--ratios", type=_parse_float_list, help="train,validation,test ratios (default 0.8,0.1,0.1)")
     p.add_argument("--negatives-per-positive", type=int)
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("train", help="run the alternating optimization and write checkpoint/state/report")
-    common(p)
+
+def _train_arguments(p) -> None:
     p.add_argument("--manifest", required=True)
     p.add_argument("--variant", choices=VARIANTS)
     for name, (_, parse) in _TRAIN_OPTIONS.items():
         p.add_argument("--" + name.replace("_", "-"), type=parse)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="score a held-out split and write the metrics report")
-    common(p)
+
+def _artifact_arguments(p) -> None:
     p.add_argument("--manifest", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--state", required=True)
+
+
+def _evaluate_arguments(p) -> None:
+    _artifact_arguments(p)
     p.add_argument("--split", dest="split_name", choices=SPLITS)
     p.add_argument("--ks", type=_parse_int_list)
     p.add_argument("--rank-negatives", type=int)
     p.add_argument("--per-source-csv", action="store_true", help="also write per-source ranking metrics as CSV")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("predict", help="score arbitrary node pairs from a TSV")
-    common(p, seeded=False)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--state", required=True)
+
+def _predict_arguments(p) -> None:
+    _artifact_arguments(p)
     p.add_argument("--pairs", required=True, help="TSV of source<TAB>target pairs")
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("explain", help="per-aspect citer ranking and term summary for a target node")
-    common(p, seeded=False)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--state", required=True)
+
+def _explain_arguments(p) -> None:
+    _artifact_arguments(p)
     p.add_argument("--target", required=True)
     p.add_argument("--top-n", type=int, help="citers per aspect (default 5)")
     p.add_argument("--top-m", type=int, help="summary terms per aspect (default 10)")
     p.add_argument("--format", choices=FORMATS)
     p.add_argument("--node-text", help="optional node text TSV for term summaries")
-    p.set_defaults(func=cmd_explain)
 
+
+# name: (handler, help line, takes --seed, adds the command's own arguments)
+_COMMANDS = {
+    "ingest": (cmd_ingest, "build graph, text embeddings, and split; write a dataset manifest", True, _ingest_arguments),
+    "train": (cmd_train, "run the alternating optimization and write checkpoint/state/report", True, _train_arguments),
+    "evaluate": (cmd_evaluate, "score a held-out split and write the metrics report", True, _evaluate_arguments),
+    "predict": (cmd_predict, "score arbitrary node pairs from a TSV", False, _predict_arguments),
+    "explain": (cmd_explain, "per-aspect citer ranking and term summary for a target node", False, _explain_arguments),
+}
+
+
+def _build_parser(command: str | None = None) -> _Parser:
+    """The CLI parser; given a command name, it registers only that command's subparser."""
+    parser = _Parser(prog="aspectcite", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, help_line, seeded, add_arguments) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_line)
+        p.add_argument("--out-dir", required=True, help="directory for all output artifacts")
+        p.add_argument("--config", help="flat key=value config file (flags override it)")
+        if seeded:  # predict and explain draw no random number
+            p.add_argument("--seed", type=int, help=f"root seed (also ${SEED_ENV_VAR})")
+        add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a named command needs only its own subparser; anything else (--help, a typo) gets all five
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

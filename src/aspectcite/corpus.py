@@ -13,8 +13,8 @@ Vector components are ASCII decimal floats, rounded exactly as `float()` does;
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -349,25 +349,57 @@ class DatasetSplit:
                 raise ValueError(f"negative pair {(i, j)} is an actual edge (split {name!r})")
 
     def to_dict(self, graph: CitationGraph) -> dict:
-        ids = np.array(graph.node_ids, dtype=object)
+        """The manifest form: the seed, and each part packed by `_pack_pairs`.
+
+        The packed indices point into `graph.node_ids`; `from_dict` reads them
+        back against the same graph.
+        """
         return {
             "seed": self.seed,
-            **{name: ids[self.edges_of(name)].tolist() for name in SPLIT_NAMES},
-            "negatives": {name: ids[p].tolist() for name, p in self.negatives.items()},
+            **{name: _pack_pairs(self.edges_of(name)) for name in SPLIT_NAMES},
+            "negatives": {name: _pack_pairs(p) for name, p in self.negatives.items()},
         }
 
     @classmethod
     def from_dict(cls, payload: dict, graph: CitationGraph) -> "DatasetSplit":
-        def as_indices(pairs):
-            if set(map(len, pairs)) - {2}:
-                raise ValueError("every split pair must hold exactly two node ids")
-            return graph.indices_of(chain.from_iterable(pairs))
+        """Rebuild a split from `to_dict`'s form, checked against `graph`.
 
+        Raises ValueError unless the seed is an int, `negatives` is an object
+        and every part is a base64 string of whole int64 pairs whose indices
+        name nodes of `graph`. Whether the parts partition the edges is
+        `validate`'s check.
+        """
+        seed, negatives = payload["seed"], payload["negatives"]
+        if type(seed) is not int:
+            raise ValueError(f"split seed must be an integer, got {seed!r}")
+        if not isinstance(negatives, dict):
+            raise ValueError(f"split negatives must be an object, got {type(negatives).__name__}")
         return cls(
-            **{f"{name}_edges": as_indices(payload[name]) for name in SPLIT_NAMES},
-            negatives={name: as_indices(p) for name, p in payload["negatives"].items()},
-            seed=int(payload["seed"]),
+            **{f"{name}_edges": _unpack_pairs(payload[name], graph.num_nodes, name) for name in SPLIT_NAMES},
+            negatives={name: _unpack_pairs(p, graph.num_nodes, f"{name} negatives") for name, p in negatives.items()},
+            seed=seed,
         )
+
+
+def _pack_pairs(pairs: np.ndarray) -> str:
+    """Base64 of the C-order little-endian int64 bytes of a (k, 2) pair array; "" when k = 0."""
+    return base64.b64encode(np.ascontiguousarray(pairs, dtype="<i8").tobytes()).decode("ascii")
+
+
+def _unpack_pairs(text, num_nodes: int, part: str) -> np.ndarray:
+    """Invert `_pack_pairs`, checking that every index lies in [0, num_nodes)."""
+    if type(text) is not str:
+        raise ValueError(f"split part {part!r} must be a base64 string, got {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ValueError(f"split part {part!r} is not base64: {exc}") from None
+    if len(raw) % 16:
+        raise ValueError(f"split part {part!r} holds {len(raw)} bytes, not a whole number of int64 pairs")
+    pairs = np.frombuffer(raw, dtype="<i8").reshape(-1, 2)
+    if pairs.size and not (0 <= pairs.min() and pairs.max() < num_nodes):
+        raise ValueError(f"split part {part!r} has a node index outside [0, {num_nodes})")
+    return pairs
 
 
 def _largest_remainder_counts(total: int, ratios) -> list[int]:

@@ -1,5 +1,7 @@
 """CLI pipeline: exit codes, artifact schemas, reproducibility."""
 
+import argparse
+import base64
 import csv
 import io
 import json
@@ -188,7 +190,7 @@ class TestIngest:
         text_out = (out / "manifest.json").read_text(encoding="utf-8")
         assert text_out == json.dumps(payload, sort_keys=True) + "\n"
         assert json.loads(text_out) == json.loads(json.dumps(payload, sort_keys=True, indent=1))  # the earlier file
-        assert json.loads(text_out)["format"] == "aspectcite-manifest-v1"
+        assert json.loads(text_out)["format"] == "aspectcite-manifest-v2"
         assert (out / "ingest_config.json").read_text(encoding="utf-8").startswith("{\n ")  # echoes stay indented
 
     def test_feature_rows_without_components_exit_2(self, dataset, tmp_path, capsys):
@@ -480,6 +482,21 @@ def query_outputs(out, query_dir, pairs_file, text_file):
     return [(query_dir / name).read_bytes() for name in ("predictions.json", "explanation.json")]
 
 
+def unpack_pairs(text):
+    """A manifest split part, base64 of little-endian int64 index pairs, as a (k, 2) array."""
+    return np.frombuffer(base64.b64decode(text), dtype="<i8").reshape(-1, 2)
+
+
+def pack_pairs(pairs):
+    return base64.b64encode(np.asarray(pairs, dtype="<i8").tobytes()).decode("ascii")
+
+
+def edit_split_part(manifest, name, edit, negatives=False):
+    """Decode one packed part of the manifest's split, edit its (k, 2) index array, and pack it again."""
+    parts = manifest["split"]["negatives"] if negatives else manifest["split"]
+    parts[name] = pack_pairs(edit(unpack_pairs(parts[name])))
+
+
 def last_node_pairs(out, tmp_path):
     """A pair file scoring the last node of the manifest, so every text row is in play."""
     nodes = json.loads((out / "manifest.json").read_text())["nodes"]
@@ -557,12 +574,17 @@ class TestManifestChecks:
         (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
 
     SPLIT_DAMAGE = {
-        "test_edge_in_train": lambda m: m["split"]["train"].append(m["split"]["test"][0]),
-        "edge_as_test_negative": lambda m: m["split"]["negatives"]["test"].__setitem__(0, m["edges"][0][:2]),
-        "one_id_pair": lambda m: m["split"]["test"][0].pop(),
-        "three_id_pair": lambda m: m["split"]["validation"][0].append(m["nodes"][0]),
-        "number_as_pair": lambda m: m["split"]["test"].__setitem__(0, 5),
-        "unknown_id": lambda m: m["split"]["negatives"]["train"][0].__setitem__(1, "ghost"),
+        "test_edge_in_train": lambda m: edit_split_part(
+            m, "train", lambda p: np.vstack([p, unpack_pairs(m["split"]["test"])[:1]])),
+        "edge_as_test_negative": lambda m: edit_split_part(
+            m, "test", lambda p: np.vstack([[m["nodes"].index(v) for v in m["edges"][0][:2]], p[1:]]), negatives=True),
+        "one_id_pair": lambda m: m["split"].update(  # cut by 8 bytes: the last pair keeps one index
+            test=base64.b64encode(base64.b64decode(m["split"]["test"])[:-8]).decode("ascii")),
+        "list_part": lambda m: m["split"].update(test=unpack_pairs(m["split"]["test"]).tolist()),
+        "non_base64_char": lambda m: m["split"].update(  # decoding without validate=True would skip it
+            validation=m["split"]["validation"][:8] + "*" + m["split"]["validation"][8:]),
+        "unknown_id": lambda m: edit_split_part(
+            m, "train", lambda p: np.vstack([[p[0, 0], len(m["nodes"])], p[1:]]), negatives=True),
     }
 
     @pytest.mark.parametrize("damage", list(SPLIT_DAMAGE))
@@ -604,6 +626,36 @@ class TestManifestChecks:
         assert query_exit_codes(out, pairs) == (2, 2)
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 2 and all("malformed manifest" in e for e in errors)
+
+    def test_v1_manifest_exits_2_naming_ingest(self, dataset, tmp_path, capsys):
+        """A v1 manifest, its split as lists of id pairs, is not read by any command: re-run ingest."""
+        root, edges, text, vecs = dataset
+        out = tmp_path / "out"
+        run_pipeline(root, edges, text, vecs, out)
+        pairs = last_node_pairs(out, tmp_path)
+        manifest = json.loads((out / "manifest.json").read_text())
+        target = manifest["edges"][0][1]
+        ids = np.array(manifest["nodes"], dtype=object)
+        split = manifest["split"]
+        manifest.update(format="aspectcite-manifest-v1", split={
+            "seed": split["seed"],
+            **{name: ids[unpack_pairs(split[name])].tolist() for name in ("train", "validation", "test")},
+            "negatives": {name: ids[unpack_pairs(p)].tolist() for name, p in split["negatives"].items()},
+        })
+        (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        artifacts = ["--manifest", str(out / "manifest.json"), "--checkpoint", str(out / "checkpoint.json"),
+                     "--state", str(out / "state.json")]
+        commands = {
+            "train": ["--manifest", str(out / "manifest.json")],
+            "evaluate": artifacts,
+            "predict": [*artifacts, "--pairs", str(pairs)],
+            "explain": [*artifacts, "--target", target],
+        }
+        capsys.readouterr()
+        for command, argv in commands.items():
+            assert main([command, *argv, "--out-dir", str(tmp_path / command)]) == 2, command
+            assert "re-run ingest" in capsys.readouterr().err, command
+            assert not (tmp_path / command).exists(), command
 
     @pytest.mark.parametrize("damage", ["drop_last_row", "extra_column", "float32", "one_dimensional"])
     def test_mismatched_text_matrix_exits_2(self, dataset, tmp_path, capsys, damage):
@@ -818,7 +870,7 @@ class TestConfigResolution:
         ]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 5
-        assert len(manifest["split"]["train"]) == 36  # 0.6 * 60
+        assert len(unpack_pairs(manifest["split"]["train"])) == 36  # 0.6 * 60
 
         out2 = tmp_path / "out2"
         assert main([
@@ -882,6 +934,57 @@ class TestConfigResolution:
     def test_usage_error_exit_1(self):
         assert main(["train"]) == 1
         assert main(["frobnicate"]) == 1
+
+
+def subparsers_of(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestParser:
+    ARTIFACTS = ["--manifest", "m.json", "--checkpoint", "c.json", "--state", "s.json", "--out-dir", "o"]
+    REPRESENTATIVE = {
+        "ingest": ["ingest", "--edges", "e.tsv", "--node-features", "f.tsv", "--channels", "title,claim",
+                   "--ratios", "0.6,0.2,0.2", "--negatives-per-positive", "2", "--seed", "3", "--out-dir", "o"],
+        "train": ["train", "--manifest", "m.json", "--variant", "ndp", "--aspects", "3", "--learning-rate", "0.1",
+                  "--config", "run.cfg", "--out-dir", "o"],
+        "evaluate": ["evaluate", *ARTIFACTS, "--split", "validation", "--ks", "1,5", "--rank-negatives", "7",
+                     "--per-source-csv"],
+        "predict": ["predict", *ARTIFACTS, "--pairs", "p.tsv"],
+        "explain": ["explain", *ARTIFACTS, "--target", "p0", "--top-n", "3", "--top-m", "0", "--format", "csv",
+                    "--node-text", "t.tsv"],
+    }
+
+    @pytest.mark.parametrize("command", list(REPRESENTATIVE))
+    def test_one_command_parser_matches_the_full_one(self, command):
+        full, alone = cli._build_parser(), cli._build_parser(command)
+        assert list(subparsers_of(alone)) == [command]
+        assert subparsers_of(alone)[command].format_help() == subparsers_of(full)[command].format_help()
+        argv = self.REPRESENTATIVE[command]
+        assert alone.parse_args(argv) == full.parse_args(argv)
+
+    def test_main_builds_only_the_named_command(self, monkeypatch):
+        built = []
+
+        def recording(command=None):
+            built.append(command)
+            return build(command)
+
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", recording)
+        assert main(["predict", "--out-dir", "o"]) == 1  # the required artifact flags are missing
+        assert main(["bogus"]) == 1
+        assert main(["--seed", "1", "train"]) == 1
+        assert built == ["predict", None, None]
+
+    def test_help_lists_every_command_and_an_unknown_one_exits_1(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["--help"])
+        assert done.value.code == 0
+        assert "{ingest,train,evaluate,predict,explain}" in capsys.readouterr().out
+        assert main(["bogus"]) == 1
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and all(command in err for command in cli._COMMANDS)
 
 
 def test_cli_import_leaves_scipy_unloaded(dataset, tmp_path):

@@ -1,5 +1,6 @@
 """Loader, embedding, and splitting contracts."""
 
+import base64
 import re
 from dataclasses import replace
 from decimal import Context, Decimal
@@ -392,8 +393,72 @@ class TestSplitEdges:
         split = split_edges(small_graph, (1.0, 0.0, 0.0), 1, seed=5)
         assert split.validation_edges.shape == (0, 2) and split.negatives["test"].shape == (0, 2)
         payload = split.to_dict(small_graph)
-        assert payload["validation"] == [] and payload["negatives"]["test"] == []
+        assert payload["validation"] == "" and payload["negatives"]["test"] == ""
         assert DatasetSplit.from_dict(payload, small_graph) == split
+
+    def test_manifest_round_trip_on_a_timed_graph(self):
+        from aspectcite.corpus import DatasetSplit
+
+        rng = np.random.default_rng(3)
+        pairs = {(f"t{a}", f"t{b}") for a, b in rng.integers(15, size=(60, 2)) if a != b}
+        graph = build_graph([(a, b, 1990 + k) for k, (a, b) in enumerate(sorted(pairs))])
+        assert graph.timed
+        split = split_edges(graph, (0.7, 0.2, 0.1), 2, seed=4)
+        assert DatasetSplit.from_dict(split.to_dict(graph), graph) == split
+
+    def test_parts_pack_as_base64_of_little_endian_int64_pairs(self, small_graph):
+        split = split_edges(small_graph, (0.8, 0.1, 0.1), 1, seed=5)
+        payload = split.to_dict(small_graph)
+        for name in ("train", "validation", "test"):
+            assert base64.b64decode(payload[name]) == split.edges_of(name).astype("<i8").tobytes()
+        for name, negatives in split.negatives.items():
+            assert base64.b64decode(payload["negatives"][name]) == negatives.astype("<i8").tobytes()
+
+    @pytest.mark.parametrize("seed", [1.5, "1", True])
+    def test_non_int_seed_rejected(self, small_graph, seed):
+        from aspectcite.corpus import DatasetSplit
+
+        payload = split_edges(small_graph, (0.8, 0.1, 0.1), 1, seed=1).to_dict(small_graph)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            DatasetSplit.from_dict({**payload, "seed": seed}, small_graph)
+
+    PART_DAMAGE = {
+        "list": (lambda part, n: [[0, 1]], "must be a base64 string"),
+        "bytes": (lambda part, n: part.encode("ascii"), "must be a base64 string"),
+        "non_base64": (lambda part, n: part[:8] + "!" + part[8:], "not base64"),
+        "non_ascii": (lambda part, n: part[:8] + "\u00e9" + part[8:], "not base64"),
+        "cut_by_8_bytes": (lambda part, n: _repack(part, lambda raw: raw[:-8]), "whole number of int64 pairs"),
+        "negative_index": (lambda part, n: _repack(part, lambda raw: (-1).to_bytes(8, "little", signed=True)
+                                                    + raw[8:]), "outside"),
+        "index_num_nodes": (lambda part, n: _repack(part, lambda raw: raw[:-8] + n.to_bytes(8, "little")),
+                            "outside"),
+    }
+
+    @pytest.mark.parametrize("damage", list(PART_DAMAGE))
+    def test_malformed_part_rejected(self, small_graph, damage):
+        from aspectcite.corpus import DatasetSplit
+
+        edit, message = self.PART_DAMAGE[damage]
+        payload = split_edges(small_graph, (0.8, 0.1, 0.1), 1, seed=1).to_dict(small_graph)
+        for damaged in (
+            {**payload, "test": edit(payload["test"], small_graph.num_nodes)},
+            {**payload, "negatives": {**payload["negatives"], "train": edit(payload["negatives"]["train"],
+                                                                            small_graph.num_nodes)}},
+        ):
+            with pytest.raises(ValueError, match=message):
+                DatasetSplit.from_dict(damaged, small_graph)
+
+    def test_negatives_not_an_object_rejected(self, small_graph):
+        from aspectcite.corpus import DatasetSplit
+
+        payload = split_edges(small_graph, (0.8, 0.1, 0.1), 1, seed=1).to_dict(small_graph)
+        with pytest.raises(ValueError, match="negatives must be an object"):
+            DatasetSplit.from_dict({**payload, "negatives": list(payload["negatives"].values())}, small_graph)
+
+
+def _repack(part: str, edit) -> str:
+    """Edit the raw bytes behind a packed split part and encode them again."""
+    return base64.b64encode(edit(base64.b64decode(part))).decode("ascii")
 
 
 class TestSplitValidate:
