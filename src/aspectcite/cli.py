@@ -125,16 +125,14 @@ class _Resolver:
             raise UsageError(f"{self.args.command} does not take config key(s): {', '.join(unread)}")
 
     def seed(self, default: int = 0) -> int:
-        if getattr(self.args, "seed", None) is not None:
-            value = self.args.seed
-        elif "seed" in self.file_values:
-            value = int(self.file_values["seed"])
-        elif os.environ.get(SEED_ENV_VAR):
-            value = int(os.environ[SEED_ENV_VAR])
-        else:
-            value = default
-        self.resolved["seed"] = value
-        return value
+        """--seed, else the config file's seed=, else $ASPECTCITE_SEED, else default."""
+        env = os.environ.get(SEED_ENV_VAR)
+        if env and getattr(self.args, "seed", None) is None and "seed" not in self.file_values:
+            try:
+                default = int(env)
+            except ValueError as exc:
+                raise DataError(f"${SEED_ENV_VAR}: {exc}") from exc
+        return self.get("seed", default, parse=int)
 
 
 def _parse_int_list(text: str) -> tuple:

@@ -449,10 +449,11 @@ def split_edges(graph: CitationGraph, ratios, negatives_per_positive: int, seed:
             )
         chosen: dict[int, None] = {}  # insertion-ordered set of keys i * n + j
         while len(chosen) < want:
-            i = int(neg_rng.integers(n))
-            j = int(neg_rng.integers(n))
-            if i != j and not graph.has_edge(i, j):
-                chosen[i * n + j] = None
+            # one (i, j) per missing negative: each adds at most one key, so a
+            # round never overshoots and draws what one-at-a-time draws would
+            cand = neg_rng.integers(n, size=(want - len(chosen), 2))
+            keep = (cand[:, 0] != cand[:, 1]) & ~graph.contains(cand)
+            chosen.update(dict.fromkeys((cand[keep, 0] * n + cand[keep, 1]).tolist()))
         negatives[name] = np.column_stack(np.divmod(np.fromiter(chosen, dtype=np.int64, count=len(chosen)), n))
 
     split = DatasetSplit(

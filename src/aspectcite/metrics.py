@@ -143,9 +143,9 @@ def _sample_source_negatives(source, graph, count, rng):
     count = min(count, max_available)
     chosen: dict[int, None] = {}  # insertion-ordered set
     while len(chosen) < count:
-        cand = int(rng.integers(n))
-        if cand != source and cand not in existing:
-            chosen[cand] = None
+        # one candidate per missing negative, so a round draws what one-at-a-time draws would
+        cand = rng.integers(n, size=count - len(chosen)).tolist()
+        chosen.update(dict.fromkeys(c for c in cand if c != source and c not in existing))
     return list(chosen)
 
 

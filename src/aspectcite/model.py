@@ -5,7 +5,7 @@ For candidate citations (i cites j), one row per pair, the chain is:
         embedding, once per distinct node          (representations_for)
   c_ij  citation effect of the cited node: state_to_effect @ d_j
   e_ij  similarity: elementwise product r_i * r_j
-  D_ij  per-aspect impact: effect_weights^T c + similarity_weights^T e + bias
+  D_ij  per-aspect impact: effect_weights^T c + similarity_weights^T e
                                                    (impacts_from_representations)
   alpha chosen aspect, one index per pair: Gumbel-max draw in train mode,
         argmax in infer                            (select_aspects)
@@ -66,7 +66,6 @@ class ModelParams:
     state_to_effect    (I, I)  maps a node's aspect state to its citation effect
     effect_weights     (I, I)  citation-effect contribution to aspect impact
     similarity_weights (L, I)  similarity contribution to aspect impact
-    bias               (I,)    aspect-impact bias
     node_embeddings    (N, L_n) learned structural embedding table
     """
 
@@ -74,15 +73,14 @@ class ModelParams:
     state_to_effect: np.ndarray
     effect_weights: np.ndarray
     similarity_weights: np.ndarray
-    bias: np.ndarray
     node_embeddings: np.ndarray
     seed_lineage: str = ""
 
-    TENSOR_FIELDS = ("state_to_effect", "effect_weights", "similarity_weights", "bias", "node_embeddings")
+    TENSOR_FIELDS = ("state_to_effect", "effect_weights", "similarity_weights", "node_embeddings")
 
     @classmethod
     def initialize(cls, dims: Dims, num_nodes: int, rng: np.random.Generator, seed_lineage: str = "") -> "ModelParams":
-        """Uniform(-s, s) with s = 1/sqrt(fan_in) for the maps, zero bias,
+        """Uniform(-s, s) with s = 1/sqrt(fan_in) for the maps,
         uniform(-0.5, 0.5)/L_n structural embeddings."""
         i, l = dims.aspects, dims.fused_dim
         s_i = 1.0 / np.sqrt(i)
@@ -92,7 +90,6 @@ class ModelParams:
             state_to_effect=rng.uniform(-s_i, s_i, size=(i, i)),
             effect_weights=rng.uniform(-s_i, s_i, size=(i, i)),
             similarity_weights=rng.uniform(-s_l, s_l, size=(l, i)),
-            bias=np.zeros(i),
             node_embeddings=rng.uniform(-0.5, 0.5, size=(num_nodes, dims.struct_dim)) / dims.struct_dim,
             seed_lineage=seed_lineage,
         )
@@ -107,7 +104,6 @@ class ModelParams:
             "state_to_effect": (i, i),
             "effect_weights": (i, i),
             "similarity_weights": (l, i),
-            "bias": (i,),
             "node_embeddings": (self.num_nodes, self.dims.struct_dim),
         }
         for name, expected in shapes.items():
@@ -118,15 +114,8 @@ class ModelParams:
                 raise ValueError(f"{name} contains non-finite entries")
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            dims=self.dims,
-            state_to_effect=self.state_to_effect.copy(),
-            effect_weights=self.effect_weights.copy(),
-            similarity_weights=self.similarity_weights.copy(),
-            bias=self.bias.copy(),
-            node_embeddings=self.node_embeddings.copy(),
-            seed_lineage=self.seed_lineage,
-        )
+        tensors = {name: getattr(self, name).copy() for name in self.TENSOR_FIELDS}
+        return ModelParams(dims=self.dims, seed_lineage=self.seed_lineage, **tensors)
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -174,7 +163,7 @@ def impacts_from_representations(reps: np.ndarray, src_rows, dst_rows, dst_state
     `reps` and whose cited nodes have aspect states `dst_states` (rows align).
 
     c = state_to_effect @ d_dst, e = r_src * r_dst and
-    D = effect_weights^T c + similarity_weights^T e + bias, one row per pair.
+    D = effect_weights^T c + similarity_weights^T e, one row per pair.
     c stays a per-pair product: a BLAS matmul's last bit can depend on its row
     count, so computing it per node could change the result.
     """
@@ -182,7 +171,7 @@ def impacts_from_representations(reps: np.ndarray, src_rows, dst_rows, dst_state
     e = np.take(reps, src_rows, axis=0)
     e *= np.take(reps, dst_rows, axis=0)  # e = r_src * r_dst without keeping both gathers alive
     c = dst_states @ params.state_to_effect.T
-    d = c @ params.effect_weights + e @ params.similarity_weights + params.bias
+    d = c @ params.effect_weights + e @ params.similarity_weights
     return c, e, d
 
 
@@ -263,7 +252,7 @@ def scores_for_pairs(pairs, state_matrix, params, text_vectors) -> np.ndarray:
     return impacts_for_pairs(pairs, state_matrix, params, text_vectors)[0]
 
 
-CHECKPOINT_FORMAT = "aspectcite-checkpoint-v3"
+CHECKPOINT_FORMAT = "aspectcite-checkpoint-v4"
 
 
 def save_checkpoint(params: ModelParams, path) -> None:

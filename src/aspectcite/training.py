@@ -220,7 +220,6 @@ def batch_loss_and_grads(params, fw: dict, chosen, config: TrainConfig):
     g_imp_j = -active_t[:, None] * alphas
     g_imp_k = active_t[:, None] * alphas
 
-    grad_bias = (g_imp_j + g_imp_k).sum(axis=0)
     grad_effect_w = fw["c_j"].T @ g_imp_j + fw["c_k"].T @ g_imp_k
     grad_similarity_w = fw["e_j"].T @ g_imp_j + fw["e_k"].T @ g_imp_k
 
@@ -252,7 +251,6 @@ def batch_loss_and_grads(params, fw: dict, chosen, config: TrainConfig):
         "state_to_effect": grad_state_to_effect,
         "effect_weights": grad_effect_w,
         "similarity_weights": grad_similarity_w,
-        "bias": grad_bias,
         "node_embeddings": grad_emb,
     }
     return loss, grads

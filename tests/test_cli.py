@@ -21,7 +21,7 @@ from aspectcite.explain import explain_target, export_explanation
 from aspectcite.graph import build_graph
 from aspectcite.model import ModelParams, load_checkpoint
 from aspectcite.propagation import load_state, save_state
-from test_model import checkpoint_entries, write_v1_checkpoint, write_v2_checkpoint
+from test_model import checkpoint_entries, write_v1_checkpoint, write_v2_checkpoint, write_v3_checkpoint
 from test_propagation import ARTIFACT_CORRUPTIONS, corrupt_artifact, write_v1_state, write_v2_state
 
 ARTIFACT_FILES = ("checkpoint.json", "checkpoint.bin", "state.json", "state.bin")
@@ -539,8 +539,31 @@ class TestArtifactFormat:
         else:
             old_writer()
             found = "None" if how == "v1_list_file" else f"'aspectcite-{kind}-v2'"
-            message = f"format {found}, expected 'aspectcite-{kind}-v3'; re-run train"
+            current = {"checkpoint": "aspectcite-checkpoint-v4", "state": "aspectcite-state-v3"}[kind]
+            message = f"format {found}, expected '{current}'; re-run train"
         self.assert_queries_exit_2(out, tmp_path, capsys, message)
+
+    def test_v3_checkpoint_exits_2_without_an_output_dir(self, dataset, tmp_path, capsys):
+        """A checkpoint from before the bias was deleted (five tensors, marked v3)
+        stops evaluate, predict and explain with the advice to re-run train."""
+        root, edges, text, vecs = dataset
+        out = tmp_path / "out"
+        run_pipeline(root, edges, text, vecs, out)
+        write_v3_checkpoint(load_checkpoint(out / "checkpoint.json"), out / "checkpoint.json")
+        artifacts = ["--manifest", str(out / "manifest.json"), "--checkpoint", str(out / "checkpoint.json"),
+                     "--state", str(out / "state.json")]
+        target = json.loads((out / "manifest.json").read_text())["edges"][0][1]
+        argv = {
+            "evaluate": ["evaluate", *artifacts],
+            "predict": ["predict", *artifacts, "--pairs", str(last_node_pairs(out, tmp_path))],
+            "explain": ["explain", *artifacts, "--target", target],
+        }
+        message = "format 'aspectcite-checkpoint-v3', expected 'aspectcite-checkpoint-v4'; re-run train"
+        for command, args in argv.items():
+            capsys.readouterr()
+            assert main([*args, "--out-dir", str(tmp_path / command)]) == 2, command
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / command).exists()
 
     @pytest.mark.parametrize("artifact", ["checkpoint.json", "state.json"])
     def test_crash_between_renames_exits_2(self, dataset, tmp_path, capsys, monkeypatch, artifact):
@@ -888,6 +911,35 @@ class TestConfigResolution:
             "--out-dir", str(out),
         ]) == 0
         assert json.loads((out / "manifest.json").read_text())["seed"] == 33
+
+    @pytest.mark.parametrize("command", ["ingest", "train", "evaluate"])
+    def test_malformed_seed_names_its_source(self, dataset, tmp_path, capsys, monkeypatch, command):
+        """A seed that is not an int, from a config file or $ASPECTCITE_SEED,
+        exits 2 naming where it came from and creates no output directory;
+        --seed still overrides both."""
+        root, edges, text, vecs = dataset
+        out = tmp_path / "out"
+        run_pipeline(root, edges, text, vecs, out)
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed=abc\n", encoding="utf-8")
+        manifest = ["--manifest", str(out / "manifest.json")]
+        argv = {
+            "ingest": ["ingest", "--edges", str(edges), "--node-text", str(text), "--word-vectors", str(vecs)],
+            "train": ["train", *manifest],
+            "evaluate": ["evaluate", *manifest, "--checkpoint", str(out / "checkpoint.json"),
+                         "--state", str(out / "state.json")],
+        }[command]
+        for env, extra, message in (
+            (None, ["--config", str(cfg)], "config key 'seed': invalid literal for int() with base 10: 'abc'"),
+            ("1.5", [], "$ASPECTCITE_SEED: invalid literal for int() with base 10: '1.5'"),
+        ):
+            if env is not None:
+                monkeypatch.setenv("ASPECTCITE_SEED", env)
+            capsys.readouterr()
+            assert main([*argv, *extra, "--out-dir", str(tmp_path / "new")]) == 2
+            assert capsys.readouterr().err.strip() == f"data error: {message}"
+            assert not (tmp_path / "new").exists()
+        assert main([*argv, "--seed", "3", "--out-dir", str(tmp_path / "flag")]) == 0  # the flag wins
 
     def test_queries_take_no_seed(self, dataset, tmp_path, monkeypatch):
         """predict and explain draw no random number: $ASPECTCITE_SEED does not

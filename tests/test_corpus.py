@@ -21,7 +21,9 @@ from aspectcite import (
     load_word_vectors,
     split_edges,
 )
-from aspectcite.corpus import CorpusFormatError
+from aspectcite import corpus
+from aspectcite.corpus import SPLIT_NAMES, CorpusFormatError
+from aspectcite.seeding import substream
 
 
 def write(tmp_path, name, content):
@@ -509,3 +511,58 @@ class TestSplitValidate:
         pair = tuple(map(int, broken.train_edges[0]))
         with pytest.raises(ValueError, match=re.escape(message.format(pair=pair)) + "$"):
             broken.validate(graph)
+
+
+def split_negatives_reference(graph, sizes, negatives_per_positive, neg_rng):
+    """The negatives `split_edges` drew one (i, j) candidate at a time before its
+    rounds were batched, verbatim; sizes are the (train, validation, test) part sizes."""
+    n = graph.num_nodes
+    negatives = {}
+    for name, size in zip(SPLIT_NAMES, sizes):
+        want = negatives_per_positive * size
+        chosen: dict[int, None] = {}  # insertion-ordered set of keys i * n + j
+        while len(chosen) < want:
+            i = int(neg_rng.integers(n))
+            j = int(neg_rng.integers(n))
+            if i != j and not graph.has_edge(i, j):
+                chosen[i * n + j] = None
+        negatives[name] = np.column_stack(np.divmod(np.fromiter(chosen, dtype=np.int64, count=len(chosen)), n))
+    return negatives
+
+
+def random_graph(num_nodes, num_edges, seed):
+    """num_edges distinct off-diagonal pairs on num_nodes nodes, drawn uniformly."""
+    rng = np.random.default_rng(seed)
+    keys = rng.choice(num_nodes * (num_nodes - 1), size=num_edges, replace=False)
+    src, rest = np.divmod(keys, num_nodes - 1)
+    dst = rest + (rest >= src)  # skip the diagonal
+    return build_graph([(f"v{a}", f"v{b}") for a, b in zip(src.tolist(), dst.tolist())])
+
+
+class TestBatchedSplitNegatives:
+    @pytest.mark.parametrize("shape,ratios,negatives_per_positive,seed", [
+        ((2708, 5429), (0.8, 0.1, 0.1), 1, 1),  # Cora-shaped
+        ((2708, 5429), (0.8, 0.1, 0.1), 1, 2),
+        ((2708, 5429), (0.8, 0.1, 0.1), 1, 3),
+        ((30, 500), (0.2, 0.4, 0.4), 1, 4),  # 57% dense: most candidates are rejected
+        ((30, 500), (0.2, 0.4, 0.4), 1, 5),
+        ((5, 10), (0.8, 0.1, 0.1), 1, 6),  # 8 of the 10 non-edges wanted for train
+        ((40, 60), (0.6, 0.2, 0.2), 3, 7),
+    ])
+    def test_same_negatives_and_next_draw_as_one_at_a_time(self, monkeypatch, shape, ratios,
+                                                          negatives_per_positive, seed):
+        graph = random_graph(*shape, seed=seed)
+        streams = {}
+
+        def keep_stream(root, name):
+            streams[name] = substream(root, name)
+            return streams[name]
+
+        monkeypatch.setattr(corpus, "substream", keep_stream)
+        split = split_edges(graph, ratios, negatives_per_positive, seed=seed)
+        reference_rng = substream(seed, "negatives")
+        sizes = [len(split.edges_of(name)) for name in SPLIT_NAMES]
+        reference = split_negatives_reference(graph, sizes, negatives_per_positive, reference_rng)
+        for name in SPLIT_NAMES:
+            assert np.array_equal(split.negatives[name], reference[name]), name
+        assert streams["negatives"].integers(2**62) == reference_rng.integers(2**62)

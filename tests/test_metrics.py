@@ -5,6 +5,8 @@ import pytest
 
 from aspectcite import auc, average_precision_at_k, evaluate, ndcg_at_k, recall
 from aspectcite import split_edges
+from aspectcite.metrics import _sample_source_negatives
+from test_corpus import random_graph
 
 
 # -- independent definitional oracles ------------------------------------
@@ -264,3 +266,36 @@ class TestEvaluateHarness:
         )
         with pytest.raises(ValueError, match="no positive edges"):
             evaluate(params, state, empty, small_graph, small_text)
+
+
+def sample_source_negatives_reference(source, graph, count, rng):
+    """`metrics._sample_source_negatives` as it drew one candidate at a time
+    before its rounds were batched, verbatim."""
+    n = graph.num_nodes
+    existing = set(graph.out_neighbors(source).tolist())
+    max_available = n - 1 - len(existing)
+    count = min(count, max_available)
+    chosen: dict[int, None] = {}  # insertion-ordered set
+    while len(chosen) < count:
+        cand = int(rng.integers(n))
+        if cand != source and cand not in existing:
+            chosen[cand] = None
+    return list(chosen)
+
+
+class TestBatchedSourceNegatives:
+    @pytest.mark.parametrize("num_nodes,num_edges,count", [
+        (2708, 5429, 50),  # Cora-shaped, at the default rank_negatives_per_source
+        (30, 600, 5),  # 69% dense: most candidates are rejected
+        (30, 600, 50),  # more than a source has non-neighbors: all of them, in draw order
+        (6, 20, 3),
+    ])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_negatives_and_next_draw_as_one_at_a_time(self, num_nodes, num_edges, count, seed):
+        graph = random_graph(num_nodes, num_edges, seed)
+        batched_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for source in range(0, graph.num_nodes, max(1, graph.num_nodes // 40)):
+            got = _sample_source_negatives(source, graph, count, batched_rng)
+            assert got == sample_source_negatives_reference(source, graph, count, reference_rng), source
+            assert all(type(node) is int for node in got)
+        assert batched_rng.integers(2**62) == reference_rng.integers(2**62)

@@ -16,7 +16,7 @@ from aspectcite import (
     sample_aspect,
     save_checkpoint,
 )
-from aspectcite import model
+from aspectcite import codec, model
 from aspectcite.model import (
     BLOCK_ROWS,
     distinct_nodes,
@@ -65,11 +65,25 @@ def write_v2_checkpoint(params, path):
         json.dump(payload, fh, sort_keys=True, indent=1)
 
 
-# sha256 of the header and sidecar that the earlier writer, which joined every
-# tensor's bytes into one copy, wrote for TestCheckpoint.test_checkpoint_bytes_are_pinned
+def write_v3_checkpoint(params, path):
+    """The earlier sidecar checkpoint format: a header and sidecar like today's,
+    with a fifth tensor, an all-zero (I,) aspect-impact bias, after similarity_weights."""
+    fields = ("state_to_effect", "effect_weights", "similarity_weights", "bias", "node_embeddings")
+    tensors = {name: getattr(params, name) for name in ModelParams.TENSOR_FIELDS}
+    tensors["bias"] = np.zeros(params.dims.aspects)
+    codec.write_artifact(path, "aspectcite-checkpoint-v3", {
+        "dims": {"aspects": params.dims.aspects, "text_dim": params.dims.text_dim, "struct_dim": params.dims.struct_dim},
+        "num_nodes": params.num_nodes,
+        "seed_lineage": params.seed_lineage,
+        "tensors": {name: codec.tensor_entry(tensors[name]) for name in fields},
+    }, [tensors[name] for name in fields])
+
+
+# sha256 of the header and sidecar written for TestCheckpoint.test_checkpoint_bytes_are_pinned,
+# matched by a header built with json.dumps by hand and the tensors' "<f8" bytes joined in field order
 CHECKPOINT_SHA256 = {
-    "checkpoint.bin": "7e7c20e8dd3d903a90b9b93656242e879fc25a78dfa20421fd5f7763b1f5beeb",
-    "checkpoint.json": "7ce8c5850e59bcd27eda97f26bd301f0746a8a2b3ba4680ef1ae414a11305316",
+    "checkpoint.bin": "1c73a285bd951f891350db4b4e2a698ae1a829864cb07665224ba6c918b7c789",
+    "checkpoint.json": "65b8754c7403ca903ee4d51a48fe8443b421f62b9bfe77c209083690833195ec",
 }
 
 
@@ -214,7 +228,6 @@ class TestAspectImpact:
         self.params.state_to_effect = np.eye(2)
         self.params.effect_weights = np.zeros((2, 2))
         self.params.similarity_weights = np.zeros((2, 2))
-        self.params.bias = np.zeros(2)
         self.reps = [[0.6, 0.8], [1.0, 0.0]]
 
     def test_effect_identity_path(self):
@@ -227,13 +240,6 @@ class TestAspectImpact:
     def test_all_zero(self):
         _, _, d = from_reps(self.params, self.reps, [0, 1], [1, 0], [[0.2, 0.8], [0.7, 0.3]])
         assert np.allclose(d, np.zeros((2, 2)))
-
-    def test_bias_only(self):
-        self.params.bias = np.array([1.0, 2.0])
-        _, _, d = from_reps(self.params, self.reps, [0], [1], [[0.2, 0.8]])
-        assert np.allclose(d, [[1, 2]])
-        _, _, d = from_reps(self.params, self.reps, [0, 1, 0], [1, 0, 0], np.full((3, 2), 0.5))
-        assert np.allclose(d, [[1, 2]] * 3)
 
 
 def sample_aspect_reference(d_pair, mode, rng=None):
@@ -427,7 +433,7 @@ class TestScorePair:
             reps, _ = representations_for(np.array([i, j]), texts, params)
             assert np.array_equal(c[0], state[j] @ params.state_to_effect.T)
             assert np.array_equal(e[0], reps[0] * reps[1])
-            assert np.allclose(d[0], c[0] @ params.effect_weights + e[0] @ params.similarity_weights + params.bias)
+            assert np.allclose(d[0], c[0] @ params.effect_weights + e[0] @ params.similarity_weights)
             chosen = select_aspects(d)
             assert np.array_equal(chosen, [np.argmax(d[0])])
             assert masked_impacts(d, chosen).sum() == max(d.max(), 0.0)
@@ -468,7 +474,7 @@ def impacts_for_pairs_per_row(pairs, state_matrix, params, text_vectors):
     e, _ = representations_for(src, text_vectors, params)
     e *= representations_for(dst, text_vectors, params)[0]
     c = np.asarray(state_matrix)[dst] @ params.state_to_effect.T
-    d = c @ params.effect_weights + e @ params.similarity_weights + params.bias
+    d = c @ params.effect_weights + e @ params.similarity_weights
     return c.sum(axis=1) + e.sum(axis=1), d
 
 
@@ -575,10 +581,9 @@ class TestCheckpoint:
     def test_checkpoint_bytes_are_pinned(self, tmp_path):
         params = ModelParams(
             dims=Dims(aspects=2, text_dim=3, struct_dim=4),
-            state_to_effect=np.arange(4.0).reshape(2, 2) / 3.0,
+            state_to_effect=np.array([[-0.0, 1e-300], [2.0 / 3.0, 1.0]]),
             effect_weights=-np.arange(4.0).reshape(2, 2) / 7.0,
             similarity_weights=(np.arange(14.0).reshape(7, 2) - 6.5) / 3.0,
-            bias=np.array([-0.0, 1e-300]),
             node_embeddings=np.arange(20.0).reshape(5, 4) * np.pi,
             seed_lineage="root-seed=7",
         )
@@ -592,7 +597,7 @@ class TestCheckpoint:
         want = b"".join(getattr(params, name).astype("<f8").tobytes() for name in ModelParams.TENSOR_FIELDS)
         assert (tmp_path / "ckpt.bin").read_bytes() == want
 
-    @pytest.mark.parametrize("tensor", ["bias", "node_embeddings"])
+    @pytest.mark.parametrize("tensor", ["state_to_effect", "node_embeddings"])
     @pytest.mark.parametrize("how", ARTIFACT_CORRUPTIONS)
     def test_corrupt_file_rejected(self, tmp_path, how, tensor):
         path = tmp_path / "ckpt.json"
@@ -604,13 +609,20 @@ class TestCheckpoint:
     def test_v1_list_file_rejected_naming_the_format(self, tmp_path):
         path = tmp_path / "ckpt.json"
         write_v1_checkpoint(make_params(), path)
-        with pytest.raises(ValueError, match="aspectcite-checkpoint-v3"):
+        with pytest.raises(ValueError, match="aspectcite-checkpoint-v4"):
             load_checkpoint(path)
 
     def test_v2_base64_file_rejected_naming_the_format(self, tmp_path):
         path = tmp_path / "ckpt.json"
         write_v2_checkpoint(make_params(), path)
-        pattern = "format 'aspectcite-checkpoint-v2', expected 'aspectcite-checkpoint-v3'; re-run train"
+        pattern = "format 'aspectcite-checkpoint-v2', expected 'aspectcite-checkpoint-v4'; re-run train"
+        with pytest.raises(ValueError, match=pattern):
+            load_checkpoint(path)
+
+    def test_v3_five_tensor_file_rejected_naming_the_format(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        write_v3_checkpoint(make_params(), path)
+        pattern = "format 'aspectcite-checkpoint-v3', expected 'aspectcite-checkpoint-v4'; re-run train"
         with pytest.raises(ValueError, match=pattern):
             load_checkpoint(path)
 

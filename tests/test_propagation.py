@@ -675,7 +675,7 @@ SIDECAR_CORRUPTIONS = {
 }
 FORMAT_CORRUPTIONS = {
     "missing_format": (lambda p: p.pop("format"), "format None, expected"),
-    "unknown_format": (lambda p: p.update(format=p["format"].replace("-v3", "-v4")), "-v4', expected"),
+    "unknown_format": (lambda p: p.update(format=p["format"] + "-future"), "-future', expected"),
 }
 ARTIFACT_CORRUPTIONS = sorted(TENSOR_CORRUPTIONS) + sorted(SIDECAR_CORRUPTIONS) + sorted(FORMAT_CORRUPTIONS)
 

@@ -142,12 +142,6 @@ class TestGradients:
                     an = grads[name].ravel()[idx]
                     assert abs(fd - an) <= 1e-4 * max(abs(fd), abs(an), 1.0)
 
-    def test_bias_gradient_is_zero(self):
-        # the bias cancels in both hinge differences, so its gradient vanishes
-        params, state, texts, triplets, alphas, config = self.make_problem(7)
-        _, grads = batch_loss_and_grads(params, _forward(params, state, texts, triplets), alphas, config)
-        assert np.allclose(grads["bias"], 0.0, atol=1e-15)
-
 
 def forward_reference(params, state_matrix, text_vectors, triplets):
     """The pre-change training forward pass: one representation per triplet
@@ -170,8 +164,8 @@ def forward_reference(params, state_matrix, text_vectors, triplets):
     c_k = d_k @ params.state_to_effect.T
     e_j = r_i * r_j
     e_k = r_i * r_k
-    imp_j = c_j @ params.effect_weights + e_j @ params.similarity_weights + params.bias
-    imp_k = c_k @ params.effect_weights + e_k @ params.similarity_weights + params.bias
+    imp_j = c_j @ params.effect_weights + e_j @ params.similarity_weights
+    imp_k = c_k @ params.effect_weights + e_k @ params.similarity_weights
     return {
         "bi": bi, "bj": bj, "bk": bk,
         "r_i": r_i, "r_j": r_j, "r_k": r_k,
@@ -333,7 +327,9 @@ class TestTrainSdPhase:
 
     def test_no_positive_impact_gives_the_uniform_state(self, small_graph, small_split, small_text):
         config, params, state = self.make(small_graph, small_text)
-        params.bias[:] = -100.0  # every masked edge impact is zero, so every column is dangling
+        # D is 0 on every edge, so every masked edge impact is zero and every column is dangling
+        params.effect_weights[:] = 0.0
+        params.similarity_weights[:] = 0.0
         out = train_sd_phase(params, state, small_split.train_edges, config, small_text)
         assert out.matrix.dtype == np.float64
         assert np.allclose(out.matrix, 1.0 / small_graph.num_nodes, rtol=1e-12) and out.converged
