@@ -167,6 +167,10 @@ def cmd_ingest(args) -> int:
     negatives = res.get("negatives_per_positive", 1, parse=int)
     channels = res.get("channels", ("title",), parse=lambda s: tuple(v for v in s.split(",") if v))
     res.check_unread()
+    try:
+        corpus.check_split_options(ratios, negatives)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
     edge_file = _require_file(args.edges, "edge list")
     try:

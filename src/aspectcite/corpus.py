@@ -14,7 +14,10 @@ Vector components are ASCII decimal floats, rounded exactly as `float()` does;
 from __future__ import annotations
 
 import base64
+import numbers
+import warnings
 from dataclasses import dataclass, field
+from operator import countOf
 
 import numpy as np
 
@@ -33,6 +36,7 @@ __all__ = [
     "load_node_features",
     "embed_text",
     "embed_documents",
+    "check_split_options",
     "split_edges",
 ]
 
@@ -216,14 +220,37 @@ def load_node_features(path) -> dict[str, np.ndarray]:
     return dict(zip(ids, matrix))
 
 
+# A token holding none of these is an unsigned decimal integer or no number at
+# all; "-" also keeps `-0`, whose float carries a sign bit, off the int64 path.
+_NOT_INTEGER = "-.eEiInN"
+
+
 def _parse_rows(path, rows: list, linenos: list, what: str) -> np.ndarray:
     """Parse rows of whitespace-separated numbers into one float64 matrix.
 
-    One `np.loadtxt` call parses every row with CPython's own string-to-double
-    routine, so each value is bit-for-bit `float(token)`. Only after it fails
-    are the rows read one by one, to name the first bad line.
+    Each value is bit-for-bit `float(token)`. The first reader that takes
+    every row gives the matrix, cheapest first:
+      - `_digit_rows`, for rows of single digits joined by single spaces (the
+        0/1 rows of a bag-of-words file), as bytes, with no token parse;
+      - numpy's int64 reader, for rows free of `_NOT_INTEGER` characters: a
+        token it accepts is an ASCII decimal integer below 2**63, and the
+        int64-to-float64 cast rounds it to nearest-even as `float(token)` does;
+      - numpy's float64 reader, which is CPython's own string-to-double routine.
+    Only after all fail are the rows read one by one, to name the first bad line.
     """
     if all(row and not row.isspace() for row in rows):  # loadtxt would skip a blank row
+        matrix = _digit_rows(rows)
+        if matrix is not None:
+            return matrix
+        if not any(c in row for row in rows for c in _NOT_INTEGER):
+            try:
+                with warnings.catch_warnings():
+                    # numpy 1.x re-reads an int64 overflow as a float and casts it
+                    # back with only this warning; made an error, it falls through
+                    warnings.simplefilter("error", DeprecationWarning)
+                    return np.loadtxt(rows, dtype=np.int64, comments=None, ndmin=2).astype(np.float64)
+            except (ValueError, DeprecationWarning):
+                pass
         try:
             return np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
         except ValueError:
@@ -240,6 +267,22 @@ def _parse_rows(path, rows: list, linenos: list, what: str) -> np.ndarray:
         except ValueError:
             raise CorpusFormatError(f"{path}: line {lineno}: non-numeric {what} component") from None
     raise AssertionError("np.loadtxt failed on rows that each parse")
+
+
+def _digit_rows(rows: list) -> np.ndarray | None:
+    """The matrix of rows that are each single ASCII digits joined by single
+    spaces (the 0/1 rows of a bag-of-words file), read as bytes; else None."""
+    width = len(rows[0])
+    if width % 2 == 0 or countOf(map(len, rows), width) != len(rows):
+        return None
+    try:
+        raw = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8).reshape(len(rows), width)
+    except UnicodeEncodeError:
+        return None
+    digits = raw[:, ::2] - ord("0")  # uint8: a byte below "0" wraps past 9
+    if (digits > 9).any() or (raw[:, 1::2] != ord(" ")).any():
+        return None
+    return digits.astype(np.float64)
 
 
 def _require_finite(path, matrix: np.ndarray, linenos: list, what: str) -> None:
@@ -412,6 +455,23 @@ def _largest_remainder_counts(total: int, ratios) -> list[int]:
     return counts
 
 
+def check_split_options(ratios, negatives_per_positive) -> tuple[float, ...]:
+    """`split_edges`' checks of its options, which need no graph; returns the ratios as floats.
+
+    Each comparison is written so that NaN fails it.
+    """
+    ratios = tuple(float(r) for r in ratios)
+    if len(ratios) != 3 or not all(r >= 0 for r in ratios):
+        raise ValueError(f"ratios must be three nonnegative reals, got {ratios}")
+    if not abs(sum(ratios) - 1.0) <= 1e-9:
+        raise ValueError(f"ratios must sum to 1 (got {sum(ratios)})")
+    if isinstance(negatives_per_positive, bool) or not isinstance(negatives_per_positive, numbers.Integral):
+        raise ValueError(f"negatives_per_positive must be an integer, got {negatives_per_positive!r}")
+    if negatives_per_positive < 1:
+        raise ValueError(f"negatives_per_positive must be a positive integer, got {negatives_per_positive}")
+    return ratios
+
+
 def split_edges(graph: CitationGraph, ratios, negatives_per_positive: int, seed: int) -> DatasetSplit:
     """Uniform random edge partition plus uniform non-edge negatives, seeded.
 
@@ -420,15 +480,9 @@ def split_edges(graph: CitationGraph, ratios, negatives_per_positive: int, seed:
     rejection-sampled without replacement within each split and never collide
     with any edge of the full graph or with the diagonal.
     """
-    ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise ValueError("ratios must be three nonnegative reals")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1 (got {sum(ratios)})")
+    ratios = check_split_options(ratios, negatives_per_positive)
     if graph.num_edges < 10:
         raise ValueError(f"graph has {graph.num_edges} edges; need at least 10 to split")
-    if negatives_per_positive < 1:
-        raise ValueError("negatives_per_positive must be a positive integer")
 
     m = graph.num_edges
     counts = _largest_remainder_counts(m, ratios)

@@ -10,7 +10,7 @@ in-CSR.
 from __future__ import annotations
 
 from itertools import chain, compress, count
-from operator import itemgetter
+from operator import countOf, itemgetter
 
 import numpy as np
 
@@ -41,24 +41,31 @@ class CitationGraph:
         if not edges:
             raise ValueError("cannot build a graph from an empty edge list")
 
-        # An edge is timed when it has a third field that is not None.
-        thirds = list(map(itemgetter(2), compress(edges, map((3).__eq__, map(len, edges)))))
-        num_timed = len(thirds) - thirds.count(None)
-        if 0 < num_timed < len(edges):
-            raise ValueError("edge list mixes timed and untimed edges; provide timestamps for all edges or none")
-        self.timed = num_timed == len(edges)
+        if countOf(map(len, edges), 2) == len(edges):  # no edge can carry a time
+            thirds, self.timed = [], False
+            ids = chain.from_iterable(edges)
+        else:
+            # An edge is timed when it has a third field that is not None.
+            thirds = list(map(itemgetter(2), compress(edges, map((3).__eq__, map(len, edges)))))
+            num_timed = len(thirds) - thirds.count(None)
+            if 0 < num_timed < len(edges):
+                raise ValueError("edge list mixes timed and untimed edges; provide timestamps for all edges or none")
+            self.timed = num_timed == len(edges)
+            ids = chain.from_iterable(map(itemgetter(0, 1), edges))
 
-        ids = list(chain.from_iterable(map(itemgetter(0, 1), edges)))
-        index = dict(zip(dict.fromkeys(ids), count()))
-        pairs = np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids)).reshape(-1, 2)
-        self.node_ids: tuple[str, ...] = tuple(index)
-        self._index = index
+        # One dict pass: `first` maps each id to the position of its first
+        # appearance, and the ids that start there, counted, give dense indices.
+        first: dict = {}
+        pos = np.fromiter(map(first.setdefault, ids, count()), dtype=np.int64, count=2 * len(edges))
+        pairs = (np.cumsum(pos == np.arange(len(pos))) - 1)[pos].reshape(-1, 2)
+        self.node_ids: tuple[str, ...] = tuple(first)
+        self._index = dict(zip(first, count()))
 
         loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
         if loops.size:
-            raise ValueError(f"self-loop {ids[2 * loops[0]]!r} must be removed before graph construction")
+            raise ValueError(f"self-loop {edges[loops[0]][0]!r} must be removed before graph construction")
 
-        n = len(index)
+        n = len(first)
         self.out_indptr, self.out_indices, keys = _csr(pairs[:, 0], pairs[:, 1], n)
         if np.any(keys[1:] == keys[:-1]):
             raise ValueError("duplicate edges must be removed before graph construction")

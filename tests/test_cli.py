@@ -821,6 +821,33 @@ def test_out_of_range_query_option_is_a_usage_error(dataset, tmp_path, capsys, c
     assert not query.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("key,value,message", [
+    ("ratios", "nan,0.5,0.5", "ratios must be three nonnegative reals"),
+    ("ratios", "0.5,-0.1,0.6", "ratios must be three nonnegative reals"),
+    ("ratios", "-0.1,0.6,0.5", "ratios must be three nonnegative reals"),
+    ("ratios", "0.4,0.2,0.2,0.2", "ratios must be three nonnegative reals"),
+    ("negatives_per_positive", "0", "negatives_per_positive must be a positive integer"),
+])
+def test_bad_split_option_exits_1_before_reading_an_input(tmp_path, capsys, source, key, value, message):
+    """A bad split option is a usage error found before any input is read, so
+    the missing inputs here are never reached. NaN ratios used to pass every
+    check and exit 2 after the inputs were parsed."""
+    missing = str(tmp_path / "missing.tsv")
+    if source == "flag":
+        option = [f"--{key.replace('_', '-')}={value}"]  # "=" keeps a leading "-" a value
+    else:
+        config = tmp_path / "ingest.cfg"
+        config.write_text(f"{key}={value}\n", encoding="utf-8")
+        option = ["--config", str(config)]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["ingest", "--edges", missing, "--node-features", missing, *option, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,expected", [("ingest", 1), ("train", 1), ("evaluate", 2), ("predict", 2), ("explain", 2)])
 def test_failed_command_leaves_no_out_dir(dataset, tmp_path, command, expected):
     """A usage error (ingest without a text source, train with variant=foo in

@@ -2,6 +2,7 @@
 
 import base64
 import re
+import warnings
 from dataclasses import replace
 from decimal import Context, Decimal
 
@@ -264,6 +265,114 @@ class TestNumericParse:
             load_word_vectors(path)
 
 
+def spy_loadtxt(monkeypatch):
+    """Record the dtype of every `np.loadtxt` call the loaders make."""
+    dtypes, loadtxt = [], np.loadtxt
+
+    def spy(rows, dtype, **kwargs):
+        dtypes.append(np.dtype(dtype).name)
+        return loadtxt(rows, dtype=dtype, **kwargs)
+
+    monkeypatch.setattr(corpus.np, "loadtxt", spy)
+    return dtypes
+
+
+class TestIntegerRows:
+    """Rows of single digits joined by single spaces are read as bytes, other
+    rows of plain decimal integers take numpy's int64 reader, and the rest its
+    float reader; every value is bit-for-bit `float(token)`."""
+
+    bits = staticmethod(TestNumericParse.bits)
+
+    @pytest.mark.parametrize("rows, dtypes", [
+        (["1 0 1", "0 9 0"], []),  # single digits: no loadtxt call at all
+        (["7"], []),
+        (["1  0 1", "0 1 0"], ["int64"]),  # two spaces
+        (["1 0 1 ", "0 1 0 "], ["int64"]),
+        (["1 0 1\x0b", "0 1 0"], ["int64"]),
+        (["1 10 1"], ["int64"]),
+        (["1\u30000"], ["int64"]),  # a non-ASCII space
+        (["-0 1", "0 -0"], ["float64"]),  # float("-0") carries a sign bit, int64 0 does not
+        (["-5 3"], ["float64"]),
+        (["+7 007", "0 +0"], ["int64"]),
+        ([f"{2**53 + 1} 1"], ["int64"]),  # rounds to even, 2**53, either way
+        ([f"{2**63 - 1} {2**63 - 1025}"], ["int64"]),
+        ([f"1 {2**63}"], ["int64", "float64"]),  # int64 overflows; the float reader takes it
+        (["1 0", "0 1", "1 1", "0.5 1"], ["float64"]),
+        (["1.5 2"], ["float64"]),
+        (["1e3 2"], ["float64"]),
+    ])
+    def test_features_bit_exact_on_the_expected_reader(self, tmp_path, monkeypatch, rows, dtypes):
+        path = write(tmp_path, "f.tsv", "".join(f"p{i}\t{row}\n" for i, row in enumerate(rows)))
+        seen = spy_loadtxt(monkeypatch)
+        feats = load_node_features(path)
+        assert seen == dtypes
+        for i, row in enumerate(rows):
+            assert self.bits(feats[f"p{i}"]) == self.bits([float(t) for t in row.split()])
+
+    def test_word_vectors_on_each_reader(self, tmp_path, monkeypatch):
+        # a word-vector row keeps its line end, so single digits take the int64 reader
+        path = write(tmp_path, "v.txt", "a 1 2 3\nb 0 +40 007\n# 9 9 9\n")
+        seen = spy_loadtxt(monkeypatch)
+        table = load_word_vectors(path)
+        assert seen == ["int64"]
+        assert {t: v.tolist() for t, v in table.vectors.items()} == {"a": [1, 2, 3], "b": [0, 40, 7], "#": [9, 9, 9]}
+        assert all(v.dtype == np.float64 for v in table.vectors.values())
+
+    @pytest.mark.parametrize("row", ["0 1_0 1", "0 \u0661 1", "0 x 1", "0 \u0661"])
+    def test_malformed_integer_row_named_as_before(self, tmp_path, row):
+        path = write(tmp_path, "f.tsv", f"p1\t1 0 1\np2\t{row}\n")
+        message = "expected 3 components, got 2" if row.count(" ") == 1 else "non-numeric feature component"
+        with pytest.raises(CorpusFormatError, match=re.escape(f"{path}: line 2: {message}")):
+            load_node_features(path)
+
+    def test_int_via_float_warning_falls_through_to_the_float_reader(self, tmp_path, monkeypatch):
+        """numpy 1.x reads an int64 overflow as a float, casts it back and only
+        warns; the warning must send the rows to the float reader."""
+        loadtxt = np.loadtxt
+
+        def numpy1_loadtxt(rows, dtype, **kwargs):
+            if np.dtype(dtype) == np.int64:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+                return np.full((len(rows), 2), np.iinfo(np.int64).min)
+            return loadtxt(rows, dtype=dtype, **kwargs)
+
+        monkeypatch.setattr(corpus.np, "loadtxt", numpy1_loadtxt)
+        feats = load_node_features(write(tmp_path, "f.tsv", f"p1\t1 {2**63}\n"))
+        assert feats["p1"].tolist() == [1.0, float(2**63)]
+
+    def test_cora_shaped_file_equals_its_other_spellings(self, tmp_path, monkeypatch):
+        """A 2708 x 1433 0/1 file gives the same matrix on each reader: as
+        written, with double spaces, and with every value as `v.0`."""
+        values = (np.random.default_rng(3).random((2708, 1433)) < 0.0127).astype(int).tolist()
+        spellings = {"": [], "  ": ["int64"], ".0": ["float64"]}
+        matrices = []
+        for spelling, dtypes in spellings.items():
+            sep, suffix = (spelling, "") if spelling.isspace() else (" ", spelling)
+            path = write(tmp_path, f"f{len(matrices)}.tsv",
+                         "".join(f"p{i}\t{sep.join(f'{v}{suffix}' for v in row)}\n" for i, row in enumerate(values)))
+            seen = spy_loadtxt(monkeypatch)
+            feats = load_node_features(path)
+            assert seen == dtypes and list(feats) == [f"p{i}" for i in range(2708)]
+            matrices.append(np.stack(list(feats.values())))
+        assert all(m.dtype == np.float64 and m.tobytes() == matrices[0].tobytes() for m in matrices)
+        assert matrices[0].sum() == sum(map(sum, values))
+
+    @given(rows=st.integers(1, 4).flatmap(lambda dim: st.lists(
+        st.lists(st.tuples(st.one_of(st.integers(0, 9), st.integers(0, 2**64)), st.sampled_from(["{}", "+{}", "00{}"])),
+                 min_size=dim, max_size=dim),
+        min_size=1, max_size=5,
+    )), sep=st.sampled_from([" ", " ", "  ", "\x0b", "\u3000"]))
+    @settings(max_examples=200, deadline=None)
+    def test_integer_tokens_bit_exact(self, tmp_path_factory, rows, sep):
+        tokens = [[spell.format(v) for v, spell in row] for row in rows]
+        path = tmp_path_factory.mktemp("ints") / "f.tsv"
+        path.write_text("".join(f"p{i}\t{sep.join(row)}\n" for i, row in enumerate(tokens)), encoding="utf-8")
+        feats = load_node_features(path)
+        for i, row in enumerate(tokens):
+            assert self.bits(feats[f"p{i}"]) == self.bits([float(t) for t in row])
+
+
 TABLE = WordVectorTable(dimension=2, vectors={"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
 
 
@@ -356,6 +465,38 @@ class TestSplitEdges:
     def test_ratio_sum_violation_rejected(self, small_graph):
         with pytest.raises(ValueError, match="sum to 1"):
             split_edges(small_graph, (0.8, 0.1, 0.2), 1, seed=0)
+
+    @pytest.mark.parametrize("ratios, message", [
+        # NaN once passed every comparison and failed later, as "cannot convert float NaN to integer"
+        ((float("nan"), 0.5, 0.5), "three nonnegative reals"),
+        ((0.5, 0.5, float("nan")), "three nonnegative reals"),
+        ((float("inf"), 0.0, 0.0), "sum to 1"),
+        ((0.5, -0.1, 0.6), "three nonnegative reals"),
+        ((0.8, 0.2), "three nonnegative reals"),
+        ((0.4, 0.2, 0.2, 0.2), "three nonnegative reals"),
+    ])
+    def test_bad_ratios_rejected(self, small_graph, ratios, message):
+        with pytest.raises(ValueError, match=message):
+            split_edges(small_graph, ratios, 1, seed=0)
+        with pytest.raises(ValueError, match=message):
+            corpus.check_split_options(ratios, 1)
+
+    @pytest.mark.parametrize("negatives, message", [
+        (1.5, "must be an integer, got 1.5"),  # once a TypeError from the sampler
+        (2.0, "must be an integer, got 2.0"),
+        (True, "must be an integer, got True"),
+        ("2", "must be an integer, got '2'"),
+        (0, "must be a positive integer, got 0"),
+        (-1, "must be a positive integer, got -1"),
+    ])
+    def test_bad_negatives_per_positive_rejected(self, small_graph, negatives, message):
+        with pytest.raises(ValueError, match=re.escape(f"negatives_per_positive {message}")):
+            split_edges(small_graph, (0.8, 0.1, 0.1), negatives, seed=0)
+
+    def test_options_checked_and_ratios_returned_as_floats(self, small_graph):
+        assert corpus.check_split_options([1, 0, "0"], np.int64(2)) == (1.0, 0.0, 0.0)
+        assert split_edges(small_graph, (0.8, 0.1, 0.1), np.int64(2), seed=0) == split_edges(
+            small_graph, (0.8, 0.1, 0.1), 2, seed=0)
 
     def test_too_few_edges_rejected(self):
         graph = build_graph([("a", "b"), ("b", "c")])

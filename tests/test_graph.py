@@ -1,6 +1,8 @@
 """Graph structure and dangling-detection contracts."""
 
 import re
+from itertools import chain, compress, count
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aspectcite import build_graph, dangling_nodes
+from aspectcite.graph import _csr
 
 
 def edge_lists(max_nodes=8):
@@ -49,6 +52,106 @@ def graphs_with_probes(draw):
         edges = [(a, b, t) for (a, b), t in zip(edges, times)]
     probes = draw(st.lists(st.tuples(st.integers(-2, 12), st.integers(-2, 12)), max_size=30))
     return edges, probes
+
+
+def two_pass_index(edges):
+    """The indexing `CitationGraph` used before its one-pass version, kept
+    verbatim as the reference: a timed-edge scan, a tuple per edge, then
+    `dict.fromkeys` and a second lookup per id. Returns the fields it set."""
+    edges = list(edges)
+    if not edges:
+        raise ValueError("cannot build a graph from an empty edge list")
+
+    # An edge is timed when it has a third field that is not None.
+    thirds = list(map(itemgetter(2), compress(edges, map((3).__eq__, map(len, edges)))))
+    num_timed = len(thirds) - thirds.count(None)
+    if 0 < num_timed < len(edges):
+        raise ValueError("edge list mixes timed and untimed edges; provide timestamps for all edges or none")
+    timed = num_timed == len(edges)
+
+    ids = list(chain.from_iterable(map(itemgetter(0, 1), edges)))
+    index = dict(zip(dict.fromkeys(ids), count()))
+    pairs = np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids)).reshape(-1, 2)
+
+    loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
+    if loops.size:
+        raise ValueError(f"self-loop {ids[2 * loops[0]]!r} must be removed before graph construction")
+
+    n = len(index)
+    out_indptr, out_indices, keys = _csr(pairs[:, 0], pairs[:, 1], n)
+    if np.any(keys[1:] == keys[:-1]):
+        raise ValueError("duplicate edges must be removed before graph construction")
+    in_indptr, in_indices, _ = _csr(pairs[:, 1], pairs[:, 0], n)
+    return {
+        "node_ids": tuple(index), "_index": index, "edge_array": pairs, "timed": timed,
+        "edge_times": np.fromiter(map(int, thirds), dtype=np.int64, count=len(edges)) if timed else None,
+        "out_indptr": out_indptr, "out_indices": out_indices, "in_indptr": in_indptr, "in_indices": in_indices,
+    }
+
+
+@st.composite
+def raw_edge_lists(draw):
+    """Edge lists as callers pass them: ids drawn from a small pool (so repeated,
+    and at times self-loops or duplicates), each edge a tuple or a list, with
+    times on every edge, on none, on some, or as None."""
+    pool = draw(st.lists(st.text(alphabet="abc", min_size=1, max_size=2), min_size=1, max_size=6, unique=True))
+    node = st.sampled_from(pool)
+    pair = st.tuples(node, node).filter(lambda p: p[0] != p[1]) if draw(st.booleans()) else st.tuples(node, node)
+    pairs = draw(st.lists(pair, min_size=1, max_size=20, unique=draw(st.booleans())))
+    times = draw(st.sampled_from(["none", "all", "some", "none-valued"]))
+    edges = []
+    for a, b in pairs:
+        extra = {
+            "none": (),
+            "all": (draw(st.integers(1990, 2020)),),
+            "some": draw(st.sampled_from([(), (2000,)])),
+            "none-valued": draw(st.sampled_from([(None,), (2001,), ()])),
+        }[times]
+        edge = (a, b, *extra)
+        edges.append(list(edge) if draw(st.booleans()) else edge)
+    return edges
+
+
+class TestOnePassIndex:
+    """The one-pass index gives what the two-pass reference gave, errors included."""
+
+    FIELDS = ("node_ids", "_index", "edge_array", "timed", "edge_times",
+              "out_indptr", "out_indices", "in_indptr", "in_indices")
+
+    def check(self, edges):
+        try:
+            expected = two_pass_index(edges)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc)) + "$"):
+                build_graph(edges)
+            return str(exc)
+        g = build_graph(edges)
+        for name in self.FIELDS:
+            got, want = getattr(g, name), expected[name]
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want), name
+            else:
+                assert got == want, name
+        assert list(g._index.items()) == list(expected["_index"].items())
+        return None
+
+    @given(raw_edge_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_two_pass_reference(self, edges):
+        self.check(edges)
+
+    @pytest.mark.parametrize("edges, error", [
+        ([("a", "b"), ["b", "c"], ("c", "a")], None),
+        ([["a", "b", 3], ("b", "a", 1)], None),
+        ([("a", "b"), ("b", "b"), ("c", "c")], "self-loop 'b'"),
+        ([["x", "y"], ("y", "x"), ["x", "y"]], "duplicate edges"),
+        ([("a", "b", 1), ["b", "c"]], "mixes timed and untimed"),
+        ([("a", "b", None), ("b", "c")], None),
+        ([("a", "b", None), ("b", "c", 5)], "mixes timed and untimed"),
+    ])
+    def test_cases(self, edges, error):
+        message = self.check(edges)
+        assert (message is None) if error is None else (error in message)
 
 
 class TestBuildGraph:
