@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import base64
 import numbers
-import warnings
 from dataclasses import dataclass, field
 from operator import countOf
 
@@ -220,37 +219,19 @@ def load_node_features(path) -> dict[str, np.ndarray]:
     return dict(zip(ids, matrix))
 
 
-# A token holding none of these is an unsigned decimal integer or no number at
-# all; "-" also keeps `-0`, whose float carries a sign bit, off the int64 path.
-_NOT_INTEGER = "-.eEiInN"
-
-
 def _parse_rows(path, rows: list, linenos: list, what: str) -> np.ndarray:
     """Parse rows of whitespace-separated numbers into one float64 matrix.
 
-    Each value is bit-for-bit `float(token)`. The first reader that takes
-    every row gives the matrix, cheapest first:
-      - `_digit_rows`, for rows of single digits joined by single spaces (the
-        0/1 rows of a bag-of-words file), as bytes, with no token parse;
-      - numpy's int64 reader, for rows free of `_NOT_INTEGER` characters: a
-        token it accepts is an ASCII decimal integer below 2**63, and the
-        int64-to-float64 cast rounds it to nearest-even as `float(token)` does;
-      - numpy's float64 reader, which is CPython's own string-to-double routine.
-    Only after all fail are the rows read one by one, to name the first bad line.
+    Each value is bit-for-bit `float(token)`. Rows of single digits joined by
+    single spaces (the 0/1 rows of a bag-of-words file) are read as bytes by
+    `_digit_rows`, with no token parse; any other rows go through numpy's
+    float64 reader, which is CPython's own string-to-double routine. Only
+    after that fails are the rows read one by one, to name the first bad line.
     """
     if all(row and not row.isspace() for row in rows):  # loadtxt would skip a blank row
         matrix = _digit_rows(rows)
         if matrix is not None:
             return matrix
-        if not any(c in row for row in rows for c in _NOT_INTEGER):
-            try:
-                with warnings.catch_warnings():
-                    # numpy 1.x re-reads an int64 overflow as a float and casts it
-                    # back with only this warning; made an error, it falls through
-                    warnings.simplefilter("error", DeprecationWarning)
-                    return np.loadtxt(rows, dtype=np.int64, comments=None, ndmin=2).astype(np.float64)
-            except (ValueError, DeprecationWarning):
-                pass
         try:
             return np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
         except ValueError:

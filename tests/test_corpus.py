@@ -2,7 +2,6 @@
 
 import base64
 import re
-import warnings
 from dataclasses import replace
 from decimal import Context, Decimal
 
@@ -278,26 +277,26 @@ def spy_loadtxt(monkeypatch):
 
 
 class TestIntegerRows:
-    """Rows of single digits joined by single spaces are read as bytes, other
-    rows of plain decimal integers take numpy's int64 reader, and the rest its
-    float reader; every value is bit-for-bit `float(token)`."""
+    """Rows of single digits joined by single spaces are read as bytes, and
+    any other rows take numpy's float reader; every value is bit-for-bit
+    `float(token)`."""
 
     bits = staticmethod(TestNumericParse.bits)
 
     @pytest.mark.parametrize("rows, dtypes", [
         (["1 0 1", "0 9 0"], []),  # single digits: no loadtxt call at all
         (["7"], []),
-        (["1  0 1", "0 1 0"], ["int64"]),  # two spaces
-        (["1 0 1 ", "0 1 0 "], ["int64"]),
-        (["1 0 1\x0b", "0 1 0"], ["int64"]),
-        (["1 10 1"], ["int64"]),
-        (["1\u30000"], ["int64"]),  # a non-ASCII space
-        (["-0 1", "0 -0"], ["float64"]),  # float("-0") carries a sign bit, int64 0 does not
+        (["1  0 1", "0 1 0"], ["float64"]),  # two spaces
+        (["1 0 1 ", "0 1 0 "], ["float64"]),
+        (["1 0 1\x0b", "0 1 0"], ["float64"]),
+        (["1 10 1"], ["float64"]),
+        (["1\u30000"], ["float64"]),  # a non-ASCII space
+        (["-0 1", "0 -0"], ["float64"]),  # float("-0") carries a sign bit
         (["-5 3"], ["float64"]),
-        (["+7 007", "0 +0"], ["int64"]),
-        ([f"{2**53 + 1} 1"], ["int64"]),  # rounds to even, 2**53, either way
-        ([f"{2**63 - 1} {2**63 - 1025}"], ["int64"]),
-        ([f"1 {2**63}"], ["int64", "float64"]),  # int64 overflows; the float reader takes it
+        (["+7 007", "0 +0"], ["float64"]),
+        ([f"{2**53 + 1} 1"], ["float64"]),  # rounds to even, 2**53
+        ([f"{2**63 - 1} {2**63 - 1025}"], ["float64"]),
+        ([f"1 {2**63}"], ["float64"]),
         (["1 0", "0 1", "1 1", "0.5 1"], ["float64"]),
         (["1.5 2"], ["float64"]),
         (["1e3 2"], ["float64"]),
@@ -310,12 +309,12 @@ class TestIntegerRows:
         for i, row in enumerate(rows):
             assert self.bits(feats[f"p{i}"]) == self.bits([float(t) for t in row.split()])
 
-    def test_word_vectors_on_each_reader(self, tmp_path, monkeypatch):
-        # a word-vector row keeps its line end, so single digits take the int64 reader
+    def test_word_vectors_take_the_float_reader(self, tmp_path, monkeypatch):
+        # a word-vector row keeps its line end, so even single digits take the float reader
         path = write(tmp_path, "v.txt", "a 1 2 3\nb 0 +40 007\n# 9 9 9\n")
         seen = spy_loadtxt(monkeypatch)
         table = load_word_vectors(path)
-        assert seen == ["int64"]
+        assert seen == ["float64"]
         assert {t: v.tolist() for t, v in table.vectors.items()} == {"a": [1, 2, 3], "b": [0, 40, 7], "#": [9, 9, 9]}
         assert all(v.dtype == np.float64 for v in table.vectors.values())
 
@@ -326,26 +325,11 @@ class TestIntegerRows:
         with pytest.raises(CorpusFormatError, match=re.escape(f"{path}: line 2: {message}")):
             load_node_features(path)
 
-    def test_int_via_float_warning_falls_through_to_the_float_reader(self, tmp_path, monkeypatch):
-        """numpy 1.x reads an int64 overflow as a float, casts it back and only
-        warns; the warning must send the rows to the float reader."""
-        loadtxt = np.loadtxt
-
-        def numpy1_loadtxt(rows, dtype, **kwargs):
-            if np.dtype(dtype) == np.int64:
-                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
-                return np.full((len(rows), 2), np.iinfo(np.int64).min)
-            return loadtxt(rows, dtype=dtype, **kwargs)
-
-        monkeypatch.setattr(corpus.np, "loadtxt", numpy1_loadtxt)
-        feats = load_node_features(write(tmp_path, "f.tsv", f"p1\t1 {2**63}\n"))
-        assert feats["p1"].tolist() == [1.0, float(2**63)]
-
     def test_cora_shaped_file_equals_its_other_spellings(self, tmp_path, monkeypatch):
-        """A 2708 x 1433 0/1 file gives the same matrix on each reader: as
+        """A 2708 x 1433 0/1 file gives the same matrix on both readers: as
         written, with double spaces, and with every value as `v.0`."""
         values = (np.random.default_rng(3).random((2708, 1433)) < 0.0127).astype(int).tolist()
-        spellings = {"": [], "  ": ["int64"], ".0": ["float64"]}
+        spellings = {"": [], "  ": ["float64"], ".0": ["float64"]}
         matrices = []
         for spelling, dtypes in spellings.items():
             sep, suffix = (spelling, "") if spelling.isspace() else (" ", spelling)
