@@ -4,8 +4,13 @@ import base64
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import re
+import subprocess
+import sys
+import threading
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,9 +90,11 @@ def apply_projection_gathers(op, state):
     n = op.num_nodes
     flat = matrix.T.ravel()
     data = np.concatenate([mat.data for mat in op.tensor.matrices])
+    rows = np.concatenate([block.rows + k * n for k, block in enumerate(op.blocks)])
+    cols = np.concatenate([block.cols + k * n for k, block in enumerate(op.blocks)])
     dangling = [np.flatnonzero(dangling_columns(op.tensor, k)) + k * n for k in range(op.aspects)]
     dangling_mass = np.array([flat[idx].sum() for idx in dangling])
-    out = np.bincount(op.rows, weights=data * flat.take(op.cols), minlength=op.aspects * n)
+    out = np.bincount(rows, weights=data * flat.take(cols), minlength=op.aspects * n)
     out = out.astype(np.float64, copy=False).reshape(op.aspects, n)
     out += (dangling_mass / n)[:, None]
     out *= op.nu
@@ -233,6 +240,16 @@ class TestBuildTransition:
         impacts = np.array([[0.5, 0.0], [bad, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="finite"):
             build_transition([(0, 2), (1, 2), (2, 0)], impacts, 3)
+
+    @pytest.mark.parametrize("edges,first", [
+        ([(0, 1), (1, 3)], 1),  # a cited node N: aspect 0 once read aspect 1's mass as its node N
+        ([(0, 1), (2, 0), (3, 2)], 2),  # a citer N: once an indptr of length N + 2 and a broadcast error later
+        ([(0, 1), (-1, 2)], 1),
+        ([(0, -3), (1, 0)], 0),
+    ])
+    def test_node_index_outside_the_graph_rejected(self, edges, first):
+        with pytest.raises(ValueError, match=rf"edge {first} \({edges[first][0]}, {edges[first][1]}\) .* outside \[0, 3\)"):
+            build_transition(edges, np.array([[1.0, 0.0]] * len(edges)), 3)
 
     def test_zero_mass_column_marked_dangling(self):
         tensor = build_transition([(0, 1)], np.array([[0.0]]), 3)
@@ -383,7 +400,7 @@ class TestApplyProjection:
         # every column is dangling, so the step is the uniform distribution;
         # np.bincount of an empty input is int64 and once broke the step
         op = build_projection(build_transition([[0, 1], [1, 2]], np.zeros((2, 2)), 3))
-        assert all(dangling_columns(op.tensor, k).all() for k in range(2)) and len(op.rows) == 0
+        assert all(dangling_columns(op.tensor, k).all() for k in range(2)) and not any(len(block.rows) for block in op.blocks)
         state = AspectState(matrix=np.array([[0.5, 0.2], [0.3, 0.2], [0.2, 0.6]]))
         out = propagate(op, state)
         assert out.matrix.dtype == np.float64 and np.allclose(out.matrix, 1.0 / 3.0, atol=1e-15)
@@ -505,6 +522,156 @@ class TestAgainstGatheringStep:
             start = AspectState(matrix=random_distribution(rng, n, aspects))
             converged.add(self.run_both(monkeypatch, op, start, max_steps=100, epsilon=1e-8).converged)
         assert converged == {True, False}
+
+
+def pooled_instance(rng, aspects=4, empty=2):
+    """One-hot impacts on a graph just large enough for the aspect pool, with
+    dangling columns in every aspect; aspect `empty` gets no entry at all."""
+    n = propagation.POOLED_NODES
+    rows, cols = rng.integers(n, size=3 * n), rng.integers(n // 2, size=3 * n)
+    keep = rows != cols
+    edges = np.unique(np.stack([rows[keep], cols[keep]], axis=1), axis=0)
+    impacts = np.zeros((len(edges), aspects))
+    chosen = rng.choice([k for k in range(aspects) if k != empty], size=len(edges))
+    impacts[np.arange(len(edges)), chosen] = rng.random(len(edges))
+    return edges[rng.permutation(len(edges))], impacts, n
+
+
+def thread_names(num_nodes, aspects):
+    return propagation._each_aspect(lambda k: threading.current_thread().name, num_nodes, aspects)
+
+
+class TestAspectPool:
+    """Operators of POOLED_NODES nodes or more run each aspect as a task on a
+    thread pool; every result must match the calling-thread path byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        return pooled_instance(np.random.default_rng(70))
+
+    @pytest.fixture(scope="class")
+    def op(self, instance):
+        return build_projection(build_transition(*instance))
+
+    def test_large_operators_run_on_the_pool(self):
+        pooled = propagation._usable_cpus() > 1
+        names = thread_names(propagation.POOLED_NODES, 4)
+        assert all(name.startswith("aspectcite-aspect") == pooled for name in names), names
+        caller = threading.current_thread().name
+        assert thread_names(propagation.POOLED_NODES - 1, 4) == [caller] * 4
+        assert thread_names(propagation.POOLED_NODES, 1) == [caller]
+
+    def test_every_task_finishes_before_an_error_is_raised(self):
+        finished = []
+
+        def task(k):
+            if k == 0:
+                raise ValueError("aspect 0 failed")
+            finished.append(k)
+
+        with pytest.raises(ValueError, match="aspect 0 failed"):
+            propagation._each_aspect(task, propagation.POOLED_NODES, 5)
+        # the calling thread stops at the first error
+        assert sorted(finished) == ([1, 2, 3, 4] if propagation._usable_cpus() > 1 else [])
+
+    def test_build_matches_the_calling_thread(self, instance, op, monkeypatch):
+        monkeypatch.setattr(propagation, "POOLED_NODES", sys.maxsize)
+        reference = build_projection(build_transition(*instance))
+        assert_same_tensor(op.tensor, reference.tensor)
+        assert (op.beta, op.nu) == (reference.beta, reference.nu)
+        for block, ref in zip(op.blocks, reference.blocks, strict=True):
+            for got, want in zip(block, ref, strict=True):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert len(op.blocks[2].rows) == 0 and all(len(block.rows) for k, block in enumerate(op.blocks) if k != 2)
+        assert all(dangling_columns(op.tensor, k).any() for k in range(op.aspects))
+
+    def test_step_bitwise_equal_to_per_aspect_loop(self, op):
+        state = random_distribution(np.random.default_rng(71), op.num_nodes, op.aspects)
+        for matrix in (state, np.asfortranarray(state)):
+            current = AspectState(matrix=matrix)
+            for _ in range(3):
+                out = apply_projection(op, current)
+                assert np.array_equal(out.matrix, apply_projection_per_aspect(op, current))
+                assert out.matrix.T.flags.c_contiguous
+                current = out
+
+    @pytest.mark.parametrize("max_steps,epsilon,converged", [(20, 1e-12, False), (400, 1e-6, True)])
+    def test_propagate_matches_the_calling_thread(self, op, monkeypatch, max_steps, epsilon, converged):
+        start = AspectState(matrix=random_distribution(np.random.default_rng(72), op.num_nodes, op.aspects))
+        out = propagate(op, start, max_steps=max_steps, epsilon=epsilon)
+        with monkeypatch.context() as patch:
+            patch.setattr(propagation, "POOLED_NODES", sys.maxsize)
+            reference = propagate(op, start, max_steps=max_steps, epsilon=epsilon)
+        assert out.converged is converged
+        assert (out.step, out.residual, out.converged) == (reference.step, reference.residual, reference.converged)
+        assert out.matrix.flags.c_contiguous and out.matrix.tobytes() == reference.matrix.tobytes()
+
+    @pytest.mark.parametrize("damage", ["nan", "mis-summed"])
+    def test_bad_state_raised_from_a_task(self, op, damage):
+        matrix = random_distribution(np.random.default_rng(73), op.num_nodes, op.aspects)
+        if damage == "nan":
+            matrix[5, 3] = np.nan
+        else:
+            matrix[:, 1] *= 0.9
+        with pytest.raises(ValueError, match="sum to 1"):
+            apply_projection(op, AspectState(matrix=matrix))
+
+    def test_concurrent_callers_share_the_pool(self, op):
+        rng = np.random.default_rng(74)
+        starts = [AspectState(matrix=random_distribution(rng, op.num_nodes, op.aspects)) for _ in range(6)]
+        expected = [propagate(op, start, max_steps=4).matrix.tobytes() for start in starts]
+        results = [None] * len(starts)
+
+        def caller(i):
+            results[i] = propagate(op, starts[i], max_steps=4).matrix.tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(starts))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == expected
+
+    def test_forked_child_starts_a_pool_of_its_own(self, op):
+        # the parent's pool has live workers; the child inherits none of them,
+        # and once hung on the parent's pool for as long as it was let run
+        start = AspectState(matrix=random_distribution(np.random.default_rng(75), op.num_nodes, op.aspects))
+        expected = propagate(op, start, max_steps=3).matrix.tobytes()
+
+        def child():
+            assert propagate(op, start, max_steps=3).matrix.tobytes() == expected
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # forking a process that runs threads
+            process = multiprocessing.get_context("fork").Process(target=child)
+            process.start()
+        process.join(timeout=60)
+        alive = process.is_alive()
+        if alive:
+            process.kill()
+            process.join()
+        assert not alive and process.exitcode == 0
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_one_cpu_process_runs_on_the_calling_thread(self):
+        code = (
+            "import os, threading\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from aspectcite import propagation\n"
+            "names = propagation._each_aspect(lambda k: threading.current_thread().name, 10**6, 4)\n"
+            "assert names == ['MainThread'] * 4, names\n"
+            "assert propagation._pool is None and threading.active_count() == 1\n"
+        )
+        src = os.path.dirname(os.path.dirname(propagation.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestPhaseAgainstStackedReference:
