@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Per-aspect influence propagation to its stationary distributions.
 
-Builds the column-normalized transition tensor from per-edge impacts, wraps
-it in the implicit teleporting operator (never materialized densely), and
-power-iterates. Influence mass flows from a cited node to its citers; dangling
-columns are spread uniformly; every column stays a probability distribution.
+Builds the implicit teleporting operator (never materialized densely) from
+per-edge impacts in one call, holding each aspect's column-normalized
+transition matrix times nu, and power-iterates. Influence mass flows from a
+cited node to its citers; dangling columns are spread uniformly; every column
+stays a probability distribution.
 """
 
 import numpy as np
@@ -12,7 +13,6 @@ import numpy as np
 from aspectcite import (
     apply_projection,
     build_graph,
-    build_projection,
     build_transition,
     dangling_nodes,
     initialize_state,
@@ -27,14 +27,12 @@ print(f"never-cited nodes (dangling columns): {[graph.node_ids[k] for k in dangl
 
 rng = np.random.default_rng(0)
 impacts = rng.random((len(edges), 2))  # two aspects with random edge impacts
-tensor = build_transition(edges, impacts, graph.num_nodes)
-for k in range(2):
-    mat = tensor.matrices[k]  # CSR arrays of X_k
-    sums = np.bincount(mat.indices, weights=mat.data, minlength=graph.num_nodes)
-    print(f"aspect {k}: column sums {np.round(sums, 3)} (1 where fed, 0 where dangling)")
-
-op = build_projection(tensor)
+op = build_transition(edges, impacts, graph.num_nodes)
 print(f"operator: beta = {op.beta:.5f} (= 0.05/N), nu = {op.nu} (keeps columns stochastic)")
+for k in range(2):
+    mat = op.matrices[k]  # CSR arrays of nu * X_k
+    sums = np.bincount(mat.indices, weights=mat.data / op.nu, minlength=graph.num_nodes)
+    print(f"aspect {k}: column sums of X_{k} {np.round(sums, 3)} (1 where fed, 0 where dangling)")
 
 state = initialize_state(graph.num_nodes, aspects=2)
 one_step = apply_projection(op, state)

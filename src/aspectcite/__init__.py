@@ -33,9 +33,7 @@ from .model import (
 from .propagation import (
     AspectState,
     ProjectionOperator,
-    TransitionTensor,
     apply_projection,
-    build_projection,
     build_transition,
     initialize_state,
     propagate,

@@ -169,6 +169,7 @@ def cmd_ingest(args) -> int:
     res.check_unread()
     try:
         corpus.check_split_options(ratios, negatives)
+        corpus.check_channels(channels)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -425,12 +426,15 @@ def cmd_explain(args) -> int:
         raise DomainError(f"unknown target node: {args.target!r}") from exc
     texts = None
     if args.node_text:  # every line is checked, so a malformed one anywhere exits 2; explain_target reads citers only
+        try:
+            channels = corpus.check_channels(manifest["channels"])
+        except (KeyError, ValueError) as exc:
+            raise DataError(f"{args.manifest}: malformed manifest: {exc}") from exc
         citers = [graph.node_ids[i] for i in graph.in_neighbors(target)]
         try:
             docs = corpus.load_node_text(_require_file(args.node_text, "node text"), nodes=citers)
         except corpus.CorpusFormatError as exc:
             raise DataError(str(exc)) from exc
-        channels = manifest.get("channels", list(corpus.ALLOWED_CHANNELS))
         texts = {nid: doc.tokens([c for c in channels if c in doc.channels]) for nid, doc in docs.items()}
     explanation = explain_target(
         args.target, params, state, graph, text_vectors, texts=texts, top_n=top_n, top_m=top_m

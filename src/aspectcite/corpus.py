@@ -33,6 +33,7 @@ __all__ = [
     "load_node_text",
     "load_word_vectors",
     "load_node_features",
+    "check_channels",
     "embed_text",
     "embed_documents",
     "check_split_options",
@@ -188,7 +189,6 @@ def load_word_vectors(path) -> WordVectorTable:
     if not rows:
         raise CorpusFormatError(f"{path}: empty word vector file")
     matrix = _parse_rows(path, rows, linenos, "vector")
-    _require_finite(path, matrix, linenos, "vector")
     vectors: dict[str, np.ndarray] = {}
     for token, vec in zip(tokens, matrix):
         vectors.setdefault(token, vec)  # first occurrence wins
@@ -215,27 +215,31 @@ def load_node_features(path) -> dict[str, np.ndarray]:
         matrix = _parse_rows(path, rows, linenos, "feature")  # a malformed row above `problem` is named first
     if problem or not rows:
         raise CorpusFormatError(f"{path}: {problem or 'empty feature file'}")
-    _require_finite(path, matrix, linenos, "feature")
     return dict(zip(ids, matrix))
 
 
 def _parse_rows(path, rows: list, linenos: list, what: str) -> np.ndarray:
-    """Parse rows of whitespace-separated numbers into one float64 matrix.
+    """Parse rows of whitespace-separated finite numbers into one float64 matrix.
 
     Each value is bit-for-bit `float(token)`. Rows of single digits joined by
     single spaces (the 0/1 rows of a bag-of-words file) are read as bytes by
-    `_digit_rows`, with no token parse; any other rows go through numpy's
-    float64 reader, which is CPython's own string-to-double routine. Only
-    after that fails are the rows read one by one, to name the first bad line.
+    `_digit_rows`, with no token parse, and are finite by construction; any
+    other rows go through numpy's float64 reader, which is CPython's own
+    string-to-double routine, and its matrix is checked for NaN and infinity.
+    Only after that reader fails are the rows read one by one, to name the
+    first bad line.
     """
     if all(row and not row.isspace() for row in rows):  # loadtxt would skip a blank row
         matrix = _digit_rows(rows)
         if matrix is not None:
             return matrix
         try:
-            return np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
+            matrix = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
         except ValueError:
             pass
+        else:
+            _require_finite(path, matrix, linenos, what)
+            return matrix
     dimension = len(rows[0].split())
     if not dimension:
         raise CorpusFormatError(f"{path}: line {linenos[0]}: no {what} components")
@@ -271,6 +275,13 @@ def _require_finite(path, matrix: np.ndarray, linenos: list, what: str) -> None:
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:
         raise CorpusFormatError(f"{path}: line {linenos[bad[0]]}: non-finite {what} component")
+
+
+def check_channels(channels) -> tuple[str, ...]:
+    """A channel selection as a tuple; it must be a nonempty list or tuple of ALLOWED_CHANNELS names."""
+    if not isinstance(channels, (list, tuple)) or not channels or not all(c in ALLOWED_CHANNELS for c in channels):
+        raise ValueError(f"channels must be a nonempty list of {', '.join(ALLOWED_CHANNELS)}, got {channels!r}")
+    return tuple(channels)
 
 
 def embed_text(doc: TokenizedDocument, channels, table: WordVectorTable):

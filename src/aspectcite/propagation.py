@@ -15,32 +15,34 @@ exactly the mass that nu * X_k does not keep. So a step computes
 y = nu * X_k x and adds (sum(x) - sum(y)) / N to every node, as the
 PageRank power step of Kamvar et al. (WWW 2003, Algorithm 1) does.
 
-Each aspect steps on its own. build_projection lists the nonzeros of each
-block nu*X_k of the block-diagonal operator once, as a row-sorted edge list
-(row i, column j, weight); masked impacts are one-hot per edge, so the
-blocks hold at most M entries between them. Aspect k's step reads only
-state column k and writes only output column k: one weighted bincount, plus
-one pass that adds the mass nu*X_k did not keep. bincount adds each row's
-products one by one in input order, starting from 0.0, and each row's
-entries sit in ascending column order, so the kept mass is exactly the
-floating-point sums of a CSR matrix-vector product with nu*X_k. The column
-sum and the L1 residual are pairwise sums over one contiguous aspect row.
+build_transition makes the operator in one call: for each aspect it lists
+the nonzeros of nu*X_k once, in compressed sparse row order, with each
+entry's row beside its column and weight. Masked impacts are one-hot per
+edge, so the aspects hold at most M entries between them. Aspect k's step
+reads only state column k and writes only output column k: one weighted
+bincount over the entries' rows, one pass that adds the mass nu*X_k did not
+keep, and one pass for the step's L1 change in that column. bincount adds
+each row's products one by one in input order, starting from 0.0, and each
+row's entries sit in ascending column order, so the kept mass is exactly
+the floating-point sums of a CSR matrix-vector product with nu*X_k. The
+column sum and the L1 change are pairwise sums over one contiguous aspect
+row.
 
 Every sum is thus taken within one aspect, so the aspects can run as
 separate tasks on a thread pool with the arithmetic unchanged: the states
-are byte-identical to a one-thread loop over the aspects. build_transition,
-build_projection, apply_projection and propagate's residual each run one
-task per aspect; numpy releases the interpreter lock inside take, bincount,
-argsort, the ufuncs and the reductions, so the tasks overlap. The pool is
-made on first use, with one worker per CPU the process may use, and a
-forked child starts without it. An operator with fewer than POOLED_NODES
-nodes, and any operator in a process that may use one CPU, runs the same
-per-aspect tasks on the calling thread. That size was measured on a 2-vCPU
-VM with 100 capped steps on random one-hot operators of 5N edges: for 2, 3,
-5 and 8 aspects the pool's step broke even at N between 40,000 and 80,000
-and won at 80,000 (N*I from 80,000 to 640,000, so the node count, not N*I,
-predicts it), and at Cora's N = 2708 it took 4.5 to 7 times as long as the
-calling thread.
+and residuals are byte-identical to a one-thread loop over the aspects.
+build_transition and apply_projection each run one task per aspect, so a
+propagation step is one round trip to the pool; numpy releases the
+interpreter lock inside take, bincount, argsort, the ufuncs and the
+reductions, so the tasks overlap. The pool is made on first use, with one
+worker per CPU the process may use, and a forked child starts without it.
+An operator with fewer than POOLED_NODES nodes, and any operator in a
+process that may use one CPU, runs the same per-aspect tasks on the calling
+thread. That size was measured on a 2-vCPU VM with 100 capped steps on
+random one-hot operators of 5N edges: for 2, 3, 5 and 8 aspects the pool's
+step broke even at N between 40,000 and 80,000 and won at 80,000 (N*I from
+80,000 to 640,000, so the node count, not N*I, predicts it), and at Cora's
+N = 2708 it took 4.5 to 7 times as long as the calling thread.
 
 Between steps the state stays aspect-major: apply_projection returns the
 (N, I) transposed view of its C-ordered (I, N) result, so the next step
@@ -63,13 +65,10 @@ from . import codec
 
 __all__ = [
     "AspectState",
-    "CSRArrays",
-    "TransitionTensor",
-    "ProjectionBlock",
+    "AspectMatrix",
     "ProjectionOperator",
     "initialize_state",
     "build_transition",
-    "build_projection",
     "apply_projection",
     "propagate",
     "save_state",
@@ -158,33 +157,41 @@ def initialize_state(num_nodes: int, aspects: int) -> AspectState:
     return AspectState(matrix=np.full((num_nodes, aspects), 1.0 / num_nodes))
 
 
-class CSRArrays(NamedTuple):
-    """One aspect's (N, N) transition matrix in compressed sparse row form:
-    row i's entries are indices[indptr[i]:indptr[i + 1]] (ascending columns)
-    with weights data[indptr[i]:indptr[i + 1]]; indptr and indices are int64."""
+class AspectMatrix(NamedTuple):
+    """Aspect k's block nu*X_k in compressed sparse row form: row i's entries
+    are indices[indptr[i]:indptr[i + 1]] (ascending columns) with weights
+    data[indptr[i]:indptr[i + 1]], and rows[e] is entry e's row. indptr,
+    indices and rows are int64."""
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
+    rows: np.ndarray
 
 
 @dataclass(frozen=True)
-class TransitionTensor:
-    """Per-aspect sparse transition matrices with column-wise normalization.
+class ProjectionOperator:
+    """The implicit column-stochastic propagation operator for all aspects.
 
-    matrices[k] holds the CSR arrays of X_k, where X_k[i, j] is the share of
-    cited node j's aspect-k influence flowing to citer i. Columns with no
-    positive impact (including every never-cited node) are dangling: they
-    hold no entries, and every other column sums to 1.
+    matrices[k] holds nu*X_k, the kept part of aspect k's step, where
+    X_k[i, j] is the share of cited node j's aspect-k influence flowing to
+    citer i. Columns with no positive impact (including every never-cited
+    node) are dangling: they hold no entries, and every other column of X_k
+    sums to 1.
     """
 
-    matrices: tuple  # of CSRArrays, one per aspect
     num_nodes: int
-    aspects: int
+    beta: float
+    nu: float
+    matrices: tuple = field(repr=False)  # of AspectMatrix, one per aspect
+
+    @property
+    def aspects(self) -> int:
+        return len(self.matrices)
 
 
-def build_transition(edges, impacts: np.ndarray, num_nodes: int) -> TransitionTensor:
-    """Column-normalize per-edge impact vectors into per-aspect matrices.
+def build_transition(edges, impacts: np.ndarray, num_nodes: int) -> ProjectionOperator:
+    """Column-normalize per-edge impact vectors into the propagation operator.
 
     edges: sequence of distinct (citer i, cited j) pairs of node indices in
     [0, num_nodes); impacts: (M, I) array of the finite, nonnegative masked
@@ -202,6 +209,8 @@ def build_transition(edges, impacts: np.ndarray, num_nodes: int) -> TransitionTe
         raise ValueError("edge impacts must be finite")
     if np.any(impacts < 0):
         raise ValueError("edge impacts must be nonnegative")
+    beta = 0.05 / num_nodes
+    nu = 1.0 - beta * num_nodes
 
     def aspect_matrix(k):
         nz = np.flatnonzero(impacts[:, k] > 0.0)
@@ -209,59 +218,19 @@ def build_transition(edges, impacts: np.ndarray, num_nodes: int) -> TransitionTe
         column_mass = np.bincount(cols, weights=weight, minlength=num_nodes)
         order = np.argsort(rows * num_nodes + cols)  # edges are distinct, so this is (row, column) order
         indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=num_nodes))))
-        return CSRArrays(indptr=indptr, indices=cols[order], data=(weight / column_mass[cols])[order])
+        data = nu * (weight / column_mass[cols])[order]
+        return AspectMatrix(indptr=indptr, indices=cols[order], data=data, rows=rows[order])
 
-    aspects = impacts.shape[1]
-    matrices = _each_aspect(aspect_matrix, num_nodes, aspects)
-    return TransitionTensor(matrices=tuple(matrices), num_nodes=num_nodes, aspects=aspects)
-
-
-class ProjectionBlock(NamedTuple):
-    """Aspect k's block nu*X_k as a row-sorted edge list: entry e adds
-    data[e] * x[cols[e]] to row rows[e], and a row's entries sit in ascending
-    column order; rows and cols are int64 node indices."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    data: np.ndarray
-
-
-@dataclass(frozen=True)
-class ProjectionOperator:
-    """The implicit column-stochastic propagation operator for all aspects.
-
-    blocks[k] lists the nonzeros of nu*X_k, the kept part of aspect k's step.
-    """
-
-    tensor: TransitionTensor
-    beta: float
-    nu: float
-    blocks: tuple = field(repr=False)  # of ProjectionBlock, one per aspect
-
-    @property
-    def num_nodes(self) -> int:
-        return self.tensor.num_nodes
-
-    @property
-    def aspects(self) -> int:
-        return self.tensor.aspects
-
-
-def build_projection(tensor: TransitionTensor) -> ProjectionOperator:
-    n = tensor.num_nodes
-    beta = 0.05 / n
-    nu = 1.0 - beta * n
-
-    def aspect_block(k):
-        mat = tensor.matrices[k]
-        return ProjectionBlock(rows=np.repeat(np.arange(n), np.diff(mat.indptr)), cols=mat.indices, data=nu * mat.data)
-
-    blocks = _each_aspect(aspect_block, n, tensor.aspects)
-    return ProjectionOperator(tensor=tensor, beta=beta, nu=nu, blocks=tuple(blocks))
+    matrices = _each_aspect(aspect_matrix, num_nodes, impacts.shape[1])
+    return ProjectionOperator(num_nodes=num_nodes, beta=beta, nu=nu, matrices=tuple(matrices))
 
 
 def apply_projection(op: ProjectionOperator, state: AspectState) -> AspectState:
-    """One propagation step; column distributions stay column distributions."""
+    """One propagation step; column distributions stay column distributions.
+
+    The result's residual is the step's max per-aspect L1 change; its
+    converged flag is the input's, which propagate sets on the state it returns.
+    """
     matrix = state.matrix
     if matrix.shape != (op.num_nodes, op.aspects):
         raise ValueError(f"state shape {matrix.shape} does not match operator ({op.num_nodes}, {op.aspects})")
@@ -276,13 +245,15 @@ def apply_projection(op: ProjectionOperator, state: AspectState) -> AspectState:
         column_sum = column.sum()
         if not abs(column_sum - 1.0) <= 1e-6:  # NaN fails too
             raise ValueError(f"input state columns must sum to 1 (got {column_sum} in aspect {k})")
-        rows, cols, data = op.blocks[k]
-        kept = np.bincount(rows, weights=data * column.take(cols), minlength=n)
+        mat = op.matrices[k]
+        kept = np.bincount(mat.rows, weights=mat.data * column.take(mat.indices), minlength=n)
         kept = kept.astype(np.float64, copy=False)  # an empty bincount is int64: no positive impact
         np.add(kept, (column_sum - kept.sum()) / n, out=out[k])  # teleport and dangling mass: what nu*X_k did not keep
+        change = np.subtract(out[k], column, out=kept)
+        return np.abs(change, out=change).sum()
 
-    _each_aspect(step_aspect, n, op.aspects)
-    return AspectState(matrix=out.T, step=state.step + 1, residual=state.residual, converged=state.converged)
+    changes = _each_aspect(step_aspect, n, op.aspects)
+    return AspectState(matrix=out.T, step=state.step + 1, residual=float(np.max(changes)), converged=state.converged)
 
 
 def propagate(
@@ -299,8 +270,9 @@ def propagate(
     and each step shrinks every column's L1 distance to it by a factor nu,
     so whatever the starting state, each column of the result lies within
     nu/(1-nu) * residual of it: 19x the residual at nu = 0.95.
-    max_steps=0 returns the initial state, unconverged with an infinite
-    residual. The returned matrix is always C-ordered.
+    The initial state's residual is never read, so a warm start takes at
+    least one step; max_steps=0 returns the initial state, unconverged with
+    an infinite residual. The returned matrix is always C-ordered.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
@@ -309,16 +281,9 @@ def propagate(
 
     current = initial
     residual = float("inf")
-    change = np.empty((op.aspects, op.num_nodes))
     for _ in range(max_steps):
-        nxt = apply_projection(op, current)
-
-        def aspect_residual(k):
-            np.subtract(nxt.matrix[:, k], current.matrix[:, k], out=change[k])
-            return np.abs(change[k], out=change[k]).sum()
-
-        residual = float(np.max(_each_aspect(aspect_residual, op.num_nodes, op.aspects)))
-        current = nxt
+        current = apply_projection(op, current)
+        residual = current.residual
         if residual < epsilon:
             break
     return replace(current, matrix=np.ascontiguousarray(current.matrix), residual=residual, converged=residual < epsilon)

@@ -43,7 +43,6 @@ from .propagation import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_STEPS,
     AspectState,
-    build_projection,
     build_transition,
     initialize_state,
     propagate,
@@ -332,8 +331,7 @@ def train_sd_phase(
 
     _, impact_rows = impacts_for_pairs(edges, state.matrix, params, text_vectors, scores=False)
     masked = masked_impacts(impact_rows, select_aspects(impact_rows))
-    tensor = build_transition(edges, masked, params.num_nodes)
-    op = build_projection(tensor)
+    op = build_transition(edges, masked, params.num_nodes)
     return propagate(op, state, max_steps=config.propagation_max_steps, epsilon=config.propagation_epsilon)
 
 

@@ -20,7 +20,6 @@ from aspectcite.model import Dims, ModelParams, sample_aspect, select_aspects, s
 from aspectcite.propagation import (
     AspectState,
     apply_projection,
-    build_projection,
     build_transition,
     initialize_state,
     propagate,
@@ -202,7 +201,7 @@ def test_criterion_4_propagation_against_dense_oracle():
     worst = 0.0
     for _ in range(100):
         n, aspects, edges, impacts = random_instance(rng, max_n=50, max_aspects=4)
-        op = build_projection(build_transition(edges, impacts, n))
+        op = build_transition(edges, impacts, n)
         result = propagate(op, initialize_state(n, aspects), max_steps=2000, epsilon=1e-12)
         dense = dense_projection(edges, impacts, n)
         for k in range(aspects):
@@ -221,7 +220,7 @@ def test_criterion_4_propagation_against_dense_oracle():
     cols = big_rng.integers(n, size=30_000)
     keep = rows != cols
     edges = np.stack([rows[keep], cols[keep]], axis=1)
-    op = build_projection(build_transition(edges, big_rng.random((len(edges), 3)), n))
+    op = build_transition(edges, big_rng.random((len(edges), 3)), n)
     out = apply_projection(op, initialize_state(n, 3))
     mass_error = float(np.max(np.abs(out.matrix.sum(axis=0) - 1.0)))
     elapsed = time.perf_counter() - started

@@ -782,6 +782,28 @@ class TestExplain:
             assert message in capsys.readouterr().err, line
             assert not (tmp_path / "query").exists()
 
+    def test_malformed_manifest_channels_exit_2(self, dataset, tmp_path, capsys):
+        """The manifest's channels must be a nonempty list of allowed names: a
+        number once ended in a traceback, a string was read letter by letter."""
+        root, edges, text, vecs = dataset
+        out = tmp_path / "out"
+        run_pipeline(root, edges, text, vecs, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        damaged = out / "damaged.json"  # beside the text matrix it names
+        for channels in (5, "title", [], ["title", "summary"], [["title"]], None, "missing"):
+            payload = {**manifest, "channels": channels}
+            if channels == "missing":
+                del payload["channels"]
+            damaged.write_text(json.dumps(payload), encoding="utf-8")
+            capsys.readouterr()
+            assert main([
+                "explain", "--manifest", str(damaged), "--checkpoint", str(out / "checkpoint.json"),
+                "--state", str(out / "state.json"), "--target", manifest["edges"][0][1], "--node-text", str(text),
+                "--out-dir", str(tmp_path / "query"),
+            ]) == 2, channels
+            assert "malformed manifest" in capsys.readouterr().err, channels
+            assert not (tmp_path / "query").exists()
+
     def test_unknown_target_exits_3(self, dataset, tmp_path):
         root, edges, text, vecs = dataset
         out = tmp_path / "out"
@@ -828,11 +850,16 @@ def test_out_of_range_query_option_is_a_usage_error(dataset, tmp_path, capsys, c
     ("ratios", "-0.1,0.6,0.5", "ratios must be three nonnegative reals"),
     ("ratios", "0.4,0.2,0.2,0.2", "ratios must be three nonnegative reals"),
     ("negatives_per_positive", "0", "negatives_per_positive must be a positive integer"),
+    ("channels", "summary,x", "channels must be a nonempty list of title, abstract, claim"),
+    ("channels", "title,x", "channels must be a nonempty list of title, abstract, claim"),
+    ("channels", ",", "channels must be a nonempty list of title, abstract, claim"),
 ])
 def test_bad_split_option_exits_1_before_reading_an_input(tmp_path, capsys, source, key, value, message):
-    """A bad split option is a usage error found before any input is read, so
-    the missing inputs here are never reached. NaN ratios used to pass every
-    check and exit 2 after the inputs were parsed."""
+    """A bad split option or channel selection is a usage error found before
+    any input is read, so the missing inputs here are never reached. NaN
+    ratios used to pass every check and exit 2 after the inputs were parsed;
+    an unknown channel went into the manifest and left every term summary of
+    a later explain empty."""
     missing = str(tmp_path / "missing.tsv")
     if source == "flag":
         option = [f"--{key.replace('_', '-')}={value}"]  # "=" keeps a leading "-" a value

@@ -11,7 +11,7 @@ import subprocess
 import sys
 import threading
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -23,27 +23,31 @@ from aspectcite import Dims, ModelParams, TrainConfig, build_graph, propagation,
 from aspectcite.codec import read_payload, read_tensors, sidecar_path, tensor_entry, write_artifact
 from aspectcite.propagation import (
     apply_projection,
-    build_projection,
     build_transition,
     initialize_state,
     load_state,
     propagate,
     save_state,
+    AspectMatrix,
     AspectState,
-    CSRArrays,
-    TransitionTensor,
+    ProjectionOperator,
 )
 
 
-def csr(tensor, k, scale=1.0):
-    """Aspect k's transition matrix, times scale, as a scipy CSR matrix, for the scipy-backed oracles."""
-    mat = tensor.matrices[k]
-    return sparse.csr_matrix((scale * mat.data, mat.indices, mat.indptr), shape=(tensor.num_nodes, tensor.num_nodes))
+def csr(op, k):
+    """Aspect k's block nu*X_k as a scipy CSR matrix, for the scipy-backed oracles."""
+    mat = op.matrices[k]
+    return sparse.csr_matrix((mat.data, mat.indices, mat.indptr), shape=(op.num_nodes, op.num_nodes))
 
 
-def dangling_columns(tensor, k):
+def transition(op, k):
+    """Aspect k's column-normalized transition matrix X_k, as a dense array."""
+    return csr(op, k).toarray() / op.nu
+
+
+def dangling_columns(op, k):
     """(N,) bool: the columns of aspect k's transition matrix that hold no entry."""
-    return np.bincount(tensor.matrices[k].indices, minlength=tensor.num_nodes) == 0
+    return np.bincount(op.matrices[k].indices, minlength=op.num_nodes) == 0
 
 
 def dense_projection(edges, impacts, n):
@@ -76,38 +80,45 @@ def apply_projection_per_aspect(op, state):
     out = np.empty_like(matrix)
     for k in range(op.aspects):
         column = np.ascontiguousarray(matrix[:, k])
-        kept = csr(op.tensor, k, scale=op.nu) @ column
+        kept = csr(op, k) @ column
         out[:, k] = kept + (column.sum() - kept.sum()) / n
     return out
 
 
+def step_residual(before, after):
+    """Reference residual: the max over aspects of the L1 change in the aspect's column."""
+    return float(max(np.abs(after[:, k] - before[:, k]).sum() for k in range(before.shape[1])))
+
+
 def apply_projection_gathers(op, state):
     """The step before the deficit form, kept as an oracle: gather each
-    aspect's dangling columns, then add nu * (X_k x + dangling_mass / N) and
+    aspect's dangling columns, then add nu * X_k x, nu * dangling_mass / N and
     beta * column_sum in three passes over the state."""
     matrix = state.matrix
     column_sums = matrix.sum(axis=0)
     n = op.num_nodes
     flat = matrix.T.ravel()
-    data = np.concatenate([mat.data for mat in op.tensor.matrices])
-    rows = np.concatenate([block.rows + k * n for k, block in enumerate(op.blocks)])
-    cols = np.concatenate([block.cols + k * n for k, block in enumerate(op.blocks)])
-    dangling = [np.flatnonzero(dangling_columns(op.tensor, k)) + k * n for k in range(op.aspects)]
+    data = np.concatenate([mat.data for mat in op.matrices])
+    rows = np.concatenate([mat.rows + k * n for k, mat in enumerate(op.matrices)])
+    cols = np.concatenate([mat.indices + k * n for k, mat in enumerate(op.matrices)])
+    dangling = [np.flatnonzero(dangling_columns(op, k)) + k * n for k in range(op.aspects)]
     dangling_mass = np.array([flat[idx].sum() for idx in dangling])
     out = np.bincount(rows, weights=data * flat.take(cols), minlength=op.aspects * n)
     out = out.astype(np.float64, copy=False).reshape(op.aspects, n)
-    out += (dangling_mass / n)[:, None]
-    out *= op.nu
+    out += (op.nu * dangling_mass / n)[:, None]
     out += op.beta * column_sums[:, None]
-    return AspectState(matrix=out.T, step=state.step + 1, residual=state.residual, converged=state.converged)
+    return AspectState(matrix=out.T, step=state.step + 1, residual=step_residual(matrix, out.T), converged=state.converged)
 
 
 def build_transition_coo(edges, impacts, num_nodes):
-    """Reference build: every edge enters the column masses, and scipy's
-    COO-to-CSR conversion sorts and canonicalises each aspect's matrix."""
+    """Reference build: every edge enters the column masses, scipy's
+    COO-to-CSR conversion sorts and canonicalises each aspect's matrix, and
+    each entry's row comes from expanding indptr."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     impacts = np.atleast_2d(np.asarray(impacts, dtype=np.float64))
     rows, cols = edges[:, 0], edges[:, 1]
+    beta = 0.05 / num_nodes
+    nu = 1.0 - beta * num_nodes
     matrices = []
     for k in range(impacts.shape[1]):
         weight = impacts[:, k]
@@ -116,61 +127,63 @@ def build_transition_coo(edges, impacts, num_nodes):
         keep = fed[cols] & (weight > 0.0)
         data = weight[keep] / column_mass[cols[keep]]
         mat = sparse.csr_matrix((data, (rows[keep], cols[keep])), shape=(num_nodes, num_nodes))
-        matrices.append(CSRArrays(mat.indptr.astype(np.int64), mat.indices[: mat.nnz].astype(np.int64), mat.data[: mat.nnz]))
-    return TransitionTensor(matrices=tuple(matrices), num_nodes=num_nodes, aspects=impacts.shape[1])
+        indptr = mat.indptr.astype(np.int64)
+        rows_k = np.repeat(np.arange(num_nodes), np.diff(indptr))
+        matrices.append(AspectMatrix(indptr, mat.indices[: mat.nnz].astype(np.int64), nu * mat.data[: mat.nnz], rows_k))
+    return ProjectionOperator(num_nodes=num_nodes, beta=beta, nu=nu, matrices=tuple(matrices))
 
 
 @dataclass(frozen=True)
 class StackedOperator:
     """Reference operator: the per-aspect matrices, times nu, stacked into one block-diagonal CSR matrix."""
 
-    tensor: TransitionTensor
+    operator: ProjectionOperator
     stacked: sparse.csr_matrix
 
     @property
     def num_nodes(self):
-        return self.tensor.num_nodes
+        return self.operator.num_nodes
 
     @property
     def aspects(self):
-        return self.tensor.aspects
+        return self.operator.aspects
 
 
-def build_stacked_projection(tensor):
-    n = tensor.num_nodes
-    beta = 0.05 / n
-    nu = 1.0 - beta * n
+def build_stacked_projection(op):
+    n = op.num_nodes
     indptr = [np.zeros(1, dtype=np.int64)]
     offset = 0
-    for mat in tensor.matrices:
+    for mat in op.matrices:
         indptr.append(mat.indptr[1:] + offset)
         offset += len(mat.data)
     stacked = sparse.csr_matrix(
         (
-            nu * np.concatenate([mat.data for mat in tensor.matrices]),
-            np.concatenate([mat.indices + k * n for k, mat in enumerate(tensor.matrices)]),
+            np.concatenate([mat.data for mat in op.matrices]),
+            np.concatenate([mat.indices + k * n for k, mat in enumerate(op.matrices)]),
             np.concatenate(indptr),
         ),
-        shape=(tensor.aspects * n, tensor.aspects * n),
+        shape=(op.aspects * n, op.aspects * n),
     )
-    return StackedOperator(tensor=tensor, stacked=stacked)
+    return StackedOperator(operator=op, stacked=stacked)
 
 
 def apply_stacked_projection(op, state):
-    """Reference step: one scipy SpMV with the stacked matrix on the aspect-major flat state."""
+    """Reference step: one scipy SpMV with the stacked matrix on the aspect-major
+    flat state, then the L1 change of each aspect row of the flat states."""
     matrix = state.matrix
     n = op.num_nodes
-    flat = matrix.T.ravel()
-    out = (op.stacked @ flat).reshape(op.aspects, n)
-    out += ((flat.reshape(op.aspects, n).sum(axis=1) - out.sum(axis=1)) / n)[:, None]
-    return AspectState(matrix=out.T, step=state.step + 1, residual=state.residual, converged=state.converged)
+    flat = matrix.T.ravel().reshape(op.aspects, n)
+    out = (op.stacked @ flat.ravel()).reshape(op.aspects, n)
+    out += ((flat.sum(axis=1) - out.sum(axis=1)) / n)[:, None]
+    residual = float(np.max(np.abs(out - flat).sum(axis=1)))
+    return AspectState(matrix=out.T, step=state.step + 1, residual=residual, converged=state.converged)
 
 
-def assert_same_tensor(tensor, reference):
-    assert tensor.aspects == reference.aspects and tensor.num_nodes == reference.num_nodes
-    for mat, ref in zip(tensor.matrices, reference.matrices, strict=True):
-        assert isinstance(mat, CSRArrays)
-        for name in ("indptr", "indices", "data"):
+def assert_same_operator(op, reference):
+    assert (op.num_nodes, op.aspects, op.beta, op.nu) == (reference.num_nodes, reference.aspects, reference.beta, reference.nu)
+    for mat, ref in zip(op.matrices, reference.matrices, strict=True):
+        assert isinstance(mat, AspectMatrix)
+        for name in AspectMatrix._fields:
             got, want = getattr(mat, name), getattr(ref, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
@@ -194,7 +207,7 @@ def one_hot_operator(rng, aspects, n=3000, m=9000):
     edges = np.unique(np.stack([rows[keep], cols[keep]], axis=1), axis=0)
     impacts = np.zeros((len(edges), aspects))
     impacts[np.arange(len(edges)), rng.integers(aspects, size=len(edges))] = rng.random(len(edges)) - 0.2
-    return build_projection(build_transition(edges, np.maximum(impacts, 0.0), n))
+    return build_transition(edges, np.maximum(impacts, 0.0), n)
 
 
 def random_distribution(rng, n, aspects):
@@ -215,18 +228,15 @@ def random_instance(rng, max_n=50, max_aspects=4):
 
 class TestBuildTransition:
     def test_equal_impacts_split_evenly(self):
-        tensor = build_transition([(1, 3), (2, 3)], np.array([[1.0], [1.0]]), 4)
-        mat = csr(tensor, 0).toarray()
+        mat = transition(build_transition([(1, 3), (2, 3)], np.array([[1.0], [1.0]]), 4), 0)
         assert mat[1, 3] == pytest.approx(0.5)
         assert mat[2, 3] == pytest.approx(0.5)
 
     def test_single_edge_self_normalizes(self):
-        tensor = build_transition([(1, 2)], np.array([[7.0]]), 3)
-        assert csr(tensor, 0).toarray()[1, 2] == pytest.approx(1.0)
+        assert transition(build_transition([(1, 2)], np.array([[7.0]]), 3), 0)[1, 2] == pytest.approx(1.0)
 
     def test_proportional_split(self):
-        tensor = build_transition([(1, 3), (2, 3)], np.array([[1.0], [3.0]]), 4)
-        mat = csr(tensor, 0).toarray()
+        mat = transition(build_transition([(1, 3), (2, 3)], np.array([[1.0], [3.0]]), 4), 0)
         assert mat[1, 3] == pytest.approx(0.25)
         assert mat[2, 3] == pytest.approx(0.75)
 
@@ -252,8 +262,8 @@ class TestBuildTransition:
             build_transition(edges, np.array([[1.0, 0.0]] * len(edges)), 3)
 
     def test_zero_mass_column_marked_dangling(self):
-        tensor = build_transition([(0, 1)], np.array([[0.0]]), 3)
-        assert csr(tensor, 0).nnz == 0
+        op = build_transition([(0, 1)], np.array([[0.0]]), 3)
+        assert csr(op, 0).nnz == 0
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -281,7 +291,7 @@ class TestBuildTransition:
         order = data.draw(st.permutations(range(len(edges))), label="edge order")
         shuffled_edges = np.array(edges, dtype=np.int64).reshape(-1, 2)[order]
         shuffled_impacts = impacts[order]
-        assert_same_tensor(
+        assert_same_operator(
             build_transition(shuffled_edges, shuffled_impacts, n),
             build_transition_coo(shuffled_edges, shuffled_impacts, n),
         )
@@ -294,16 +304,17 @@ class TestBuildTransition:
         edges = np.unique(np.stack([rows, cols], axis=1), axis=0)
         edges = edges[rng.permutation(len(edges))]
         impacts = rng.random((len(edges), aspects)) * (rng.random((len(edges), aspects)) < 0.4)
-        assert_same_tensor(build_transition(edges, impacts, n), build_transition_coo(edges, impacts, n))
+        assert_same_operator(build_transition(edges, impacts, n), build_transition_coo(edges, impacts, n))
 
     def test_column_sums_one_or_zero(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             n, aspects, edges, impacts = random_instance(rng, max_n=20)
-            tensor = build_transition(edges, impacts, n)
+            op = build_transition(edges, impacts, n)
+            assert (op.beta, op.nu) == (0.05 / n, 1.0 - 0.05 / n * n)
             for k in range(aspects):
-                sums = np.asarray(csr(tensor, k).sum(axis=0)).ravel()
-                dangling = dangling_columns(tensor, k)
+                sums = transition(op, k).sum(axis=0)
+                dangling = dangling_columns(op, k)
                 fed = np.zeros(n, dtype=bool)
                 fed[[j for (_, j), y in zip(edges, impacts[:, k]) if y > 0]] = True
                 assert np.array_equal(dangling, ~fed)
@@ -315,14 +326,14 @@ class TestApplyProjection:
     def test_columns_stay_distributions(self):
         rng = np.random.default_rng(1)
         n, aspects, edges, impacts = random_instance(rng, max_n=30)
-        op = build_projection(build_transition(edges, impacts, n))
+        op = build_transition(edges, impacts, n)
         state = initialize_state(n, aspects)
         out = apply_projection(op, state)
         assert np.allclose(out.matrix.sum(axis=0), 1.0, atol=1e-9)
         assert out.step == 1
 
     def test_symmetric_two_cycle_fixed_point(self):
-        op = build_projection(build_transition([(0, 1), (1, 0)], np.array([[1.0], [1.0]]), 2))
+        op = build_transition([(0, 1), (1, 0)], np.array([[1.0], [1.0]]), 2)
         state = AspectState(matrix=np.array([[0.5], [0.5]]))
         out = apply_projection(op, state)
         assert np.allclose(out.matrix, [[0.5], [0.5]], atol=1e-12)
@@ -330,7 +341,7 @@ class TestApplyProjection:
     def test_matches_dense_oracle_three_nodes(self):
         edges = [(0, 2), (1, 2)]
         impacts = np.array([[1.0], [1.0]])
-        op = build_projection(build_transition(edges, impacts, 3))
+        op = build_transition(edges, impacts, 3)
         state = initialize_state(3, 1)
         out = apply_projection(op, state)
         dense = dense_projection(edges, impacts, 3)[0]
@@ -338,13 +349,13 @@ class TestApplyProjection:
         assert np.allclose(out.matrix[:, 0], expected, atol=1e-12)
 
     def test_unnormalized_input_rejected(self):
-        op = build_projection(build_transition([(0, 1)], np.array([[1.0]]), 2))
+        op = build_transition([(0, 1)], np.array([[1.0]]), 2)
         with pytest.raises(ValueError, match="sum to 1"):
             apply_projection(op, AspectState(matrix=np.array([[0.9], [0.9]])))
 
     def test_nan_column_rejected(self):
         # a NaN column sum compares False against any tolerance
-        op = build_projection(build_transition([(0, 1), (1, 0)], np.array([[1.0, 1.0], [1.0, 1.0]]), 2))
+        op = build_transition([(0, 1), (1, 0)], np.array([[1.0, 1.0], [1.0, 1.0]]), 2)
         with pytest.raises(ValueError, match="sum to 1"):
             apply_projection(op, AspectState(matrix=np.array([[0.5, np.nan], [0.5, 0.5]])))
 
@@ -362,8 +373,8 @@ class TestApplyProjection:
             extra = rng.integers(n, size=(4 * n, 2))
             edges = np.unique(np.concatenate([ring, extra[extra[:, 0] != extra[:, 1]]]), axis=0)
             impacts = rng.random((len(edges), aspects)) + 0.1
-            op = build_projection(build_transition(edges, impacts * (dangling == "none"), n))
-        flags = [dangling_columns(op.tensor, k) for k in range(aspects)]
+            op = build_transition(edges, impacts * (dangling == "none"), n)
+        flags = [dangling_columns(op, k) for k in range(aspects)]
         assert {"all": all(f.all() for f in flags), "none": not any(f.any() for f in flags),
                 "mixed": all(f.any() and not f.all() for f in flags)}[dangling]
         start = initialize_state(n, aspects).matrix
@@ -376,13 +387,14 @@ class TestApplyProjection:
         # a graph large enough for the pairwise sums to take several blocks
         rng = np.random.default_rng(40 + aspects)
         op = one_hot_operator(rng, aspects)
-        assert all(dangling_columns(op.tensor, k).any() for k in range(aspects))
+        assert all(dangling_columns(op, k).any() for k in range(aspects))
         state = random_distribution(rng, op.num_nodes, aspects)
         for matrix in (state, np.asfortranarray(state)):
             current = AspectState(matrix=matrix)
             for _ in range(3):
                 out = apply_projection(op, current)
                 assert np.array_equal(out.matrix, apply_projection_per_aspect(op, current))
+                assert out.residual == step_residual(current.matrix, out.matrix)
                 assert out.matrix.T.flags.c_contiguous
                 current = out
 
@@ -390,7 +402,7 @@ class TestApplyProjection:
         rng = np.random.default_rng(7)
         for _ in range(20):
             n, aspects, edges, impacts = random_instance(rng, max_aspects=5)
-            op = build_projection(build_transition(edges, impacts, n))
+            op = build_transition(edges, impacts, n)
             state = rng.random((n, aspects))
             state = np.asfortranarray(state / state.sum(axis=0))
             out = apply_projection(op, AspectState(matrix=state))
@@ -399,8 +411,8 @@ class TestApplyProjection:
     def test_no_positive_impact_gives_the_uniform_state(self):
         # every column is dangling, so the step is the uniform distribution;
         # np.bincount of an empty input is int64 and once broke the step
-        op = build_projection(build_transition([[0, 1], [1, 2]], np.zeros((2, 2)), 3))
-        assert all(dangling_columns(op.tensor, k).all() for k in range(2)) and not any(len(block.rows) for block in op.blocks)
+        op = build_transition([[0, 1], [1, 2]], np.zeros((2, 2)), 3)
+        assert all(dangling_columns(op, k).all() for k in range(2)) and not any(len(mat.rows) for mat in op.matrices)
         state = AspectState(matrix=np.array([[0.5, 0.2], [0.3, 0.2], [0.2, 0.6]]))
         out = propagate(op, state)
         assert out.matrix.dtype == np.float64 and np.allclose(out.matrix, 1.0 / 3.0, atol=1e-15)
@@ -411,7 +423,7 @@ class TestApplyProjection:
     def test_positivity_after_one_step(self):
         rng = np.random.default_rng(2)
         n, aspects, edges, impacts = random_instance(rng, max_n=25)
-        op = build_projection(build_transition(edges, impacts, n))
+        op = build_transition(edges, impacts, n)
         out = apply_projection(op, initialize_state(n, aspects))
         assert np.all(out.matrix >= op.beta - 1e-15)
 
@@ -421,7 +433,7 @@ class TestPropagate:
         rng = np.random.default_rng(3)
         for _ in range(15):
             n, aspects, edges, impacts = random_instance(rng)
-            op = build_projection(build_transition(edges, impacts, n))
+            op = build_transition(edges, impacts, n)
             result = propagate(op, initialize_state(n, aspects), max_steps=500, epsilon=1e-12)
             dense = dense_projection(edges, impacts, n)
             for k in range(aspects):
@@ -439,7 +451,7 @@ class TestPropagate:
         # point (geometric tail of the 0.95-contraction), hence the 19x factor
         rng = np.random.default_rng(4)
         n, aspects, edges, impacts = random_instance(rng)
-        op = build_projection(build_transition(edges, impacts, n))
+        op = build_transition(edges, impacts, n)
         eps = 1e-12
         tail = op.nu / (1.0 - op.nu)
         a = propagate(op, initialize_state(n, aspects), max_steps=5000, epsilon=eps)
@@ -450,17 +462,33 @@ class TestPropagate:
         for k in range(aspects):
             assert np.abs(a.matrix[:, k] - b.matrix[:, k]).sum() <= 2 * eps * tail + 1e-12
 
-    def test_zero_steps_returns_input_with_infinite_residual(self):
-        op = build_projection(build_transition([(0, 1)], np.array([[1.0]]), 2))
-        start = initialize_state(2, 1)
+    @pytest.mark.parametrize("carried", [math.inf, 1e-20])
+    def test_zero_steps_returns_input_with_infinite_residual(self, carried):
+        # a residual carried in from an earlier phase is never read
+        op = build_transition([(0, 1)], np.array([[1.0]]), 2)
+        start = replace(initialize_state(2, 1), step=7, residual=carried)
         out = propagate(op, start, max_steps=0)
-        assert np.array_equal(out.matrix, start.matrix)
+        assert np.array_equal(out.matrix, start.matrix) and out.step == 7
         assert np.isinf(out.residual) and not out.converged
+
+    def test_warm_start_with_a_tiny_residual_takes_a_step(self):
+        # the incoming residual belongs to another operator's last step, so it is never read
+        rng = np.random.default_rng(15)
+        n, aspects, edges, impacts = random_instance(rng)
+        op = build_transition(edges, impacts, n)
+        start = AspectState(matrix=random_distribution(rng, n, aspects), step=3, residual=5e-324, converged=True)
+        out = propagate(op, start, max_steps=1, epsilon=1e-8)
+        assert out.step == 4 and not out.converged
+        assert out.residual == step_residual(start.matrix, out.matrix) > 1e-8
+        warm = propagate(op, start, max_steps=500, epsilon=1e-12)
+        assert warm.converged
+        again = propagate(op, replace(warm, residual=5e-324), max_steps=10, epsilon=1e-8)
+        assert again.step == warm.step + 1 and again.converged
 
     def test_two_cycle_converges_to_uniform(self):
         # the swap matrix makes the second eigenvalue -nu, so convergence is
         # an oscillation decaying at 0.95^k; give it room
-        op = build_projection(build_transition([(0, 1), (1, 0)], np.array([[1.0, 1.0], [1.0, 1.0]]), 2))
+        op = build_transition([(0, 1), (1, 0)], np.array([[1.0, 1.0], [1.0, 1.0]]), 2)
         start = AspectState(matrix=np.array([[0.9, 0.1], [0.1, 0.9]]))
         out = propagate(op, start, max_steps=1000, epsilon=1e-13)
         assert np.allclose(out.matrix, 0.5, atol=1e-9)
@@ -468,7 +496,7 @@ class TestPropagate:
     def test_residuals_nonincreasing_after_first_step(self):
         rng = np.random.default_rng(5)
         n, aspects, edges, impacts = random_instance(rng, max_n=30)
-        op = build_projection(build_transition(edges, impacts, n))
+        op = build_transition(edges, impacts, n)
         state = initialize_state(n, aspects)
         residuals = []
         for _ in range(30):
@@ -487,7 +515,7 @@ class TestPropagate:
         keep = rows != cols
         edges = np.stack([rows[keep], cols[keep]], axis=1)
         impacts = rng.random((len(edges), 2))
-        op = build_projection(build_transition(edges, impacts, n))
+        op = build_transition(edges, impacts, n)
         out = apply_projection(op, initialize_state(n, 2))
         assert np.all(np.abs(out.matrix.sum(axis=0) - 1.0) < 1e-9)
 
@@ -518,7 +546,7 @@ class TestAgainstGatheringStep:
         converged = set()
         for _ in range(20):
             n, aspects, edges, impacts = random_instance(rng, max_aspects=5)
-            op = build_projection(build_transition(edges, impacts, n))
+            op = build_transition(edges, impacts, n)
             start = AspectState(matrix=random_distribution(rng, n, aspects))
             converged.add(self.run_both(monkeypatch, op, start, max_steps=100, epsilon=1e-8).converged)
         assert converged == {True, False}
@@ -551,7 +579,7 @@ class TestAspectPool:
 
     @pytest.fixture(scope="class")
     def op(self, instance):
-        return build_projection(build_transition(*instance))
+        return build_transition(*instance)
 
     def test_large_operators_run_on_the_pool(self):
         pooled = propagation._usable_cpus() > 1
@@ -576,14 +604,9 @@ class TestAspectPool:
 
     def test_build_matches_the_calling_thread(self, instance, op, monkeypatch):
         monkeypatch.setattr(propagation, "POOLED_NODES", sys.maxsize)
-        reference = build_projection(build_transition(*instance))
-        assert_same_tensor(op.tensor, reference.tensor)
-        assert (op.beta, op.nu) == (reference.beta, reference.nu)
-        for block, ref in zip(op.blocks, reference.blocks, strict=True):
-            for got, want in zip(block, ref, strict=True):
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert len(op.blocks[2].rows) == 0 and all(len(block.rows) for k, block in enumerate(op.blocks) if k != 2)
-        assert all(dangling_columns(op.tensor, k).any() for k in range(op.aspects))
+        assert_same_operator(op, build_transition(*instance))
+        assert len(op.matrices[2].rows) == 0 and all(len(mat.rows) for k, mat in enumerate(op.matrices) if k != 2)
+        assert all(dangling_columns(op, k).any() for k in range(op.aspects))
 
     def test_step_bitwise_equal_to_per_aspect_loop(self, op):
         state = random_distribution(np.random.default_rng(71), op.num_nodes, op.aspects)
@@ -592,6 +615,7 @@ class TestAspectPool:
             for _ in range(3):
                 out = apply_projection(op, current)
                 assert np.array_equal(out.matrix, apply_projection_per_aspect(op, current))
+                assert out.residual == step_residual(current.matrix, out.matrix)
                 assert out.matrix.T.flags.c_contiguous
                 current = out
 
@@ -691,8 +715,7 @@ class TestPhaseAgainstStackedReference:
 
         phases = [train_sd_phase(params, start, edges, config, text)]
         with monkeypatch.context() as patch:
-            patch.setattr(training, "build_transition", build_transition_coo)
-            patch.setattr(training, "build_projection", build_stacked_projection)
+            patch.setattr(training, "build_transition", lambda *args: build_stacked_projection(build_transition_coo(*args)))
             patch.setattr(propagation, "apply_projection", apply_stacked_projection)
             phases.append(train_sd_phase(params, start, edges, config, text))
         out, reference = phases
@@ -726,7 +749,7 @@ class TestPropagateLayout:
         converged = set()
         for _ in range(20):
             n, aspects, edges, impacts = random_instance(rng, max_aspects=5)
-            op = build_projection(build_transition(edges, impacts, n))
+            op = build_transition(edges, impacts, n)
             start = AspectState(matrix=random_distribution(rng, n, aspects))
             max_steps = int(rng.integers(1, 300))
             out = propagate(op, start, max_steps=max_steps, epsilon=1e-10)
@@ -789,7 +812,7 @@ class TestInitializeState:
 
 def test_state_round_trip(tmp_path):
     state = propagate(
-        build_projection(build_transition([(0, 1), (1, 0)], np.array([[1.0], [2.0]]), 2)),
+        build_transition([(0, 1), (1, 0)], np.array([[1.0], [2.0]]), 2),
         initialize_state(2, 1),
     )
     path = tmp_path / "state.json"
