@@ -13,8 +13,14 @@ For candidate citations (i cites j), one row per pair, the chain is:
         elsewhere                                  (masked_impacts)
   F_ij  scalar link score: sum(c_ij) + sum(e_ij)  (impacts_for_pairs)
 
-`impacts_for_pairs` runs the chain (`impacts_from_representations`) in blocks
-of pairs and keeps F and D; every aspect choice goes through `select_aspects`.
+`impacts_for_pairs` runs the chain in blocks, as tasks on the package's worker
+pool (`pool.each`): first the representations, in blocks of BLOCK_ROWS
+distinct nodes written into one array, then `impacts_from_representations`
+on blocks of at least BLOCK_ROWS pairs, each writing its own rows of F and D.
+No block's arithmetic depends on the thread that runs it or on the other
+blocks, so the outputs are byte-identical to a loop on the calling thread,
+which is where a call with one block of each kind runs. Every aspect choice
+goes through `select_aspects`.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import codec
+from . import codec, pool
 
 __all__ = [
     "Dims",
@@ -175,33 +181,52 @@ def impacts_from_representations(reps: np.ndarray, src_rows, dst_rows, dst_state
     return c, e, d
 
 
-# Pairs per block of `impacts_for_pairs`. A BLAS product's last bit can depend
+# Rows per block of `impacts_for_pairs`. A BLAS product's last bit can depend
 # on its row count: on OpenBLAS a 1-row (gemv) or 85-row (small-matrix) block
 # differs from the whole product, while blocks of >= 512 rows match it. So the
-# last block takes the remainder and a call of < 2 * BLOCK_ROWS pairs is one block.
+# last pair block takes the remainder and a call of < 2 * BLOCK_ROWS pairs is
+# one block. A representation takes no BLAS product (each row's norm is a sum
+# over that row alone), so the last block of distinct nodes may have one row.
 BLOCK_ROWS = 4096
 
 
 def impacts_for_pairs(
     pairs: np.ndarray, state_matrix: np.ndarray, params: ModelParams, text_vectors: np.ndarray, scores: bool = True
 ):
-    """(F, D) for an array of (i, j) pairs; rows align with the input.
+    """(F, D) for an array of (i, j) pairs of node indices in [0, num_nodes);
+    rows align with the input.
 
     F = sum(c) + sum(e) is the link score, D the per-aspect impacts; with
     scores=False, F is not computed and comes back None. Each node's
     representation is computed once; c and e exist for one block at a time.
+    The representation blocks and then the pair blocks run as tasks on the
+    worker pool when there are two or more of them.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    nodes, (src_rows, dst_rows) = distinct_nodes(params.num_nodes, pairs[:, 0], pairs[:, 1])
-    reps, _ = representations_for(nodes, text_vectors, params)
+    num_nodes = params.num_nodes
+    if len(pairs) and (pairs.min() < 0 or pairs.max() >= num_nodes):
+        first = int(np.flatnonzero(((pairs < 0) | (pairs >= num_nodes)).any(axis=1))[0])
+        raise ValueError(f"pair {first} {tuple(pairs[first].tolist())} has a node index outside [0, {num_nodes})")
+    nodes, (src_rows, dst_rows) = distinct_nodes(num_nodes, pairs[:, 0], pairs[:, 1])
+    reps = np.empty((len(nodes), params.dims.fused_dim))
     f, d = np.empty(len(pairs)) if scores else None, np.empty((len(pairs), params.dims.aspects))
-    starts = [BLOCK_ROWS * b for b in range(max(len(pairs) // BLOCK_ROWS, 1))]
-    for start, stop in zip(starts, starts[1:] + [len(pairs)]):
-        block = slice(start, stop)
+
+    def represent(b):
+        block = slice(BLOCK_ROWS * b, BLOCK_ROWS * (b + 1))
+        reps[block] = representations_for(nodes[block], text_vectors, params)[0]
+
+    pair_blocks = max(len(pairs) // BLOCK_ROWS, 1)
+
+    def impact_block(b):
+        block = slice(BLOCK_ROWS * b, BLOCK_ROWS * (b + 1) if b + 1 < pair_blocks else len(pairs))
         c, e, d[block] = impacts_from_representations(
             reps, src_rows[block], dst_rows[block], np.take(state_matrix, pairs[block, 1], axis=0), params)
         if scores:
             f[block] = c.sum(axis=1) + e.sum(axis=1)
+
+    # at least one block, so an empty input still has its text width checked
+    pool.each(represent, max(-(-len(nodes) // BLOCK_ROWS), 1), pooled=True)
+    pool.each(impact_block, pair_blocks, pooled=True)
     return f, d
 
 

@@ -29,18 +29,15 @@ column sum and the L1 change are pairwise sums over one contiguous aspect
 row.
 
 Every sum is thus taken within one aspect, so the aspects can run as
-separate tasks on a thread pool with the arithmetic unchanged: the states
-and residuals are byte-identical to a one-thread loop over the aspects.
-build_transition and apply_projection each run one task per aspect, so a
-propagation step is one round trip to the pool; numpy releases the
-interpreter lock inside take, bincount, argsort, the ufuncs and the
-reductions, so the tasks overlap. The pool is made on first use, with one
-worker per CPU the process may use, and a forked child starts without it.
-An operator with fewer than POOLED_NODES nodes, and any operator in a
-process that may use one CPU, runs the same per-aspect tasks on the calling
-thread. That size was measured on a 2-vCPU VM with 100 capped steps on
-random one-hot operators of 5N edges: for 2, 3, 5 and 8 aspects the pool's
-step broke even at N between 40,000 and 80,000 and won at 80,000 (N*I from
+separate tasks with the arithmetic unchanged: the states and residuals are
+byte-identical to a one-thread loop over the aspects. build_transition and
+apply_projection each run one task per aspect through `pool.each`, so a
+propagation step is one round trip to the package's worker pool (the `pool`
+module says when it runs tasks on the calling thread instead). An operator
+with fewer than POOLED_NODES nodes runs its tasks on the calling thread.
+That size was measured on a 2-vCPU VM with 100 capped steps on random
+one-hot operators of 5N edges: for 2, 3, 5 and 8 aspects the pooled step
+broke even at N between 40,000 and 80,000 and won at 80,000 (N*I from
 80,000 to 640,000, so the node count, not N*I, predicts it), and at Cora's
 N = 2708 it took 4.5 to 7 times as long as the calling thread.
 
@@ -53,15 +50,12 @@ saved states always see a C-ordered (N, I) matrix.
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from . import codec
+from . import codec, pool
 
 __all__ = [
     "AspectState",
@@ -81,47 +75,6 @@ DEFAULT_MAX_STEPS = 100
 # Operators with fewer nodes run their aspects on the calling thread; the
 # module docstring gives the measurement that set it.
 POOLED_NODES = 60_000
-
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _aspect_pool():
-    """The per-aspect thread pool, created on first use with one worker per usable CPU."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=_usable_cpus(), thread_name_prefix="aspectcite-aspect")
-        return _pool
-
-
-def _forget_pool() -> None:
-    """In a forked child the parent's workers do not exist: start over with no pool."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # absent where there is no fork
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _each_aspect(task, num_nodes: int, aspects: int) -> list:
-    """[task(0), ..., task(aspects - 1)], on the pool when the operator has
-    POOLED_NODES nodes or more and the process may use more than one CPU.
-    On the pool every task finishes before the first exception is raised."""
-    if aspects < 2 or num_nodes < POOLED_NODES or _usable_cpus() < 2:
-        return [task(k) for k in range(aspects)]
-    pool = _aspect_pool()
-    futures = [pool.submit(task, k) for k in range(aspects)]
-    wait(futures)
-    return [future.result() for future in futures]
 
 
 @dataclass(frozen=True)
@@ -221,7 +174,7 @@ def build_transition(edges, impacts: np.ndarray, num_nodes: int) -> ProjectionOp
         data = nu * (weight / column_mass[cols])[order]
         return AspectMatrix(indptr=indptr, indices=cols[order], data=data, rows=rows[order])
 
-    matrices = _each_aspect(aspect_matrix, num_nodes, impacts.shape[1])
+    matrices = pool.each(aspect_matrix, impacts.shape[1], pooled=num_nodes >= POOLED_NODES)
     return ProjectionOperator(num_nodes=num_nodes, beta=beta, nu=nu, matrices=tuple(matrices))
 
 
@@ -252,7 +205,7 @@ def apply_projection(op: ProjectionOperator, state: AspectState) -> AspectState:
         change = np.subtract(out[k], column, out=kept)
         return np.abs(change, out=change).sum()
 
-    changes = _each_aspect(step_aspect, n, op.aspects)
+    changes = pool.each(step_aspect, op.aspects, pooled=n >= POOLED_NODES)
     return AspectState(matrix=out.T, step=state.step + 1, residual=float(np.max(changes)), converged=state.converged)
 
 

@@ -1,8 +1,12 @@
 """Scoring-chain operation contracts and invariants."""
 
 import hashlib
+import itertools
 import json
+import multiprocessing
 import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +20,7 @@ from aspectcite import (
     sample_aspect,
     save_checkpoint,
 )
-from aspectcite import codec, model
+from aspectcite import codec, model, pool
 from aspectcite.model import (
     BLOCK_ROWS,
     distinct_nodes,
@@ -147,6 +151,8 @@ class TestNodeRepresentation:
             representations_for(np.array([0]), texts, params)
         with pytest.raises(ValueError):
             impacts_for_pairs(np.array([(0, 1)]), np.full((4, 2), 0.25), params, texts)
+        with pytest.raises(ValueError):
+            impacts_for_pairs(np.zeros((0, 2), dtype=np.int64), np.full((4, 2), 0.25), params, texts)
 
     def test_output_is_unit_norm(self):
         params = make_params(text_dim=4, struct_dim=4)
@@ -508,11 +514,13 @@ class TestImpactsForPairs:
     def test_bitwise_equal_to_per_row_reference(self, pairs):
         self.assert_matches_reference(pairs, *self.setup_inputs())
 
-    def test_without_scores_d_is_unchanged_and_f_is_none(self):
+    @pytest.mark.parametrize("rows", [0, 2 * BLOCK_ROWS + 5])
+    def test_without_scores_d_is_unchanged_and_f_is_none(self, rows):
         params, state, texts = self.setup_inputs()
-        pairs = np.random.default_rng(6).integers(40, size=(2 * BLOCK_ROWS + 5, 2))
+        pairs = np.random.default_rng(6).integers(40, size=(rows, 2))
         f, d = impacts_for_pairs(pairs, state, params, texts, scores=False)
-        assert f is None and d.tobytes() == impacts_for_pairs(pairs, state, params, texts)[1].tobytes()
+        assert f is None and d.shape == (rows, 4)
+        assert d.tobytes() == impacts_for_pairs(pairs, state, params, texts)[1].tobytes()
 
     def test_blocks_bitwise_equal_at_cora_width(self):
         # L = 1433 + 100: a block of a few rows here would take OpenBLAS's
@@ -539,6 +547,129 @@ class TestImpactsForPairs:
             assert sizes == [rows]
         else:
             assert min(sizes) >= BLOCK_ROWS and max(sizes) < 2 * BLOCK_ROWS
+
+    @pytest.mark.parametrize("bad", [-1, 40])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_node_index_outside_range_rejected(self, bad, column):
+        params, state, texts = self.setup_inputs()
+        pairs = np.array([(0, 1), (2, 3), (5, 6)])
+        pairs[1, column] = bad
+        with pytest.raises(ValueError, match=rf"pair 1 \(.*{bad}.*\) has a node index outside \[0, 40\)"):
+            impacts_for_pairs(pairs, state, params, texts)
+        with pytest.raises(ValueError, match="outside"):
+            scores_for_pairs(pairs[1:2], state, params, texts)  # -1 used to score node 39 silently
+
+
+def pairs_over(rng, num_nodes, rows, distinct):
+    """`rows` pairs whose endpoints are exactly `distinct` nodes out of
+    `num_nodes`, and those nodes, sorted."""
+    nodes = np.sort(rng.choice(num_nodes, size=distinct, replace=False))
+    endpoints = np.concatenate([nodes, rng.choice(nodes, size=2 * rows - distinct)])
+    return rng.permutation(endpoints).reshape(rows, 2), nodes
+
+
+def calling_thread(monkeypatch):
+    """Make the pool run every task on the calling thread, as on a one-CPU process."""
+    monkeypatch.setattr(pool, "_usable_cpus", lambda: 1)
+
+
+class TestPooledImpacts:
+    """Representation blocks of BLOCK_ROWS distinct nodes and pair blocks of
+    at least BLOCK_ROWS pairs run as tasks on the worker pool; every output
+    must match the calling thread's byte for byte."""
+
+    NODES = 3 * BLOCK_ROWS
+
+    def setup_inputs(self, nodes):
+        params = make_params(num_nodes=self.NODES, text_dim=6, struct_dim=4, aspects=3, seed=21)
+        rng = np.random.default_rng(21)
+        state = rng.random((self.NODES, 3))
+        state /= state.sum(axis=0)
+        texts = rng.normal(size=(self.NODES, 6))
+        for zero in (nodes[0], nodes[-1]):  # nodes[-1] is alone in the last representation block
+            texts[zero] = 0.0
+            params.node_embeddings[zero] = 0.0
+        return params, state, texts
+
+    @pytest.mark.parametrize("scores", [True, False])
+    @pytest.mark.parametrize("distinct", [BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("rows", [2 * BLOCK_ROWS - 1, 2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 1])
+    def test_bitwise_equal_to_the_calling_thread(self, monkeypatch, rows, distinct, scores):
+        pairs, nodes = pairs_over(np.random.default_rng(rows + distinct), self.NODES, rows, distinct)
+        params, state, texts = self.setup_inputs(nodes)
+        f, d = impacts_for_pairs(pairs, state, params, texts, scores=scores)
+        with monkeypatch.context() as patch:
+            calling_thread(patch)
+            f_ref, d_ref = impacts_for_pairs(pairs, state, params, texts, scores=scores)
+        assert d.shape == (rows, 3) and d.tobytes() == d_ref.tobytes()
+        if scores:
+            assert f.shape == (rows,) and f.tobytes() == f_ref.tobytes()
+            assert f.tobytes() == impacts_for_pairs_per_row(pairs, state, params, texts)[0].tobytes()
+        else:
+            assert f is None and f_ref is None
+        whole, _ = representations_for(nodes, texts, params)  # one block of every distinct node
+        _, (src_rows, dst_rows) = distinct_nodes(self.NODES, pairs[:, 0], pairs[:, 1])
+        assert not whole[-1].any()
+        assert d.tobytes() == from_reps(params, whole, src_rows, dst_rows, state[pairs[:, 1]])[2].tobytes()
+
+    def record_threads(self, monkeypatch, rows, distinct):
+        pairs, nodes = pairs_over(np.random.default_rng(7), self.NODES, rows, distinct)
+        params, state, texts = self.setup_inputs(nodes)
+        names = {"representations_for": [], "impacts_from_representations": []}
+        for name, calls in names.items():
+            def recording(*args, _calls=calls, _function=getattr(model, name)):
+                _calls.append(threading.current_thread().name)
+                return _function(*args)
+            monkeypatch.setattr(model, name, recording)
+        impacts_for_pairs(pairs, state, params, texts)
+        return names["representations_for"], names["impacts_from_representations"]
+
+    def test_multi_block_calls_run_on_the_pool(self, monkeypatch):
+        on_pool = pool._usable_cpus() > 1
+        represent, impact = self.record_threads(monkeypatch, 3 * BLOCK_ROWS, 2 * BLOCK_ROWS + 1)
+        assert (len(represent), len(impact)) == (3, 3)
+        assert all(name.startswith("aspectcite-pool") == on_pool for name in represent + impact), represent + impact
+
+    def test_one_block_calls_run_on_the_calling_thread(self, monkeypatch):
+        caller = threading.current_thread().name
+        represent, impact = self.record_threads(monkeypatch, 2 * BLOCK_ROWS - 1, BLOCK_ROWS)
+        assert represent == [caller] and impact == [caller]
+
+    def test_a_failing_block_raises_after_every_block_finished(self, monkeypatch):
+        pairs, nodes = pairs_over(np.random.default_rng(8), self.NODES, 5 * BLOCK_ROWS, BLOCK_ROWS)
+        params, state, texts = self.setup_inputs(nodes)
+        calls, finished = itertools.count(), []
+
+        def failing(reps, src_rows, dst_rows, dst_states, params):
+            if next(calls) == 0:  # atomic: exactly one block fails
+                raise ValueError("block failed")
+            finished.append(len(src_rows))
+            return impacts_from_representations(reps, src_rows, dst_rows, dst_states, params)
+
+        monkeypatch.setattr(model, "impacts_from_representations", failing)
+        with pytest.raises(ValueError, match="block failed"):
+            impacts_for_pairs(pairs, state, params, texts)
+        # the calling thread stops at the first error
+        assert len(finished) == (4 if pool._usable_cpus() > 1 else 0)
+
+    def test_forked_child_computes_the_same_impacts(self):
+        pairs, nodes = pairs_over(np.random.default_rng(9), self.NODES, 3 * BLOCK_ROWS, 2 * BLOCK_ROWS + 1)
+        params, state, texts = self.setup_inputs(nodes)
+        expected = impacts_for_pairs(pairs, state, params, texts)[1].tobytes()  # the parent's pool is live
+
+        def child():
+            assert impacts_for_pairs(pairs, state, params, texts)[1].tobytes() == expected
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # forking a process that runs threads
+            process = multiprocessing.get_context("fork").Process(target=child)
+            process.start()
+        process.join(timeout=60)
+        alive = process.is_alive()
+        if alive:
+            process.kill()
+            process.join()
+        assert not alive and process.exitcode == 0
 
 
 class TestCheckpoint:

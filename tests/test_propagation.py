@@ -7,7 +7,6 @@ import math
 import multiprocessing
 import os
 import re
-import subprocess
 import sys
 import threading
 import warnings
@@ -19,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from aspectcite import Dims, ModelParams, TrainConfig, build_graph, propagation, substream, train_sd_phase, training
+from aspectcite import Dims, ModelParams, TrainConfig, build_graph, pool, propagation, substream, train_sd_phase, training
 from aspectcite.codec import read_payload, read_tensors, sidecar_path, tensor_entry, write_artifact
 from aspectcite.propagation import (
     apply_projection,
@@ -565,13 +564,25 @@ def pooled_instance(rng, aspects=4, empty=2):
     return edges[rng.permutation(len(edges))], impacts, n
 
 
-def thread_names(num_nodes, aspects):
-    return propagation._each_aspect(lambda k: threading.current_thread().name, num_nodes, aspects)
+def aspect_threads(monkeypatch, call):
+    """The thread that ran each aspect task of `call()`."""
+    names, each = [], pool.each
+
+    def recording(task, count, pooled):
+        def named(k):
+            names.append(threading.current_thread().name)
+            return task(k)
+        return each(named, count, pooled)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pool, "each", recording)
+        call()
+    return names
 
 
 class TestAspectPool:
-    """Operators of POOLED_NODES nodes or more run each aspect as a task on a
-    thread pool; every result must match the calling-thread path byte for byte."""
+    """Operators of POOLED_NODES nodes or more run each aspect as a task on the
+    worker pool; every result must match the calling-thread path byte for byte."""
 
     @pytest.fixture(scope="class")
     def instance(self):
@@ -581,26 +592,22 @@ class TestAspectPool:
     def op(self, instance):
         return build_transition(*instance)
 
-    def test_large_operators_run_on_the_pool(self):
-        pooled = propagation._usable_cpus() > 1
-        names = thread_names(propagation.POOLED_NODES, 4)
-        assert all(name.startswith("aspectcite-aspect") == pooled for name in names), names
+    def test_large_operators_run_on_the_pool(self, instance, op, monkeypatch):
+        on_pool = pool._usable_cpus() > 1
+        start = AspectState(matrix=random_distribution(np.random.default_rng(76), op.num_nodes, op.aspects))
+        names = aspect_threads(monkeypatch, lambda: apply_projection(build_transition(*instance), start))
+        assert len(names) == 2 * op.aspects
+        assert all(name.startswith("aspectcite-pool") == on_pool for name in names), names
         caller = threading.current_thread().name
-        assert thread_names(propagation.POOLED_NODES - 1, 4) == [caller] * 4
-        assert thread_names(propagation.POOLED_NODES, 1) == [caller]
 
-    def test_every_task_finishes_before_an_error_is_raised(self):
-        finished = []
+        def small():
+            n = propagation.POOLED_NODES - 1
+            op = build_transition([(0, 1), (2, 1)], [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]], n)
+            return apply_projection(op, initialize_state(n, 4))
 
-        def task(k):
-            if k == 0:
-                raise ValueError("aspect 0 failed")
-            finished.append(k)
-
-        with pytest.raises(ValueError, match="aspect 0 failed"):
-            propagation._each_aspect(task, propagation.POOLED_NODES, 5)
-        # the calling thread stops at the first error
-        assert sorted(finished) == ([1, 2, 3, 4] if propagation._usable_cpus() > 1 else [])
+        assert aspect_threads(monkeypatch, small) == [caller] * 8
+        one_aspect = [(0, 1), (2, 1)], [[1.0], [0.0]], propagation.POOLED_NODES
+        assert aspect_threads(monkeypatch, lambda: build_transition(*one_aspect)) == [caller]
 
     def test_build_matches_the_calling_thread(self, instance, op, monkeypatch):
         monkeypatch.setattr(propagation, "POOLED_NODES", sys.maxsize)
@@ -681,21 +688,6 @@ class TestAspectPool:
             process.kill()
             process.join()
         assert not alive and process.exitcode == 0
-
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
-    def test_one_cpu_process_runs_on_the_calling_thread(self):
-        code = (
-            "import os, threading\n"
-            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-            "from aspectcite import propagation\n"
-            "names = propagation._each_aspect(lambda k: threading.current_thread().name, 10**6, 4)\n"
-            "assert names == ['MainThread'] * 4, names\n"
-            "assert propagation._pool is None and threading.active_count() == 1\n"
-        )
-        src = os.path.dirname(os.path.dirname(propagation.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
 
 
 class TestPhaseAgainstStackedReference:
