@@ -11,14 +11,17 @@ fixed seed; wall-clock readings live only under the report's `timing` key.
 
 `ingest` writes the dataset manifest as compact JSON with sorted keys, the
 one output a program reads back on every query; the reports and echoes meant
-for people are indented. Each artifact goes to disk in one pass, with no
-in-memory copy of its bytes. The manifest (`aspectcite-manifest-v2`) packs
-each part of the split into one base64 string of int64 index pairs, so a
-query that never reads the split parses little of it; a v1 manifest exits 2
-and needs a re-run of `ingest`.
+for people are indented. Each artifact goes to disk in one pass; arrays
+stream there with no in-memory copy of their bytes. The manifest
+(`aspectcite-manifest-v2`) packs each part of the split into one base64
+string of int64 index pairs, so a query that never reads the split parses
+little of it; a v1 manifest exits 2 and needs a re-run of `ingest`.
 
 Exit codes: 0 success, 1 usage, 2 data/schema, 3 domain (e.g. unknown node),
-4 numeric abort.
+4 numeric abort. `main` is the one place an exception becomes an exit code
+and a stderr line: the commands raise, and any ValueError from the library
+(a malformed input file included) is a data error. An `--out-dir` that
+cannot be created is a usage error, and nothing is written.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from itertools import chain
 import numpy as np
 
 from . import corpus
-from .codec import atomic_write as _atomic_write, write_atomically as _write_atomically
+from .codec import write_atomically as _write_atomically, write_json as _write_json
 from .explain import explain_target, export_explanation
 from .graph import build_graph
 from .metrics import evaluate
@@ -67,10 +70,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write_json(path: str, payload: dict, indent: int | None = 1) -> None:
-    _atomic_write(path, json.dumps(payload, sort_keys=True, indent=indent) + "\n")
-
-
 def _require_file(path: str, what: str) -> str:
     if not os.path.isfile(path):
         raise DataError(f"{what} not found: {path}")
@@ -99,8 +98,8 @@ class _Resolver:
         self.args = args
         self.resolved: dict = {}
 
-    def get(self, key: str, default, parse=None, flag: str | None = None, choices: tuple | None = None):
-        flag_value = getattr(self.args, (flag or key).replace("-", "_"), None)
+    def get(self, key: str, default, parse=None, choices: tuple | None = None):
+        flag_value = getattr(self.args, key.replace("-", "_"), None)
         if flag_value is not None:
             value = flag_value
         elif key in self.file_values:
@@ -145,7 +144,10 @@ def _parse_float_list(text: str) -> tuple:
 
 def _out_dir(args) -> str:
     """Create --out-dir; called just before a command's first write."""
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create --out-dir {args.out_dir}: {exc.strerror}") from exc
     return args.out_dir
 
 
@@ -174,28 +176,25 @@ def cmd_ingest(args) -> int:
         raise UsageError(str(exc)) from exc
 
     edge_file = _require_file(args.edges, "edge list")
-    try:
-        edge_list = corpus.load_edge_list(edge_file)
-        graph = build_graph(edge_list.edges)
+    edge_list = corpus.load_edge_list(edge_file)
+    graph = build_graph(edge_list.edges)
 
-        text_stats: dict = {}
-        if args.node_features:
-            features = corpus.load_node_features(_require_file(args.node_features, "node features"))
-            absent = np.zeros(len(next(iter(features.values()))))
-            text_vectors = np.array([features.get(nid, absent) for nid in graph.node_ids])
-            text_source = "features"
-            text_stats = {"nodes_without_features": sum(nid not in features for nid in graph.node_ids)}
-        elif args.node_text and args.word_vectors:
-            docs = corpus.load_node_text(_require_file(args.node_text, "node text"))
-            table = corpus.load_word_vectors(_require_file(args.word_vectors, "word vectors"))
-            text_vectors, text_stats = corpus.embed_documents(docs, graph.node_ids, channels, table)
-            text_source = "tokens"
-        else:
-            raise UsageError("provide either --node-features or both --node-text and --word-vectors")
+    text_stats: dict = {}
+    if args.node_features:
+        features = corpus.load_node_features(_require_file(args.node_features, "node features"))
+        absent = np.zeros(len(next(iter(features.values()))))
+        text_vectors = np.array([features.get(nid, absent) for nid in graph.node_ids])
+        text_source = "features"
+        text_stats = {"nodes_without_features": sum(nid not in features for nid in graph.node_ids)}
+    elif args.node_text and args.word_vectors:
+        docs = corpus.load_node_text(_require_file(args.node_text, "node text"))
+        table = corpus.load_word_vectors(_require_file(args.word_vectors, "word vectors"))
+        text_vectors, text_stats = corpus.embed_documents(docs, graph.node_ids, channels, table)
+        text_source = "tokens"
+    else:
+        raise UsageError("provide either --node-features or both --node-text and --word-vectors")
 
-        split = corpus.split_edges(graph, ratios, negatives, seed)
-    except corpus.CorpusFormatError as exc:
-        raise DataError(str(exc)) from exc
+    split = corpus.split_edges(graph, ratios, negatives, seed)
 
     out_dir = _out_dir(args)
     vectors_file = "text_vectors.npy"
@@ -214,7 +213,7 @@ def cmd_ingest(args) -> int:
             "duplicates_dropped": edge_list.duplicate_count,
             "self_loops_dropped": edge_list.self_loop_count,
         },
-        "split": split.to_dict(graph),
+        "split": split.to_dict(),
         "stats": {
             "num_nodes": graph.num_nodes,
             "num_edges": graph.num_edges,
@@ -334,12 +333,9 @@ def cmd_train(args) -> int:
 
 def _load_artifacts(args):
     manifest, graph, text_vectors = _load_manifest(args.manifest)
-    try:
-        params = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
-        state = load_state(_require_file(args.state, "state"))
-        state.validate()
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    params = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
+    state = load_state(_require_file(args.state, "state"))
+    state.validate()
     if params.num_nodes != graph.num_nodes or state.num_nodes != graph.num_nodes:
         raise DataError("checkpoint/state node count does not match the manifest graph")
     if params.dims.text_dim != text_vectors.shape[1]:
@@ -355,22 +351,19 @@ def cmd_evaluate(args) -> int:
     rank_negatives = res.get("rank_negatives", 50, parse=int)
     if any(k < 1 for k in ks) or rank_negatives < 1:
         raise UsageError(f"--ks values and --rank-negatives must be >= 1, got ks={ks} rank-negatives={rank_negatives}")
-    split_name = res.get("split", "test", flag="split_name", choices=SPLITS)
+    split_name = res.get("split", "test", choices=SPLITS)
     res.check_unread()
     manifest, graph, text_vectors, params, state = _load_artifacts(args)
     split = _load_split(args.manifest, manifest, graph)
     seed = res.seed(default=manifest["seed"])
     out_dir = _out_dir(args)  # evaluate writes the per-source CSV itself
     per_source = os.path.join(out_dir, "per_source.csv") if args.per_source_csv else None
-    try:
-        report = evaluate(
-            params, state, split, graph, text_vectors,
-            split_name=split_name, ks=ks,
-            rank_negatives_per_source=rank_negatives, seed=seed,
-            per_source_csv=per_source,
-        )
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    report = evaluate(
+        params, state, split, graph, text_vectors,
+        split_name=split_name, ks=ks,
+        rank_negatives_per_source=rank_negatives, seed=seed,
+        per_source_csv=per_source,
+    )
     _write_json(os.path.join(out_dir, "metrics.json"), report.to_dict())
     _echo_config(out_dir, "evaluate", {**res.resolved, "manifest": args.manifest, "out_dir": out_dir})
     print(f"evaluate: auc={report.auc:.4f} recall={report.recall:.4f} -> {out_dir}/metrics.json")
@@ -431,17 +424,14 @@ def cmd_explain(args) -> int:
         except (KeyError, ValueError) as exc:
             raise DataError(f"{args.manifest}: malformed manifest: {exc}") from exc
         citers = [graph.node_ids[i] for i in graph.in_neighbors(target)]
-        try:
-            docs = corpus.load_node_text(_require_file(args.node_text, "node text"), nodes=citers)
-        except corpus.CorpusFormatError as exc:
-            raise DataError(str(exc)) from exc
+        docs = corpus.load_node_text(_require_file(args.node_text, "node text"), nodes=citers)
         texts = {nid: doc.tokens([c for c in channels if c in doc.channels]) for nid, doc in docs.items()}
     explanation = explain_target(
         args.target, params, state, graph, text_vectors, texts=texts, top_n=top_n, top_m=top_m
     )
     out_dir = _out_dir(args)
     out_path = os.path.join(out_dir, f"explanation.{fmt}")
-    _write_atomically(out_path, lambda tmp: export_explanation(explanation, tmp, format=fmt))
+    export_explanation(explanation, out_path, format=fmt)
     _echo_config(out_dir, "explain", {**res.resolved, "target": args.target, "out_dir": out_dir})
     populated = sum(1 for group in explanation.aspects if group)
     print(f"explain: target={args.target} populated-aspects={populated} -> {out_path}")
@@ -478,7 +468,7 @@ def _artifact_arguments(p) -> None:
 
 def _evaluate_arguments(p) -> None:
     _artifact_arguments(p)
-    p.add_argument("--split", dest="split_name", choices=SPLITS)
+    p.add_argument("--split", choices=SPLITS)
     p.add_argument("--ks", type=_parse_int_list)
     p.add_argument("--rank-negatives", type=int)
     p.add_argument("--per-source-csv", action="store_true", help="also write per-source ranking metrics as CSV")
@@ -541,7 +531,7 @@ def main(argv=None) -> int:
     except TrainingAbort as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return 4
-    except (DataError, corpus.CorpusFormatError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (DataError, FileNotFoundError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,14 @@
-"""The on-disk format of the checkpoint and state artifacts, and atomic writes.
+"""Atomic writes, the one JSON writer, and the checkpoint and state file format.
+
+Every file the package writes goes through `write_atomically`, which opens a
+randomly named temp file beside the target with mode 0o666, so the umask
+sets its mode as for a plain `open()`, and renames it over the target once
+written. Every JSON file goes through `write_json`: sorted keys, indent 1
+(None: compact), one trailing newline.
 
 Each artifact is two files:
 
-- the header, one JSON object written with sorted keys and indent 1. A
+- the header, one JSON object written by `write_json` (indent 1). A
   top-level "format" marker names the file kind and version, each tensor is
   an entry {"shape": [d0, d1, ...]}, and "sidecar" records the byte length
   and sha256 of the second file;
@@ -31,12 +37,11 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 
 import numpy as np
 
 __all__ = [
-    "atomic_write", "write_atomically", "sidecar_path", "tensor_entry", "write_artifact", "read_payload",
+    "write_atomically", "write_json", "sidecar_path", "tensor_entry", "write_artifact", "read_payload",
     "read_tensors",
 ]
 
@@ -50,13 +55,10 @@ def write_atomically(path, write) -> None:
     write into each other's files; if write raises, the temp file is removed
     and any existing file at path is left untouched.
     """
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=f".{os.path.basename(path)}.")
-    os.close(fd)
+    head, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}")
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
-        # mkstemp creates the file 0600; give it the mode a plain open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         write(tmp)
         os.replace(tmp, path)
     finally:
@@ -64,12 +66,13 @@ def write_atomically(path, write) -> None:
             os.unlink(tmp)
 
 
-def atomic_write(path, data: str | bytes) -> None:
-    mode, encoding = ("wb", None) if isinstance(data, bytes) else ("w", "utf-8")
+def write_json(path, payload, indent: int | None = 1) -> None:
+    """Write payload as JSON with sorted keys and a trailing newline; indent None is compact."""
+    text = json.dumps(payload, sort_keys=True, indent=indent) + "\n"
 
     def write(tmp: str) -> None:
-        with open(tmp, mode, encoding=encoding) as fh:
-            fh.write(data)
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
     write_atomically(path, write)
 
@@ -104,7 +107,7 @@ def write_artifact(path, fmt: str, payload: dict, tensors) -> None:
 
     write_atomically(sidecar_path(path), write)
     header = {"format": fmt, **payload, "sidecar": {"bytes": size, "sha256": digest.hexdigest()}}
-    atomic_write(path, json.dumps(header, sort_keys=True, indent=1) + "\n")
+    write_json(path, header)
 
 
 def read_payload(path, fmt: str) -> dict:

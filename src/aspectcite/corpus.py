@@ -383,11 +383,11 @@ class DatasetSplit:
                     raise ValueError(f"negative self-loop in split {name!r}")
                 raise ValueError(f"negative pair {(i, j)} is an actual edge (split {name!r})")
 
-    def to_dict(self, graph: CitationGraph) -> dict:
+    def to_dict(self) -> dict:
         """The manifest form: the seed, and each part packed by `_pack_pairs`.
 
-        The packed indices point into `graph.node_ids`; `from_dict` reads them
-        back against the same graph.
+        The packed indices point into the node order of the split's graph;
+        `from_dict` reads them back against the same graph.
         """
         return {
             "seed": self.seed,

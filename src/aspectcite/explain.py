@@ -9,16 +9,16 @@ machine-readable (JSON or CSV); rendering word clouds is someone else's job.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import write_atomically, write_json
 from .graph import CitationGraph
 from .model import ModelParams, impacts_for_pairs, select_aspects
 from .propagation import AspectState
 
-__all__ = ["AspectExplanation", "RankedCiter", "explain_target", "export_explanation", "load_explanation"]
+__all__ = ["AspectExplanation", "RankedCiter", "explain_target", "export_explanation"]
 
 
 @dataclass(frozen=True)
@@ -63,17 +63,6 @@ class AspectExplanation:
                 for k, group in enumerate(self.aspects)
             ],
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "AspectExplanation":
-        groups = []
-        terms = []
-        for entry in payload["aspects"]:
-            groups.append(
-                tuple(RankedCiter(node_id=c["node"], score=float(c["score"]), rank=int(c["rank"])) for c in entry["citers"])
-            )
-            terms.append(tuple(entry["top_terms"]))
-        return cls(target_id=payload["target"], aspects=tuple(groups), terms=tuple(terms), note=payload.get("note", ""))
 
 
 def explain_target(
@@ -140,23 +129,19 @@ def explain_target(
 
 
 def export_explanation(explanation: AspectExplanation, path, format: str = "json") -> None:
-    """Serialize deterministically; CSV is one row per (aspect, rank, citer, score)."""
+    """Write atomically and deterministically; CSV is one row per (aspect, rank, citer, score)."""
     if format == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(explanation.to_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        write_json(path, explanation.to_dict())
         return
     if format == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["aspect", "rank", "citer", "score"])
-            for k, group in enumerate(explanation.aspects):
-                for citer in group:
-                    writer.writerow([k, citer.rank, citer.node_id, repr(citer.score)])
+        def write(tmp: str) -> None:
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["aspect", "rank", "citer", "score"])
+                for k, group in enumerate(explanation.aspects):
+                    for citer in group:
+                        writer.writerow([k, citer.rank, citer.node_id, repr(citer.score)])
+
+        write_atomically(path, write)
         return
     raise ValueError(f"unknown export format {format!r}; use 'json' or 'csv'")
-
-
-def load_explanation(path) -> AspectExplanation:
-    with open(path, encoding="utf-8") as fh:
-        return AspectExplanation.from_dict(json.load(fh))

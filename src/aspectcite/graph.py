@@ -45,8 +45,12 @@ class CitationGraph:
             thirds, self.timed = [], False
             ids = chain.from_iterable(edges)
         else:
+            lengths = list(map(len, edges))
+            if countOf(lengths, 2) + countOf(lengths, 3) < len(edges):
+                bad = next(k for k, n in enumerate(lengths) if n not in (2, 3))
+                raise ValueError(f"edge {bad} has {lengths[bad]} items, expected 2 or 3 (source, target[, time])")
             # An edge is timed when it has a third field that is not None.
-            thirds = list(map(itemgetter(2), compress(edges, map((3).__eq__, map(len, edges)))))
+            thirds = list(map(itemgetter(2), compress(edges, map((3).__eq__, lengths))))
             num_timed = len(thirds) - thirds.count(None)
             if 0 < num_timed < len(edges):
                 raise ValueError("edge list mixes timed and untimed edges; provide timestamps for all edges or none")

@@ -574,14 +574,14 @@ class TestArtifactFormat:
         out = tmp_path / "out"
         run_pipeline(root, edges, text, vecs, out)
         header = (out / artifact).read_bytes()
-        atomic_write = codec.atomic_write
+        write_json = codec.write_json
 
-        def dies_before_header(path, data):
+        def dies_before_header(path, payload, **kwargs):
             if os.path.basename(path) == artifact:
                 raise OSError("killed")
-            atomic_write(path, data)
+            write_json(path, payload, **kwargs)
 
-        monkeypatch.setattr(codec, "atomic_write", dies_before_header)
+        monkeypatch.setattr(codec, "write_json", dies_before_header)
         with pytest.raises(OSError, match="killed"):
             main(["train", "--manifest", str(out / "manifest.json"), "--out-dir", str(out), "--aspects", "3",
                   "--struct-dim", "4", "--epochs-per-phase", "1", "--alternations", "1", "--seed", "8"])
@@ -900,6 +900,143 @@ def test_failed_command_leaves_no_out_dir(dataset, tmp_path, command, expected):
     }[command]
     assert main([*argv, "--out-dir", str(out)]) == expected
     assert not out.exists()
+
+
+class TestOutDir:
+    """An --out-dir that cannot be created is a usage error; it once ended in
+    an uncaught FileExistsError or NotADirectoryError."""
+
+    @pytest.mark.parametrize("below,reason", [(False, "File exists"), (True, "Not a directory")])
+    def test_out_dir_helper_raises_a_usage_error(self, tmp_path, below, reason):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n", encoding="utf-8")
+        path = blocker / "sub" if below else blocker
+        with pytest.raises(cli.UsageError, match=re.escape(f"cannot create --out-dir {path}: {reason}")):
+            cli._out_dir(argparse.Namespace(out_dir=str(path)))
+        assert blocker.read_text(encoding="utf-8") == "kept\n"
+
+    @pytest.mark.parametrize("below,reason", [(False, "File exists"), (True, "Not a directory")])
+    @pytest.mark.parametrize("command", ["ingest", "train", "evaluate", "predict", "explain"])
+    def test_uncreatable_out_dir_exits_1_and_writes_nothing(self, dataset, tmp_path, capsys, command, below, reason):
+        root, edges, text, vecs = dataset
+        data = tmp_path / "data"
+        run_pipeline(root, edges, text, vecs, data)
+        artifacts = ["--manifest", str(data / "manifest.json"), "--checkpoint", str(data / "checkpoint.json"),
+                     "--state", str(data / "state.json")]
+        argv = {
+            "ingest": ["ingest", "--edges", str(edges), "--node-text", str(text), "--word-vectors", str(vecs)],
+            "train": ["train", "--manifest", str(data / "manifest.json"), "--aspects", "3", "--struct-dim", "4",
+                      "--epochs-per-phase", "1", "--alternations", "1"],
+            "evaluate": ["evaluate", *artifacts, "--rank-negatives", "5", "--per-source-csv"],
+            "predict": ["predict", *artifacts, "--pairs", str(last_node_pairs(data, tmp_path))],
+            "explain": ["explain", *artifacts, "--target", json.loads((data / "manifest.json").read_text())["edges"][0][1]],
+        }[command]
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n", encoding="utf-8")
+        path = blocker / "sub" if below else blocker
+        before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main([*argv, "--out-dir", str(path)]) == 1
+        assert capsys.readouterr().err == f"usage error: cannot create --out-dir {path}: {reason}\n"
+        assert blocker.read_text(encoding="utf-8") == "kept\n"
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+
+
+class TestDataErrorLines:
+    """Every ValueError reaches `main` unwrapped and prints one exact
+    `data error: ...` line with exit 2, whichever command raised it."""
+
+    @pytest.mark.parametrize("edit,message", [
+        pytest.param(lambda edges: edges.__setitem__(0, edges[0][:1]), "edge 0 has 1 items", id="one-item-first-edge"),
+        pytest.param(lambda edges: edges.__setitem__(3, [*edges[3], 5, "x"]), "edge 3 has 4 items", id="four-item-edge"),
+    ])
+    def test_manifest_edge_of_wrong_length_exits_2(self, dataset, tmp_path, capsys, edit, message):
+        """A one-item first edge once ended in a bare IndexError; a four-item
+        edge was read as an untimed one and predict answered."""
+        root, edges, text, vecs = dataset
+        out = tmp_path / "out"
+        run_pipeline(root, edges, text, vecs, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        edit(manifest["edges"])
+        damaged = out / "damaged.json"  # beside the text matrix it names
+        damaged.write_text(json.dumps(manifest), encoding="utf-8")
+        query = tmp_path / "query"
+        capsys.readouterr()
+        assert main([
+            "predict", "--manifest", str(damaged), "--checkpoint", str(out / "checkpoint.json"),
+            "--state", str(out / "state.json"), "--pairs", str(last_node_pairs(out, tmp_path)), "--out-dir", str(query),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {damaged}: malformed manifest: {message}, expected 2 or 3 (source, target[, time])\n"
+        )
+        assert not query.exists()
+
+    def test_ingest_edge_line_of_four_fields(self, dataset, tmp_path, capsys):
+        root, edges, text, vecs = dataset
+        bad = tmp_path / "bad_edges.tsv"
+        bad.write_text("p0\tp1\np1\tp2\t3\tx\n", encoding="utf-8")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["ingest", "--edges", str(bad), "--node-text", str(text), "--word-vectors", str(vecs),
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"data error: {bad}: line 2: expected 2 or 3 tab-separated fields, got 4\n"
+        assert not out.exists()
+
+    def test_truncated_state_sidecar(self, dataset, tmp_path, capsys):
+        root, edges, text, vecs = dataset
+        out = tmp_path / "out"
+        run_pipeline(root, edges, text, vecs, out)
+        sidecar = out / "state.bin"
+        sidecar.write_bytes(sidecar.read_bytes()[:-8])
+        query = tmp_path / "query"
+        capsys.readouterr()
+        assert main([
+            "predict", "--manifest", str(out / "manifest.json"), "--checkpoint", str(out / "checkpoint.json"),
+            "--state", str(out / "state.json"), "--pairs", str(last_node_pairs(out, tmp_path)), "--out-dir", str(query),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: malformed state file {out / 'state.json'}: tensor sidecar {sidecar} "
+            f"({sidecar.stat().st_size} bytes) does not match the length and "
+            f"sha256 its header records: a torn or edited write; re-run train\n"
+        )
+        assert not query.exists()
+
+    def test_evaluate_on_an_empty_test_part(self, dataset, tmp_path, capsys):
+        root, edges, text, vecs = dataset
+        out = tmp_path / "out"
+        run_pipeline(root, edges, text, vecs, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        test_pairs = unpack_pairs(manifest["split"]["test"])
+        edit_split_part(manifest, "train", lambda train: np.concatenate([train, test_pairs]))
+        edit_split_part(manifest, "test", lambda test: test[:0])
+        damaged = out / "damaged.json"
+        damaged.write_text(json.dumps(manifest), encoding="utf-8")
+        capsys.readouterr()
+        assert main([
+            "evaluate", "--manifest", str(damaged), "--checkpoint", str(out / "checkpoint.json"),
+            "--state", str(out / "state.json"), "--out-dir", str(tmp_path / "query"), "--rank-negatives", "5",
+        ]) == 2
+        assert capsys.readouterr().err == "data error: split 'test' has no positive edges to evaluate\n"
+        assert not (tmp_path / "query" / "metrics.json").exists()
+
+    def test_explain_on_an_unknown_node_text_channel(self, dataset, tmp_path, capsys):
+        root, edges, text, vecs = dataset
+        out = tmp_path / "out"
+        run_pipeline(root, edges, text, vecs, out)
+        bad = tmp_path / "bad_text.tsv"
+        lines = text.read_text(encoding="utf-8").splitlines()
+        bad.write_text("\n".join([*lines, "p0\tsummary\tw1 w2"]) + "\n", encoding="utf-8")
+        query = tmp_path / "query"
+        capsys.readouterr()
+        assert main([
+            "explain", "--manifest", str(out / "manifest.json"), "--checkpoint", str(out / "checkpoint.json"),
+            "--state", str(out / "state.json"), "--target", json.loads((out / "manifest.json").read_text())["edges"][0][1],
+            "--node-text", str(bad), "--out-dir", str(query),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {bad}: line {len(lines) + 1}: unknown channel 'summary'; allowed: {corpus.ALLOWED_CHANNELS}\n"
+        )
+        assert not query.exists()
 
 
 class TestAtomicWrite:

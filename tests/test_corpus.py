@@ -499,13 +499,13 @@ class TestSplitEdges:
         split = split_edges(small_graph, (0.8, 0.1, 0.1), 1, seed=5)
         from aspectcite.corpus import DatasetSplit
 
-        assert DatasetSplit.from_dict(split.to_dict(small_graph), small_graph) == split
+        assert DatasetSplit.from_dict(split.to_dict(), small_graph) == split
 
     def test_parts_are_read_only_int64_pair_arrays_before_and_after_round_trip(self, small_graph):
         from aspectcite.corpus import DatasetSplit
 
         split = split_edges(small_graph, (0.8, 0.1, 0.1), 2, seed=5)
-        loaded = DatasetSplit.from_dict(split.to_dict(small_graph), small_graph)
+        loaded = DatasetSplit.from_dict(split.to_dict(), small_graph)
         for s in (split, loaded):
             arrays = [s.train_edges, s.validation_edges, s.test_edges, *s.negatives.values()]
             for array in arrays:
@@ -519,7 +519,7 @@ class TestSplitEdges:
 
         split = split_edges(small_graph, (1.0, 0.0, 0.0), 1, seed=5)
         assert split.validation_edges.shape == (0, 2) and split.negatives["test"].shape == (0, 2)
-        payload = split.to_dict(small_graph)
+        payload = split.to_dict()
         assert payload["validation"] == "" and payload["negatives"]["test"] == ""
         assert DatasetSplit.from_dict(payload, small_graph) == split
 
@@ -531,11 +531,11 @@ class TestSplitEdges:
         graph = build_graph([(a, b, 1990 + k) for k, (a, b) in enumerate(sorted(pairs))])
         assert graph.timed
         split = split_edges(graph, (0.7, 0.2, 0.1), 2, seed=4)
-        assert DatasetSplit.from_dict(split.to_dict(graph), graph) == split
+        assert DatasetSplit.from_dict(split.to_dict(), graph) == split
 
     def test_parts_pack_as_base64_of_little_endian_int64_pairs(self, small_graph):
         split = split_edges(small_graph, (0.8, 0.1, 0.1), 1, seed=5)
-        payload = split.to_dict(small_graph)
+        payload = split.to_dict()
         for name in ("train", "validation", "test"):
             assert base64.b64decode(payload[name]) == split.edges_of(name).astype("<i8").tobytes()
         for name, negatives in split.negatives.items():
@@ -545,7 +545,7 @@ class TestSplitEdges:
     def test_non_int_seed_rejected(self, small_graph, seed):
         from aspectcite.corpus import DatasetSplit
 
-        payload = split_edges(small_graph, (0.8, 0.1, 0.1), 1, seed=1).to_dict(small_graph)
+        payload = split_edges(small_graph, (0.8, 0.1, 0.1), 1, seed=1).to_dict()
         with pytest.raises(ValueError, match="seed must be an integer"):
             DatasetSplit.from_dict({**payload, "seed": seed}, small_graph)
 
@@ -566,7 +566,7 @@ class TestSplitEdges:
         from aspectcite.corpus import DatasetSplit
 
         edit, message = self.PART_DAMAGE[damage]
-        payload = split_edges(small_graph, (0.8, 0.1, 0.1), 1, seed=1).to_dict(small_graph)
+        payload = split_edges(small_graph, (0.8, 0.1, 0.1), 1, seed=1).to_dict()
         for damaged in (
             {**payload, "test": edit(payload["test"], small_graph.num_nodes)},
             {**payload, "negatives": {**payload["negatives"], "train": edit(payload["negatives"]["train"],
@@ -578,7 +578,7 @@ class TestSplitEdges:
     def test_negatives_not_an_object_rejected(self, small_graph):
         from aspectcite.corpus import DatasetSplit
 
-        payload = split_edges(small_graph, (0.8, 0.1, 0.1), 1, seed=1).to_dict(small_graph)
+        payload = split_edges(small_graph, (0.8, 0.1, 0.1), 1, seed=1).to_dict()
         with pytest.raises(ValueError, match="negatives must be an object"):
             DatasetSplit.from_dict({**payload, "negatives": list(payload["negatives"].values())}, small_graph)
 

@@ -260,6 +260,18 @@ class TestRejectionMessages:
         g = build_graph([("A", "B", None), ("B", "C", None)])
         assert not g.timed and g.edge_times is None
 
+    @pytest.mark.parametrize("edges, position, items", [
+        ([["p1"], ("a", "b")], 0, 1),
+        ([("a", "b"), ("b", "c", 1, "x")], 1, 4),
+        ([("a", "b", None), ("b", "c", None, None)], 1, 4),
+        ([("a", "b", 1), ("b", "c", 2), ()], 2, 0),
+    ])
+    def test_edge_of_wrong_length_names_its_position(self, edges, position, items):
+        """A one-item edge once ended in a bare IndexError; a four-item one was read as untimed."""
+        message = f"edge {position} has {items} items, expected 2 or 3 (source, target[, time])"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            build_graph(edges)
+
     def test_self_loop_names_the_node(self):
         with pytest.raises(ValueError, match=re.escape("self-loop 'C' must be removed before graph construction")):
             build_graph([("A", "B"), ("C", "C"), ("D", "D")])
