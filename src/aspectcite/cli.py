@@ -27,6 +27,7 @@ cannot be created is a usage error, and nothing is written.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -54,15 +55,15 @@ MANIFEST_FORMAT = "aspectcite-manifest-v2"
 
 
 class UsageError(Exception):
-    exit_code = 1
+    """A bad option or flag: exit 1."""
 
 
 class DataError(Exception):
-    exit_code = 2
+    """A missing or malformed input: exit 2."""
 
 
 class DomainError(Exception):
-    exit_code = 3
+    """A well-formed request the data cannot answer, such as an unknown node: exit 3."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -174,6 +175,8 @@ def cmd_ingest(args) -> int:
         corpus.check_channels(channels)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if not (args.node_features or (args.node_text and args.word_vectors)):
+        raise UsageError("provide either --node-features or both --node-text and --word-vectors")
 
     edge_file = _require_file(args.edges, "edge list")
     edge_list = corpus.load_edge_list(edge_file)
@@ -186,13 +189,11 @@ def cmd_ingest(args) -> int:
         text_vectors = np.array([features.get(nid, absent) for nid in graph.node_ids])
         text_source = "features"
         text_stats = {"nodes_without_features": sum(nid not in features for nid in graph.node_ids)}
-    elif args.node_text and args.word_vectors:
+    else:
         docs = corpus.load_node_text(_require_file(args.node_text, "node text"))
         table = corpus.load_word_vectors(_require_file(args.word_vectors, "word vectors"))
         text_vectors, text_stats = corpus.embed_documents(docs, graph.node_ids, channels, table)
         text_source = "tokens"
-    else:
-        raise UsageError("provide either --node-features or both --node-text and --word-vectors")
 
     split = corpus.split_edges(graph, ratios, negatives, seed)
 
@@ -356,18 +357,25 @@ def cmd_evaluate(args) -> int:
     manifest, graph, text_vectors, params, state = _load_artifacts(args)
     split = _load_split(args.manifest, manifest, graph)
     seed = res.seed(default=manifest["seed"])
-    out_dir = _out_dir(args)  # evaluate writes the per-source CSV itself
-    per_source = os.path.join(out_dir, "per_source.csv") if args.per_source_csv else None
     report = evaluate(
         params, state, split, graph, text_vectors,
         split_name=split_name, ks=ks,
         rank_negatives_per_source=rank_negatives, seed=seed,
-        per_source_csv=per_source,
     )
+    out_dir = _out_dir(args)
+    if args.per_source_csv:  # before metrics.json, so a failed write leaves neither
+        _write_atomically(os.path.join(out_dir, "per_source.csv"), lambda tmp: _save_csv(tmp, report.per_source))
     _write_json(os.path.join(out_dir, "metrics.json"), report.to_dict())
     _echo_config(out_dir, "evaluate", {**res.resolved, "manifest": args.manifest, "out_dir": out_dir})
     print(f"evaluate: auc={report.auc:.4f} recall={report.recall:.4f} -> {out_dir}/metrics.json")
     return 0
+
+
+def _save_csv(tmp: str, rows: list) -> None:
+    with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------- predict
@@ -425,7 +433,7 @@ def cmd_explain(args) -> int:
             raise DataError(f"{args.manifest}: malformed manifest: {exc}") from exc
         citers = [graph.node_ids[i] for i in graph.in_neighbors(target)]
         docs = corpus.load_node_text(_require_file(args.node_text, "node text"), nodes=citers)
-        texts = {nid: doc.tokens([c for c in channels if c in doc.channels]) for nid, doc in docs.items()}
+        texts = {nid: doc.tokens(channels) for nid, doc in docs.items()}
     explanation = explain_target(
         args.target, params, state, graph, text_vectors, texts=texts, top_n=top_n, top_m=top_m
     )
@@ -441,7 +449,7 @@ def cmd_explain(args) -> int:
 # ------------------------------------------------------------------ wiring
 
 def _ingest_arguments(p) -> None:
-    p.add_argument("--edges", required=True, help="TSV edge list: source<TAB>target[<TAB>timestamp]")
+    p.add_argument("--edges", required=True, help="TSV edge list: source<TAB>target")
     p.add_argument("--node-text", help="TSV node text: node_id<TAB>channel<TAB>tokens")
     p.add_argument("--word-vectors", help="pretrained word vector text file")
     p.add_argument("--node-features", help="TSV dense node features used directly as text embeddings")

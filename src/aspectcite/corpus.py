@@ -1,7 +1,7 @@
 """Dataset loading, text embedding composition, and train/val/test splitting.
 
 File formats (all UTF-8):
-  edges:        TSV `source<TAB>target[<TAB>timestamp]`, `#` comment lines skipped
+  edges:        TSV `source<TAB>target`, `#` comment lines skipped
   node text:    TSV `node_id<TAB>channel<TAB>space-separated tokens`
   word vectors: text `token v1 v2 ... vL` per line, no comments (`#` is a token)
   features:     TSV `node_id<TAB>v1 v2 ... vL` (dense per-node vectors used
@@ -114,36 +114,26 @@ def load_edge_list(path) -> EdgeList:
 
     Edges come back in file order; direction is source-cites-target.
     """
-    edges: list[tuple] = []
-    seen: set[tuple] = set()
+    edges: dict[tuple, None] = {}  # an insertion-ordered set
     duplicates = 0
     self_loops = 0
     for lineno, fields in tab_rows(path):
-        if len(fields) not in (2, 3):
-            raise CorpusFormatError(f"{path}: line {lineno}: expected 2 or 3 tab-separated fields, got {len(fields)}")
-        src, dst = fields[0], fields[1]
+        if len(fields) != 2:
+            raise CorpusFormatError(f"{path}: line {lineno}: expected 2 tab-separated fields, got {len(fields)}")
+        src, dst = fields
         if not src or not dst:
             raise CorpusFormatError(f"{path}: line {lineno}: empty node id")
-        if len(fields) == 3:
-            try:
-                time = int(fields[2])
-            except ValueError:
-                raise CorpusFormatError(f"{path}: line {lineno}: timestamp {fields[2]!r} is not an integer") from None
-            edge = (src, dst, time)
-        else:
-            edge = (src, dst)
         if src == dst:
             self_loops += 1
             continue
-        key = (src, dst)
-        if key in seen:
+        edge = (src, dst)
+        if edge in edges:
             duplicates += 1
             continue
-        seen.add(key)
-        edges.append(edge)
+        edges[edge] = None
     if not edges and duplicates == 0 and self_loops == 0:
         raise CorpusFormatError(f"{path}: empty edge file")
-    return EdgeList(edges=edges, duplicate_count=duplicates, self_loop_count=self_loops)
+    return EdgeList(edges=list(edges), duplicate_count=duplicates, self_loop_count=self_loops)
 
 
 def load_node_text(path, nodes=None) -> dict[str, TokenizedDocument]:

@@ -1,5 +1,5 @@
 """Directed citation graph held as arrays: dense node indexing, CSR adjacency
-both ways, sorted edge keys, optional per-edge times, and dangling nodes.
+both ways, sorted edge keys, and dangling nodes.
 
 Edge `(i, j)` ("i cites j", everywhere in this package) has key `i * N + j`.
 One sort of the keys finds duplicates, gives the out-CSR with ascending rows
@@ -9,8 +9,8 @@ in-CSR.
 
 from __future__ import annotations
 
-from itertools import chain, compress, count
-from operator import countOf, itemgetter
+from itertools import chain, count
+from operator import countOf
 
 import numpy as np
 
@@ -41,25 +41,14 @@ class CitationGraph:
         if not edges:
             raise ValueError("cannot build a graph from an empty edge list")
 
-        if countOf(map(len, edges), 2) == len(edges):  # no edge can carry a time
-            thirds, self.timed = [], False
-            ids = chain.from_iterable(edges)
-        else:
-            lengths = list(map(len, edges))
-            if countOf(lengths, 2) + countOf(lengths, 3) < len(edges):
-                bad = next(k for k, n in enumerate(lengths) if n not in (2, 3))
-                raise ValueError(f"edge {bad} has {lengths[bad]} items, expected 2 or 3 (source, target[, time])")
-            # An edge is timed when it has a third field that is not None.
-            thirds = list(map(itemgetter(2), compress(edges, map((3).__eq__, lengths))))
-            num_timed = len(thirds) - thirds.count(None)
-            if 0 < num_timed < len(edges):
-                raise ValueError("edge list mixes timed and untimed edges; provide timestamps for all edges or none")
-            self.timed = num_timed == len(edges)
-            ids = chain.from_iterable(map(itemgetter(0, 1), edges))
+        if countOf(map(len, edges), 2) < len(edges):
+            bad = next(k for k, edge in enumerate(edges) if len(edge) != 2)
+            raise ValueError(f"edge {bad} has {len(edges[bad])} items, expected 2 (source, target)")
 
         # One dict pass: `first` maps each id to the position of its first
         # appearance, and the ids that start there, counted, give dense indices.
         first: dict = {}
+        ids = chain.from_iterable(edges)
         pos = np.fromiter(map(first.setdefault, ids, count()), dtype=np.int64, count=2 * len(edges))
         pairs = (np.cumsum(pos == np.arange(len(pos))) - 1)[pos].reshape(-1, 2)
         self.node_ids: tuple[str, ...] = tuple(first)
@@ -77,7 +66,6 @@ class CitationGraph:
         self._keys = keys
         pairs.setflags(write=False)
         self.edge_array = pairs
-        self.edge_times = np.fromiter(map(int, thirds), dtype=np.int64, count=len(edges)) if self.timed else None
 
     @property
     def num_nodes(self) -> int:
@@ -144,7 +132,7 @@ class CitationGraph:
 
 
 def build_graph(edges) -> CitationGraph:
-    """Construct a CitationGraph from (source, target[, time]) tuples."""
+    """Construct a CitationGraph from (source, target) pairs."""
     return CitationGraph(edges)
 
 

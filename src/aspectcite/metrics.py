@@ -11,12 +11,10 @@ Conventions pinned here so numbers are comparable across runs:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import write_atomically
 from .corpus import DatasetSplit
 from .graph import CitationGraph
 from .model import ModelParams, scores_for_pairs
@@ -103,7 +101,11 @@ def recall(pos_scores, neg_scores) -> float:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Evaluation summary; every metric lies in [0, 1]."""
+    """Evaluation summary; every metric lies in [0, 1].
+
+    `per_source` holds `evaluate`'s one row per ranked source, the rows of
+    the CLI's `per_source.csv`; `to_dict` leaves it out.
+    """
 
     auc: float
     ap_at_k: dict[int, float]
@@ -113,6 +115,7 @@ class MetricsReport:
     num_negatives: int
     num_ranked_sources: int
     config: dict = field(default_factory=dict)
+    per_source: list = field(default_factory=list, repr=False)
 
     def validate(self) -> None:
         values = [self.auc, self.recall, *self.ap_at_k.values(), *self.ndcg_at_k.values()]
@@ -160,7 +163,6 @@ def evaluate(
     rank_negatives_per_source: int = 50,
     seed: int = 0,
     score_fn=None,
-    per_source_csv=None,
 ) -> MetricsReport:
     """Score the held-out split and assemble the metric report.
 
@@ -171,8 +173,8 @@ def evaluate(
 
     Pairs are scored by the trained model's F score (`scores_for_pairs`);
     `score_fn(pairs) -> scores` replaces it (tests pass oracle scores this
-    way). `per_source_csv`, when given, receives one row per ranked source for
-    plotting, written atomically once the report validates.
+    way). The report's `per_source` rows give each ranked source's id, its
+    positive and candidate counts, and its AP@k and nDCG@k.
     """
     positives = split.edges_of(split_name)
     negatives = split.negatives[split_name]
@@ -236,14 +238,7 @@ def evaluate(
             "rank_negatives_per_source": rank_negatives_per_source,
             "seed": seed,
         },
+        per_source=per_source_rows,
     )
     report.validate()
-    if per_source_csv is not None:
-        def write(tmp: str) -> None:
-            with open(tmp, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=list(per_source_rows[0]))
-                writer.writeheader()
-                writer.writerows(per_source_rows)
-
-        write_atomically(per_source_csv, write)
     return report

@@ -131,6 +131,20 @@ class TestIngest:
         root, edges, text, vecs = dataset
         assert main(["ingest", "--edges", str(edges), "--out-dir", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("flag", ["--node-text", "--word-vectors"])
+    def test_incomplete_text_source_exits_1_before_reading_the_edges(self, dataset, tmp_path, capsys, flag):
+        """The text-input options are checked with the other options: a
+        missing edge file once made this exit 2 ("edge list not found")."""
+        root, edges, text, vecs = dataset
+        out = tmp_path / "out"
+        given = text if flag == "--node-text" else vecs
+        capsys.readouterr()
+        assert main(["ingest", "--edges", str(tmp_path / "missing.tsv"), flag, str(given), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: provide either --node-features or both --node-text and --word-vectors\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "-inf"])
     def test_non_finite_feature_exits_2_naming_line(self, dataset, tmp_path, capsys, value):
         root, edges, text, vecs = dataset
@@ -949,10 +963,12 @@ class TestDataErrorLines:
     @pytest.mark.parametrize("edit,message", [
         pytest.param(lambda edges: edges.__setitem__(0, edges[0][:1]), "edge 0 has 1 items", id="one-item-first-edge"),
         pytest.param(lambda edges: edges.__setitem__(3, [*edges[3], 5, "x"]), "edge 3 has 4 items", id="four-item-edge"),
+        pytest.param(lambda edges: edges.__setitem__(2, [*edges[2], 1999]), "edge 2 has 3 items", id="three-item-edge"),
     ])
     def test_manifest_edge_of_wrong_length_exits_2(self, dataset, tmp_path, capsys, edit, message):
         """A one-item first edge once ended in a bare IndexError; a four-item
-        edge was read as an untimed one and predict answered."""
+        edge was read as an untimed one and predict answered. A three-item
+        edge is what an earlier ingest wrote for a timed edge file: re-run it."""
         root, edges, text, vecs = dataset
         out = tmp_path / "out"
         run_pipeline(root, edges, text, vecs, out)
@@ -967,19 +983,21 @@ class TestDataErrorLines:
             "--state", str(out / "state.json"), "--pairs", str(last_node_pairs(out, tmp_path)), "--out-dir", str(query),
         ]) == 2
         assert capsys.readouterr().err == (
-            f"data error: {damaged}: malformed manifest: {message}, expected 2 or 3 (source, target[, time])\n"
+            f"data error: {damaged}: malformed manifest: {message}, expected 2 (source, target)\n"
         )
         assert not query.exists()
 
-    def test_ingest_edge_line_of_four_fields(self, dataset, tmp_path, capsys):
+    @pytest.mark.parametrize("extra", ["\t3\tx", "\t3"], ids=["four-fields", "three-fields"])
+    def test_ingest_edge_line_of_four_fields(self, dataset, tmp_path, capsys, extra):
         root, edges, text, vecs = dataset
         bad = tmp_path / "bad_edges.tsv"
-        bad.write_text("p0\tp1\np1\tp2\t3\tx\n", encoding="utf-8")
+        bad.write_text(f"p0\tp1\np1\tp2{extra}\n", encoding="utf-8")
         out = tmp_path / "out"
         capsys.readouterr()
         assert main(["ingest", "--edges", str(bad), "--node-text", str(text), "--word-vectors", str(vecs),
                      "--out-dir", str(out)]) == 2
-        assert capsys.readouterr().err == f"data error: {bad}: line 2: expected 2 or 3 tab-separated fields, got 4\n"
+        fields = 2 + extra.count("\t")
+        assert capsys.readouterr().err == f"data error: {bad}: line 2: expected 2 tab-separated fields, got {fields}\n"
         assert not out.exists()
 
     def test_truncated_state_sidecar(self, dataset, tmp_path, capsys):
@@ -1017,7 +1035,7 @@ class TestDataErrorLines:
             "--state", str(out / "state.json"), "--out-dir", str(tmp_path / "query"), "--rank-negatives", "5",
         ]) == 2
         assert capsys.readouterr().err == "data error: split 'test' has no positive edges to evaluate\n"
-        assert not (tmp_path / "query" / "metrics.json").exists()
+        assert not (tmp_path / "query").exists()  # once left behind empty: evaluate wrote its own CSV
 
     def test_explain_on_an_unknown_node_text_channel(self, dataset, tmp_path, capsys):
         root, edges, text, vecs = dataset

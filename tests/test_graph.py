@@ -1,8 +1,7 @@
 """Graph structure and dangling-detection contracts."""
 
 import re
-from itertools import chain, compress, count
-from operator import itemgetter
+from itertools import chain, count
 
 import numpy as np
 import pytest
@@ -37,39 +36,28 @@ class ReferenceGraph:
         self.out = [sorted(j for i, j in self.pairs if i == k) for k in range(n)]
         self.inn = [sorted(i for i, j in self.pairs if j == k) for k in range(n)]
         self.edge_set = set(self.pairs)
-        self.times = [int(e[2]) for e in edges] if len(edges[0]) == 3 else None
 
 
 @st.composite
 def graphs_with_probes(draw):
-    """(edges, probe pairs): timed or untimed edge lists over shuffled labels,
-    and index pairs that include out-of-range and negative indices."""
+    """(edges, probe pairs): edge lists over shuffled labels, and index pairs
+    that include out-of-range and negative indices."""
     edges = draw(edge_lists(max_nodes=10))
     labels = draw(st.permutations([f"n{k}" for k in range(10)]))
     edges = [(labels[int(a[1:])], labels[int(b[1:])]) for a, b in edges]
-    if draw(st.booleans()):
-        times = draw(st.lists(st.integers(1990, 2000), min_size=len(edges), max_size=len(edges)))
-        edges = [(a, b, t) for (a, b), t in zip(edges, times)]
     probes = draw(st.lists(st.tuples(st.integers(-2, 12), st.integers(-2, 12)), max_size=30))
     return edges, probes
 
 
 def two_pass_index(edges):
     """The indexing `CitationGraph` used before its one-pass version, kept
-    verbatim as the reference: a timed-edge scan, a tuple per edge, then
-    `dict.fromkeys` and a second lookup per id. Returns the fields it set."""
+    as the reference: `dict.fromkeys`, then a second lookup per id. Returns
+    the fields it set."""
     edges = list(edges)
     if not edges:
         raise ValueError("cannot build a graph from an empty edge list")
 
-    # An edge is timed when it has a third field that is not None.
-    thirds = list(map(itemgetter(2), compress(edges, map((3).__eq__, map(len, edges)))))
-    num_timed = len(thirds) - thirds.count(None)
-    if 0 < num_timed < len(edges):
-        raise ValueError("edge list mixes timed and untimed edges; provide timestamps for all edges or none")
-    timed = num_timed == len(edges)
-
-    ids = list(chain.from_iterable(map(itemgetter(0, 1), edges)))
+    ids = list(chain.from_iterable(edges))
     index = dict(zip(dict.fromkeys(ids), count()))
     pairs = np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids)).reshape(-1, 2)
 
@@ -83,8 +71,7 @@ def two_pass_index(edges):
         raise ValueError("duplicate edges must be removed before graph construction")
     in_indptr, in_indices, _ = _csr(pairs[:, 1], pairs[:, 0], n)
     return {
-        "node_ids": tuple(index), "_index": index, "edge_array": pairs, "timed": timed,
-        "edge_times": np.fromiter(map(int, thirds), dtype=np.int64, count=len(edges)) if timed else None,
+        "node_ids": tuple(index), "_index": index, "edge_array": pairs,
         "out_indptr": out_indptr, "out_indices": out_indices, "in_indptr": in_indptr, "in_indices": in_indices,
     }
 
@@ -92,31 +79,18 @@ def two_pass_index(edges):
 @st.composite
 def raw_edge_lists(draw):
     """Edge lists as callers pass them: ids drawn from a small pool (so repeated,
-    and at times self-loops or duplicates), each edge a tuple or a list, with
-    times on every edge, on none, on some, or as None."""
+    and at times self-loops or duplicates), each edge a tuple or a list."""
     pool = draw(st.lists(st.text(alphabet="abc", min_size=1, max_size=2), min_size=1, max_size=6, unique=True))
     node = st.sampled_from(pool)
     pair = st.tuples(node, node).filter(lambda p: p[0] != p[1]) if draw(st.booleans()) else st.tuples(node, node)
     pairs = draw(st.lists(pair, min_size=1, max_size=20, unique=draw(st.booleans())))
-    times = draw(st.sampled_from(["none", "all", "some", "none-valued"]))
-    edges = []
-    for a, b in pairs:
-        extra = {
-            "none": (),
-            "all": (draw(st.integers(1990, 2020)),),
-            "some": draw(st.sampled_from([(), (2000,)])),
-            "none-valued": draw(st.sampled_from([(None,), (2001,), ()])),
-        }[times]
-        edge = (a, b, *extra)
-        edges.append(list(edge) if draw(st.booleans()) else edge)
-    return edges
+    return [list(pair) if draw(st.booleans()) else pair for pair in pairs]
 
 
 class TestOnePassIndex:
     """The one-pass index gives what the two-pass reference gave, errors included."""
 
-    FIELDS = ("node_ids", "_index", "edge_array", "timed", "edge_times",
-              "out_indptr", "out_indices", "in_indptr", "in_indices")
+    FIELDS = ("node_ids", "_index", "edge_array", "out_indptr", "out_indices", "in_indptr", "in_indices")
 
     def check(self, edges):
         try:
@@ -142,12 +116,8 @@ class TestOnePassIndex:
 
     @pytest.mark.parametrize("edges, error", [
         ([("a", "b"), ["b", "c"], ("c", "a")], None),
-        ([["a", "b", 3], ("b", "a", 1)], None),
         ([("a", "b"), ("b", "b"), ("c", "c")], "self-loop 'b'"),
         ([["x", "y"], ("y", "x"), ["x", "y"]], "duplicate edges"),
-        ([("a", "b", 1), ["b", "c"]], "mixes timed and untimed"),
-        ([("a", "b", None), ("b", "c")], None),
-        ([("a", "b", None), ("b", "c", 5)], "mixes timed and untimed"),
     ])
     def test_cases(self, edges, error):
         message = self.check(edges)
@@ -178,10 +148,6 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="self-loop"):
             build_graph([("A", "A")])
 
-    def test_mixed_timed_untimed_rejected(self):
-        with pytest.raises(ValueError, match="timed"):
-            build_graph([("A", "B", 1), ("B", "C")])
-
     @given(graphs_with_probes())
     @settings(max_examples=150, deadline=None)
     def test_matches_reference_builder(self, case):
@@ -202,11 +168,6 @@ class TestBuildGraph:
         expected = [p in ref.edge_set for p in probes]
         assert g.contains(probes).tolist() == expected
         assert [g.has_edge(i, j) for i, j in probes] == expected
-        assert g.timed == (ref.times is not None)
-        if g.timed:
-            assert g.edge_times.dtype == np.int64 and g.edge_times.tolist() == ref.times
-        else:
-            assert g.edge_times is None
 
     def test_indices_of_names_unknown_id(self):
         g = build_graph([("A", "B"), ("B", "C"), ("C", "A")])
@@ -240,35 +201,21 @@ class TestBuildGraph:
 class TestRejectionMessages:
     """Every construction check keeps its exact message and its order."""
 
-    MIXED = "edge list mixes timed and untimed edges; provide timestamps for all edges or none"
-
     def test_empty(self):
         with pytest.raises(ValueError, match=re.escape("cannot build a graph from an empty edge list")):
             build_graph(iter(()))
 
-    @pytest.mark.parametrize("edges", [
-        [("A", "B", 1), ("B", "C")],
-        [("A", "B"), ("B", "C", 2)],
-        [("A", "B", None), ("B", "C", 3)],
-        [["A", "B", 4], ["B", "C"]],
-    ])
-    def test_mixed_timed_untimed(self, edges):
-        with pytest.raises(ValueError, match=re.escape(self.MIXED)):
-            build_graph(edges)
-
-    def test_all_none_times_is_untimed(self):
-        g = build_graph([("A", "B", None), ("B", "C", None)])
-        assert not g.timed and g.edge_times is None
-
     @pytest.mark.parametrize("edges, position, items", [
         ([["p1"], ("a", "b")], 0, 1),
         ([("a", "b"), ("b", "c", 1, "x")], 1, 4),
-        ([("a", "b", None), ("b", "c", None, None)], 1, 4),
-        ([("a", "b", 1), ("b", "c", 2), ()], 2, 0),
+        ([("a", "b"), ("b", "c"), ("c", "a", 2001)], 2, 3),
+        ([("a", "b", None), ("b", "c")], 0, 3),
+        ([("a", "a"), ("b", "c", 1)], 1, 3),  # before the self-loop check
+        ([("a", "b"), ("b", "c"), ()], 2, 0),
     ])
     def test_edge_of_wrong_length_names_its_position(self, edges, position, items):
-        """A one-item edge once ended in a bare IndexError; a four-item one was read as untimed."""
-        message = f"edge {position} has {items} items, expected 2 or 3 (source, target[, time])"
+        """A one-item edge once ended in a bare IndexError; a three-item one, an edge time, now has no reader."""
+        message = f"edge {position} has {items} items, expected 2 (source, target)"
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
             build_graph(edges)
 
@@ -279,10 +226,6 @@ class TestRejectionMessages:
     def test_duplicate(self):
         with pytest.raises(ValueError, match=re.escape("duplicate edges must be removed before graph construction")):
             build_graph([("A", "B"), ("B", "C"), ("A", "B")])
-
-    def test_mixed_times_reported_before_self_loop(self):
-        with pytest.raises(ValueError, match=re.escape(self.MIXED)):
-            build_graph([("A", "A", 1), ("B", "C")])
 
     def test_self_loop_reported_before_duplicate(self):
         with pytest.raises(ValueError, match="self-loop 'E'"):

@@ -247,6 +247,29 @@ class TestEvaluateHarness:
         a.validate()
         assert a.to_dict() == b.to_dict()
 
+    def test_per_source_rows_average_to_the_report(self, small_graph, small_split, small_text):
+        """`evaluate` returns its per-source rows and writes no file; they stay out of `to_dict`."""
+        from aspectcite import ModelParams, Dims, initialize_state
+        from aspectcite.metrics import MetricsReport
+
+        params = ModelParams.initialize(
+            Dims(aspects=2, text_dim=small_text.shape[1], struct_dim=3),
+            small_graph.num_nodes,
+            np.random.default_rng(2),
+        )
+        state = initialize_state(small_graph.num_nodes, 2)
+        report = evaluate(params, state, small_split, small_graph, small_text, rank_negatives_per_source=4)
+        rows = report.per_source
+        assert len(rows) == report.num_ranked_sources > 0
+        assert list(rows[0]) == ["source", "positives", "candidates", "ap@1", "ndcg@1", "ap@5", "ndcg@5",
+                                 "ap@10", "ndcg@10"]
+        for k in report.ap_at_k:
+            assert sum(row[f"ap@{k}"] for row in rows) / len(rows) == pytest.approx(report.ap_at_k[k], rel=1e-12)
+            assert sum(row[f"ndcg@{k}"] for row in rows) / len(rows) == pytest.approx(report.ndcg_at_k[k], rel=1e-12)
+        assert "per_source" not in report.to_dict()
+        fields = {name: value for name, value in report.to_dict().items() if name != "config"}
+        assert MetricsReport(**fields).per_source == []  # a report rebuilt from metrics.json's keys
+
     def test_empty_split_rejected(self, small_graph, small_text):
         from aspectcite import ModelParams, Dims, initialize_state
         from aspectcite.corpus import DatasetSplit
