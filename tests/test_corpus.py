@@ -43,6 +43,11 @@ class TestLoadEdgeList:
         assert res.edges == [("A", "B")]
         assert res.duplicate_count == 1
 
+    def test_duplicates_keep_first_appearance_order(self, tmp_path):
+        res = load_edge_list(write(tmp_path, "e.tsv", "A\tB\nB\tC\nA\tB\nB\tA\nB\tC\nC\tA\n"))
+        assert res.edges == [("A", "B"), ("B", "C"), ("B", "A"), ("C", "A")]  # a reversed pair is its own edge
+        assert res.duplicate_count == 2 and res.self_loop_count == 0
+
     def test_self_loops_dropped_and_counted(self, tmp_path):
         res = load_edge_list(write(tmp_path, "e.tsv", "A\tA\n"))
         assert res.edges == []
@@ -59,6 +64,10 @@ class TestLoadEdgeList:
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(CorpusFormatError, match="empty"):
             load_edge_list(write(tmp_path, "e.tsv", ""))
+
+    def test_single_field_line_rejected(self, tmp_path):
+        with pytest.raises(CorpusFormatError, match="line 3: expected 2 tab-separated fields, got 1$"):
+            load_edge_list(write(tmp_path, "e.tsv", "A\tB\n# c\nC\n"))
 
     @pytest.mark.parametrize("third", ["1999", "never", ""])
     def test_third_field_rejected(self, tmp_path, third):

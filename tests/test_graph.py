@@ -118,6 +118,9 @@ class TestOnePassIndex:
         ([("a", "b"), ["b", "c"], ("c", "a")], None),
         ([("a", "b"), ("b", "b"), ("c", "c")], "self-loop 'b'"),
         ([["x", "y"], ("y", "x"), ["x", "y"]], "duplicate edges"),
+        ([("a", "b")], None),
+        ([["c", "a"], ("a", "c"), ["b", "a"]], None),
+        ([("a", "b"), ("b", "c"), ("a", "b"), ("d", "d")], "self-loop 'd'"),
     ])
     def test_cases(self, edges, error):
         message = self.check(edges)
