@@ -42,7 +42,6 @@ from .seeding import substream
 from .training import (
     FitResult,
     TrainConfig,
-    Triplet,
     TrainingAbort,
     fit,
     sample_triplets,

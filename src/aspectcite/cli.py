@@ -40,7 +40,7 @@ from . import corpus
 from .codec import write_atomically as _write_atomically, write_json as _write_json
 from .explain import explain_target, export_explanation
 from .graph import build_graph
-from .metrics import evaluate
+from .metrics import check_ks, evaluate
 from .model import load_checkpoint, save_checkpoint, scores_for_pairs
 from .propagation import load_state, save_state
 from .training import TrainConfig, TrainingAbort, fit
@@ -350,8 +350,12 @@ def cmd_evaluate(args) -> int:
     res = _Resolver(args)
     ks = res.get("ks", (1, 5, 10), parse=_parse_int_list)
     rank_negatives = res.get("rank_negatives", 50, parse=int)
-    if any(k < 1 for k in ks) or rank_negatives < 1:
-        raise UsageError(f"--ks values and --rank-negatives must be >= 1, got ks={ks} rank-negatives={rank_negatives}")
+    try:
+        check_ks(ks)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    if rank_negatives < 1:
+        raise UsageError(f"--rank-negatives must be >= 1, got {rank_negatives}")
     split_name = res.get("split", "test", choices=SPLITS)
     res.check_unread()
     manifest, graph, text_vectors, params, state = _load_artifacts(args)
@@ -388,9 +392,11 @@ def cmd_predict(args) -> int:
     pairs_file = _require_file(args.pairs, "pair list")
     pairs_ids: list[list[str]] = []
     for lineno, fields in corpus.tab_rows(pairs_file):
-        if len(fields) < 2:
-            raise DataError(f"{pairs_file}: line {lineno}: expected source<TAB>target")
-        pairs_ids.append(fields[:2])
+        if len(fields) != 2:  # the edge reader's two rules, with its messages
+            raise DataError(f"{pairs_file}: line {lineno}: expected 2 tab-separated fields, got {len(fields)}")
+        if not all(fields):
+            raise DataError(f"{pairs_file}: line {lineno}: empty node id")
+        pairs_ids.append(fields)
     if not pairs_ids:
         raise DataError(f"{pairs_file}: no pairs to score")
     try:

@@ -27,6 +27,7 @@ __all__ = [
     "average_precision_at_k",
     "ndcg_at_k",
     "recall",
+    "check_ks",
     "evaluate",
 ]
 
@@ -138,6 +139,15 @@ class MetricsReport:
         }
 
 
+def check_ks(ks) -> tuple:
+    """`evaluate`'s check of its ranking cutoffs, which needs no artifact:
+    at least one, distinct, each >= 1; returns them as a tuple."""
+    ks = tuple(ks)
+    if not ks or len(set(ks)) < len(ks) or min(ks) < 1:
+        raise ValueError(f"ks must be one or more distinct integers >= 1, got {ks}")
+    return ks
+
+
 def _sample_source_negatives(source, graph, count, rng):
     """Uniform non-neighbors of `source` (never edges, never self), distinct."""
     n = graph.num_nodes
@@ -174,8 +184,10 @@ def evaluate(
     Pairs are scored by the trained model's F score (`scores_for_pairs`);
     `score_fn(pairs) -> scores` replaces it (tests pass oracle scores this
     way). The report's `per_source` rows give each ranked source's id, its
-    positive and candidate counts, and its AP@k and nDCG@k.
+    positive and candidate counts, and its AP@k and nDCG@k; the report's
+    AP@k and nDCG@k are their means. `ks` must pass `check_ks`.
     """
+    ks = check_ks(ks)
     positives = split.edges_of(split_name)
     negatives = split.negatives[split_name]
     if len(positives) == 0:
@@ -195,9 +207,6 @@ def evaluate(
     sources, starts = np.unique(by_source[:, 0], return_index=True)
 
     rng = substream(seed, "rank-negatives")
-    ap_totals = {k: 0.0 for k in ks}
-    ndcg_totals = {k: 0.0 for k in ks}
-    ranked_sources = 0
     per_source_rows = []
     for source, targets in zip(sources.tolist(), np.split(by_source[:, 1], starts[1:])):
         neg_targets = _sample_source_negatives(source, graph, rank_negatives_per_source, rng)
@@ -210,28 +219,26 @@ def evaluate(
         relevance[: len(targets)] = 1
         order = np.argsort(-cand_scores, kind="stable")
         ranked_rel = relevance[order]
-        ranked_sources += 1
         row = {"source": graph.node_ids[source], "positives": len(targets), "candidates": len(cand_pairs)}
         for k in ks:
-            ap = average_precision_at_k(ranked_rel, k)
-            ndcg = ndcg_at_k(ranked_rel, k)
-            ap_totals[k] += ap
-            ndcg_totals[k] += ndcg
-            row[f"ap@{k}"] = ap
-            row[f"ndcg@{k}"] = ndcg
+            row[f"ap@{k}"] = average_precision_at_k(ranked_rel, k)
+            row[f"ndcg@{k}"] = ndcg_at_k(ranked_rel, k)
         per_source_rows.append(row)
 
-    if ranked_sources == 0:
+    if not per_source_rows:
         raise ValueError("no source had both positives and candidate negatives to rank")
+
+    def mean(column):
+        return sum(row[column] for row in per_source_rows) / len(per_source_rows)
 
     report = MetricsReport(
         auc=auc(pos_scores, neg_scores),
-        ap_at_k={k: ap_totals[k] / ranked_sources for k in ks},
-        ndcg_at_k={k: ndcg_totals[k] / ranked_sources for k in ks},
+        ap_at_k={k: mean(f"ap@{k}") for k in ks},
+        ndcg_at_k={k: mean(f"ndcg@{k}") for k in ks},
         recall=recall(pos_scores, neg_scores),
         num_positives=len(positives),
         num_negatives=len(negatives),
-        num_ranked_sources=ranked_sources,
+        num_ranked_sources=len(per_source_rows),
         config={
             "split": split_name,
             "ks": list(ks),

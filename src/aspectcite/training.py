@@ -6,7 +6,8 @@ the propagation system then recomputes per-edge masked impacts with the
 updated tensors and re-propagates influence to its fixed point. The two
 phases alternate a configurable number of times; the non-dynamic variant
 skips propagation and keeps the uniform initial state throughout. Both
-phases read the split's train pairs as one (k, 2) int64 array.
+phases read the split's train pairs as one (k, 2) int64 array, and the
+scoring phase samples its triplets as one (m, 3) int64 array.
 
 Batch updates sum per-triplet gradients (per-sample SGD, vectorized), so the
 learning rate is per sampled triplet and independent of batch size. Reported
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -51,7 +51,6 @@ from .seeding import substream
 
 __all__ = [
     "TrainConfig",
-    "Triplet",
     "TrainingAbort",
     "FitResult",
     "sample_triplets",
@@ -104,38 +103,24 @@ class TrainConfig:
         return asdict(self)
 
 
-class Triplet(NamedTuple):
-    source: int
-    positive: int
-    negative: int
-
-
-class TripletBatch(list):
-    """List of triplets plus the count of skipped exhausted sources."""
-
-    skipped: int = 0
-
-
-def sample_triplets(edges: np.ndarray, batch: int, rng: np.random.Generator, graph: CitationGraph):
-    """Draw `batch` (source, positive, negative) triplets.
+def sample_triplets(edges: np.ndarray, batch: int, rng: np.random.Generator, graph: CitationGraph) -> np.ndarray:
+    """Draw `batch` (source, positive, negative) rows as one (batch, 3) int64 array.
 
     Positives come uniformly (with replacement) from the (k, 2) train pairs
-    `edges`; negatives are rejection-sampled uniformly over the source's
-    non-neighbors. Sources with no non-neighbor are skipped (counted in the
-    returned warning total, exposed via the .skipped attribute of the result).
+    `edges` whose source has a non-neighbor; negatives are rejection-sampled
+    uniformly over the source's non-neighbors. Pairs whose source cites
+    every other node are dropped before sampling, and a ValueError names the
+    cause when none is left, so every returned batch is full.
     """
     if len(edges) == 0:
         raise ValueError("train edge set is empty")
-    triplets: list[Triplet] = []
-    skipped = 0
     n = graph.num_nodes
-    while len(triplets) < batch:
+    edges = edges[graph.out_degrees()[edges[:, 0]] < n - 1]
+    if len(edges) == 0:
+        raise ValueError("every train pair's source cites all other nodes: no non-neighbor to sample as a negative")
+    triplets = np.empty((batch, 3), dtype=np.int64)
+    for row in triplets:
         i, j = edges[int(rng.integers(len(edges)))].tolist()  # the row's two ids as Python ints
-        if graph.out_degree(i) >= n - 1:
-            skipped += 1
-            if skipped > 10 * batch:
-                break  # every remaining source is exhausted; give up gracefully
-            continue
         negative = None
         for _ in range(50):
             cand = int(rng.integers(n))
@@ -145,10 +130,8 @@ def sample_triplets(edges: np.ndarray, batch: int, rng: np.random.Generator, gra
         if negative is None:
             allowed = np.setdiff1d(np.arange(n), np.append(graph.out_neighbors(i), i))
             negative = int(allowed[int(rng.integers(len(allowed)))])
-        triplets.append(Triplet(i, j, negative))
-    result = TripletBatch(triplets)
-    result.skipped = skipped
-    return result
+        row[:] = i, j, negative
+    return triplets
 
 
 def _forward(params: ModelParams, state_matrix, text_vectors, triplets):
@@ -271,11 +254,12 @@ def train_sy_phase(
     rng_triplets: np.random.Generator,
     rng_gumbel: np.random.Generator,
 ):
-    """One scoring-system phase: SGD over triplets sampled from the (k, 2)
-    train pairs `edges`, state held fixed.
+    """One scoring-system phase: SGD over (m, 3) triplet batches sampled from
+    the (k, 2) train pairs `edges`, state held fixed.
 
     Returns (params, trace) where trace holds the per-epoch mean training
-    loss, the loss on a fixed evaluation batch, and the skipped-source count.
+    loss and the loss on a fixed evaluation batch. Raises ValueError when
+    `edges` is empty or no pair's source has a non-neighbor to sample.
     """
     config.validate()
     if len(edges) == 0:
@@ -287,14 +271,11 @@ def train_sy_phase(
     eval_chosen = select_aspects(_forward(params, state_matrix, text_vectors, eval_batch)["imp_j"])
 
     batches_per_epoch = max(1, int(np.ceil(len(edges) / config.batch_size)))
-    trace = {"train_loss": [], "eval_loss": [], "skipped_sources": 0}
+    trace = {"train_loss": [], "eval_loss": []}
     for _ in range(config.epochs_per_phase):
         epoch_losses = []
         for _ in range(batches_per_epoch):
             triplets = sample_triplets(edges, config.batch_size, rng_triplets, graph)
-            trace["skipped_sources"] += triplets.skipped
-            if not triplets:
-                continue
             fw = _forward(params, state_matrix, text_vectors, triplets)
             chosen = sample_batch_alphas(fw["imp_j"], rng_gumbel)
             loss, grads = batch_loss_and_grads(params, fw, chosen, config)
@@ -304,9 +285,9 @@ def train_sy_phase(
             if config.learning_rate > 0.0:
                 _apply_sgd(params, grads, config.learning_rate)
             epoch_losses.append(loss / len(triplets))
-        trace["train_loss"].append(float(np.mean(epoch_losses)) if epoch_losses else 0.0)
+        trace["train_loss"].append(float(np.mean(epoch_losses)))
         trace["eval_loss"].append(
-            batch_loss(params, state_matrix, text_vectors, eval_batch, eval_chosen, config) / max(1, len(eval_batch))
+            batch_loss(params, state_matrix, text_vectors, eval_batch, eval_chosen, config) / len(eval_batch)
         )
     return params, trace
 
@@ -349,8 +330,8 @@ def fit(graph: CitationGraph, split: DatasetSplit, config: TrainConfig, text_vec
     propagation phase, both over `split.train_edges`. Non-dynamic: the same
     number of scoring phases against the uniform initial state, no
     propagation. An empty train part raises ValueError from the first
-    scoring phase. The report keeps its phase traces in a one-element
-    `stages` list.
+    scoring phase, as does one where every source cites all other nodes.
+    The report keeps its phase traces in a one-element `stages` list.
     """
     config.validate()
     text_vectors = np.asarray(text_vectors, dtype=np.float64)

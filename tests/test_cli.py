@@ -471,6 +471,26 @@ class TestPredict:
         ]) == 3
         assert "self-pairs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,message", [
+        pytest.param("{a}\t{b}\t0.9", "expected 2 tab-separated fields, got 3", id="three-fields"),
+        pytest.param("{a}\t", "empty node id", id="empty-target"),
+    ])
+    def test_pair_line_off_the_edge_format_exits_2(self, dataset, tmp_path, capsys, line, message):
+        root, edges, text, vecs = dataset
+        out = tmp_path / "out"
+        run_pipeline(root, edges, text, vecs, out)
+        a, b = json.loads((out / "manifest.json").read_text())["nodes"][:2]
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text(f"{a}\t{b}\n" + line.format(a=a, b=b) + "\n", encoding="utf-8")
+        query = tmp_path / "query"
+        capsys.readouterr()
+        assert main([
+            "predict", "--manifest", str(out / "manifest.json"), "--checkpoint", str(out / "checkpoint.json"),
+            "--state", str(out / "state.json"), "--pairs", str(pairs), "--out-dir", str(query),
+        ]) == 2
+        assert f"line 2: {message}" in capsys.readouterr().err
+        assert not query.exists()
+
 
 def query_exit_codes(out, pairs_file):
     """Exit codes of evaluate and of predict on pairs_file, both on the artifacts in out."""
@@ -830,6 +850,8 @@ class TestExplain:
 
 @pytest.mark.parametrize("command,flags", [
     ("evaluate", ["--ks", "0"]),
+    ("evaluate", ["--ks", "5,5"]),
+    ("evaluate", ["--ks", ","]),
     ("evaluate", ["--rank-negatives", "0"]),
     ("explain", ["--top-n", "0"]),
     ("explain", ["--top-m", "-1"]),

@@ -270,6 +270,20 @@ class TestEvaluateHarness:
         fields = {name: value for name, value in report.to_dict().items() if name != "config"}
         assert MetricsReport(**fields).per_source == []  # a report rebuilt from metrics.json's keys
 
+    @pytest.mark.parametrize("ks", [(5, 5, 1), (), (0, 5), [1, 1]])
+    def test_ks_must_be_distinct_and_positive(self, small_graph, small_split, small_text, ks):
+        # a repeated k once added each source's AP@k and nDCG@k once per occurrence but divided once
+        from aspectcite import ModelParams, Dims, initialize_state
+
+        params = ModelParams.initialize(
+            Dims(aspects=2, text_dim=small_text.shape[1], struct_dim=3),
+            small_graph.num_nodes,
+            np.random.default_rng(0),
+        )
+        state = initialize_state(small_graph.num_nodes, 2)
+        with pytest.raises(ValueError, match="ks must be one or more distinct integers >= 1"):
+            evaluate(params, state, small_split, small_graph, small_text, ks=ks)
+
     def test_empty_split_rejected(self, small_graph, small_text):
         from aspectcite import ModelParams, Dims, initialize_state
         from aspectcite.corpus import DatasetSplit

@@ -27,6 +27,7 @@ from aspectcite.training import (
 )
 
 from conftest import community_dataset
+from test_corpus import random_graph
 from test_model import select_aspects_reference
 
 
@@ -69,11 +70,50 @@ class TestLossAspect:
         assert hinge_loss(imp_j=d, imp_k=d, aspect=1) == 1.0
 
 
+def sample_triplets_reference(edges, batch, rng, graph):
+    """`training.sample_triplets` as it skipped exhausted sources inside its
+    loop and returned a list of triplets, verbatim but for plain tuples."""
+    if len(edges) == 0:
+        raise ValueError("train edge set is empty")
+    triplets = []
+    skipped = 0
+    n = graph.num_nodes
+    while len(triplets) < batch:
+        i, j = edges[int(rng.integers(len(edges)))].tolist()  # the row's two ids as Python ints
+        if graph.out_degree(i) >= n - 1:
+            skipped += 1
+            if skipped > 10 * batch:
+                break  # every remaining source is exhausted; give up gracefully
+            continue
+        negative = None
+        for _ in range(50):
+            cand = int(rng.integers(n))
+            if cand != i and not graph.has_edge(i, cand):
+                negative = cand
+                break
+        if negative is None:
+            allowed = np.setdiff1d(np.arange(n), np.append(graph.out_neighbors(i), i))
+            negative = int(allowed[int(rng.integers(len(allowed)))])
+        triplets.append((i, j, negative))
+    return triplets
+
+
+def one_non_neighbor_graph(seed):
+    """30 nodes; v0 cites all others but v29, and 200 random pairs among v1..v29."""
+    rng = np.random.default_rng(seed)
+    edges = {(0, b) for b in range(1, 29)}
+    while len(edges) < 28 + 200:
+        a, b = rng.integers(1, 30, size=2).tolist()
+        if a != b:
+            edges.add((a, b))
+    return build_graph([(f"v{a}", f"v{b}") for a, b in sorted(edges)])
+
+
 class TestSampleTriplets:
     def test_deterministic_under_seed(self, small_graph, small_split):
         a = sample_triplets(small_split.train_edges, 16, substream(3, "triplets"), small_graph)
         b = sample_triplets(small_split.train_edges, 16, substream(3, "triplets"), small_graph)
-        assert list(a) == list(b)
+        assert np.array_equal(a, b)
 
     def test_invariants_exhaustive(self, small_graph, small_split):
         rng = substream(1, "triplets")
@@ -85,16 +125,52 @@ class TestSampleTriplets:
             assert len({i, j, k}) == 3
 
     def test_batch_zero_is_empty(self, small_graph, small_split):
-        assert sample_triplets(small_split.train_edges, 0, substream(0, "x"), small_graph) == []
+        batch = sample_triplets(small_split.train_edges, 0, substream(0, "x"), small_graph)
+        assert batch.shape == (0, 3) and batch.dtype == np.int64
 
     def test_exhausted_source_skipped_with_warning(self):
-        # node a cites every other node; sampling must skip it gracefully
+        # node a cites every other node; pairs from it alone leave nothing to sample
         edges = [("a", f"x{i}") for i in range(10)] + [("x0", "x1"), ("x1", "x2")]
         graph = build_graph(edges)
         split = split_edges(graph, (1.0, 0.0, 0.0), 1, seed=0)
         exhausted_only = split.train_edges[split.train_edges[:, 0] == graph.index_of("a")]
-        batch = sample_triplets(exhausted_only, 5, substream(0, "t"), graph)
-        assert batch == [] and batch.skipped > 0
+        with pytest.raises(ValueError, match="cites all other nodes"):
+            sample_triplets(exhausted_only, 5, substream(0, "t"), graph)
+
+    @pytest.mark.parametrize("graph_of,source_only", [
+        pytest.param(lambda seed: random_graph(2708, 5429, seed), False, id="cora-shaped"),
+        pytest.param(one_non_neighbor_graph, True, id="one-non-neighbor"),
+    ])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_same_rows_and_next_draw_as_reference(self, monkeypatch, graph_of, source_only, seed):
+        graph = graph_of(seed)
+        n = graph.num_nodes
+        edges = graph.edge_array
+        if source_only:  # only v0's pairs, so most rows need its one non-neighbor
+            edges = edges[edges[:, 0] == graph.index_of("v0")]
+        assert np.all(graph.out_degrees()[edges[:, 0]] < n - 1)
+        fallbacks = []
+        setdiff1d = np.setdiff1d
+        monkeypatch.setattr(np, "setdiff1d", lambda *args: fallbacks.append(1) or setdiff1d(*args))
+        rng, reference_rng = substream(seed, "triplets"), substream(seed, "triplets")
+        for batch in (1, 64, 512):
+            got = sample_triplets(edges, batch, rng, graph)
+            want = sample_triplets_reference(edges, batch, reference_rng, graph)
+            assert got.shape == (batch, 3) and got.dtype == np.int64
+            assert got.tolist() == [list(row) for row in want]
+        assert rng.integers(2**62) == reference_rng.integers(2**62)
+        assert (len(fallbacks) > 0) == source_only
+
+    def test_exhausted_source_never_starts_a_row(self):
+        edges = [("a", f"x{i}") for i in range(10)] + [("x0", "x1"), ("x1", "x2"), ("x3", "a")]
+        graph = build_graph(edges)
+        a = graph.index_of("a")
+        assert graph.out_degree(a) == graph.num_nodes - 1
+        triplets = sample_triplets(graph.edge_array, 200, substream(0, "t"), graph)
+        assert triplets.shape == (200, 3)
+        assert not np.any(triplets[:, 0] == a)
+        assert not np.any(graph.contains(triplets[:, [0, 2]]))
+        assert np.all(triplets[:, 0] != triplets[:, 2])
 
 
 class TestGradients:
